@@ -17,6 +17,7 @@ from .elemop import (
 from .fov import FovBoundarySample, field_of_values, fov_support
 from .linalg import (
     EigenPair,
+    haar_unitaries,
     haar_unitary,
     hermitian_part,
     retract,
@@ -74,6 +75,7 @@ __all__ = [
     "default_s_schedule",
     "field_of_values",
     "fov_support",
+    "haar_unitaries",
     "haar_unitary",
     "hausdorff",
     "hermitian_check",

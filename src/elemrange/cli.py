@@ -392,6 +392,7 @@ def _cmd_projection(args) -> int:
             KTupleOperator.multiplication(p, p, label=label),
             m=args.directions,
             cfg=cfg,
+            orbit=rep.artifacts["rhs"],
         )
         inst = {"label": label}
         _report_fragment(inst, rep)

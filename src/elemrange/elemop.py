@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._batched import ElementaryMatrix
 from .linalg import as_square_matrix
 from .unitary_opt import (
     OptConfig,
@@ -91,12 +92,12 @@ def apply(r: KTupleOperator, x) -> np.ndarray:
     x = as_square_matrix(x, "x")
     if x.shape[0] != r.n:
         raise ValueError(f"operand is {x.shape[0]}x{x.shape[0]}, operator acts on {r.n}x{r.n}")
-    return np.einsum("kij,jl,klm->im", r.a, x, r.b)
+    return ElementaryMatrix(r.a, r.b).apply(x)
 
 
 def apply_batched(r: KTupleOperator, u: np.ndarray) -> np.ndarray:
     """R applied to a stack of operands of shape (B, n, n)."""
-    return np.einsum("kij,bjl,klm->bim", r.a, u, r.b)
+    return ElementaryMatrix(r.a, r.b).apply(np.asarray(u))
 
 
 def matricize(r: KTupleOperator) -> np.ndarray:

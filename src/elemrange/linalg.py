@@ -71,18 +71,27 @@ def spectral_norm(c) -> float:
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary from QR of a complex Ginibre matrix.
+    """Haar-distributed random unitary from QR of a complex Ginibre matrix."""
+    return haar_unitaries(n, 1, rng)[0]
 
-    The triangular factor's diagonal phases are divided out so the
-    distribution is exactly Haar rather than merely unitary.
+
+def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of ``count`` Haar unitaries, shape (count, n, n).
+
+    One Gaussian draw and one stacked QR; the result and the generator
+    state afterwards are bit-identical to ``count`` successive
+    ``haar_unitary`` calls.  The triangular factors' diagonal phases are
+    divided out so the distribution is exactly Haar rather than merely
+    unitary.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    g = rng.standard_normal((count, 2, n, n))
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     ph = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    return q * ph
+    return q * ph[:, None, :]
 
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _batched
 from .elemop import KTupleOperator, apply_batched, russo_dye_norm, shifted_norm
-from .linalg import haar_unitary
+from .linalg import haar_unitaries
 from .region import SupportRegion, cloud_supports, directions, region_from_supports
 from .unitary_opt import (
     OptConfig,
@@ -294,9 +294,8 @@ def orbit_region(
     h_opt = np.array([rep.value for rep in reports])
 
     cloud_rng = np.random.default_rng([cfg.seed, _STREAM_CLOUD])
-    us = [haar_unitary(r.n, cloud_rng) for _ in range(n_haar)]
-    us.extend(maximizers)
-    witnesses = orbit_witnesses(r, np.stack(us))
+    us = np.concatenate([haar_unitaries(r.n, n_haar, cloud_rng), np.stack(maximizers)])
+    witnesses = orbit_witnesses(r, us)
     own = _witnesses_at_own_angle(r, np.stack(maximizers), thetas)
     witnesses = np.concatenate([witnesses, own])
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batched
-from .linalg import haar_unitary
+from .linalg import haar_unitaries
 
 # Coarse first-pass gradient tolerance and the value margin within which a
 # start is still a contender for the maximum of its group.
@@ -64,7 +64,7 @@ class OptReport:
     value: float
     maximizer: np.ndarray
     restarts_used: int
-    iterations: int
+    iterations: int  # most gradient evaluations spent on any one start
     converged: bool
     start_values: np.ndarray
 
@@ -91,8 +91,7 @@ class ShiftedNormObjective:
         self.b = np.asarray(b, dtype=complex)
         self.z = np.asarray(z, dtype=complex)
         self.n = self.a.shape[-1]
-        self._ah = np.conj(np.swapaxes(self.a, -1, -2))
-        self._bh = np.conj(np.swapaxes(self.b, -1, -2))
+        self._r = _batched.ElementaryMatrix(self.a, self.b)
         self._shifted = bool(np.any(self.z != 0))
 
     def _z_at(self, idx):
@@ -101,7 +100,7 @@ class ShiftedNormObjective:
         return self.z[idx]
 
     def _transform(self, u, idx):
-        g = np.einsum("kij,bjl,klm->bim", self.a, u, self.b)
+        g = self._r.apply(u)
         if self._shifted:
             g = g - _colify(self._z_at(idx)) * u
         return g
@@ -113,7 +112,7 @@ class ShiftedNormObjective:
         g = self._transform(u, idx)
         sigma, w, v = _batched.top_svd(g)
         outer = w[:, :, None] * np.conj(v)[:, None, :]
-        e = np.einsum("kij,bjl,klm->bim", self._ah, outer, self._bh)
+        e = self._r.adjoint(outer)
         if self._shifted:
             e = e - np.conj(_colify(self._z_at(idx))) * outer
         return sigma, e
@@ -131,7 +130,7 @@ class OrbitSupportObjective:
         self.b = np.asarray(b, dtype=complex)
         self.theta = np.asarray(theta, dtype=float)
         self.n = self.a.shape[-1]
-        self._ah = np.conj(np.swapaxes(self.a, -1, -2))
+        self._r = _batched.ElementaryMatrix(self.a, self.b)
         self._phase = np.exp(-1j * self.theta)
 
     def _phase_at(self, idx):
@@ -140,7 +139,7 @@ class OrbitSupportObjective:
         return self._phase[idx]
 
     def _parts(self, u, idx):
-        s = np.einsum("kij,bjl,klm->bim", self.a, u, self.b)
+        s = self._r.apply(u)
         t = np.conj(np.swapaxes(u, -1, -2)) @ s
         rt = _colify(self._phase_at(idx)) * t
         return s, (rt + np.conj(np.swapaxes(rt, -1, -2))) / 2.0
@@ -153,12 +152,11 @@ class OrbitSupportObjective:
         s, h = self._parts(u, idx)
         lam, v = _batched.top_eigh(h)
         phase = _colify(self._phase_at(idx))
+        vh = np.conj(v)[:, None, :]
         sv = np.einsum("bij,bj->bi", s, v)
-        term1 = phase * (sv[:, :, None] * np.conj(v)[:, None, :])
+        term1 = phase * (sv[:, :, None] * vh)
         uv = np.einsum("bij,bj->bi", u, v)
-        x = np.einsum("kij,bj->bki", self._ah, uv)
-        y = np.einsum("kij,bj->bki", self.b, v)
-        term2 = np.conj(phase) * np.einsum("bki,bkj->bij", x, np.conj(y))
+        term2 = np.conj(phase) * self._r.adjoint(uv[:, :, None] * vh)
         return lam, term1 + term2
 
 
@@ -174,7 +172,7 @@ def flip_permutation(n: int) -> np.ndarray:
 
 def default_starts(n: int, restarts: int, rng: np.random.Generator):
     starts = [np.eye(n, dtype=complex), flip_permutation(n)]
-    starts.extend(haar_unitary(n, rng) for _ in range(restarts))
+    starts.extend(haar_unitaries(n, restarts, rng))
     return starts
 
 
@@ -190,7 +188,7 @@ class _Ascent:
         self.step = np.full(self.nb, cfg.initial_step)
         self.done = np.zeros(self.nb, dtype=bool)
         self.converged = np.zeros(self.nb, dtype=bool)
-        self.iterations = 0
+        self.iterations = np.zeros(self.nb, dtype=int)
 
     def run(self, active: np.ndarray, gtol: float, budget: int) -> int:
         """Ascend the given elements until gradient tolerance or budget."""
@@ -205,7 +203,7 @@ class _Ascent:
             if idx.size == 0:
                 break
             used += 1
-            self.iterations += 1
+            self.iterations[idx] += 1
             ua = u[idx]
             fa, ea = self.objective.value_and_grad(ua, idx)
             fval[idx] = fa
@@ -292,7 +290,7 @@ def maximize(
         value=float(state.fval[best]),
         maximizer=state.u[best].copy(),
         restarts_used=state.nb,
-        iterations=state.iterations,
+        iterations=int(np.max(state.iterations)),
         converged=bool(state.converged[best]),
         start_values=state.fval.copy(),
     )
@@ -338,7 +336,7 @@ def maximize_grouped(
                 value=float(state.fval[best]),
                 maximizer=state.u[best].copy(),
                 restarts_used=int(idx.size),
-                iterations=state.iterations,
+                iterations=int(np.max(state.iterations[idx])),
                 converged=bool(state.converged[best]),
                 start_values=vals.copy(),
             )

@@ -20,8 +20,8 @@ from .elemop import (
     russo_dye_norm,
 )
 from .fov import field_of_values
-from .linalg import haar_unitary, spectral_norm
-from .orbit import banach_region, default_s_schedule, orbit_region
+from .linalg import haar_unitaries, spectral_norm
+from .orbit import RangeEstimate, banach_region, default_s_schedule, orbit_region
 from .region import directions, hausdorff, hull_of_points, minkowski_sum, negate
 from .unitary_opt import OptConfig
 
@@ -128,8 +128,7 @@ def verify_inclusion(
     worst violation observed, independent of any optimization.
     """
     cfg = cfg or DEFAULT_CFG
-    rng = np.random.default_rng([cfg.seed, 31])
-    us = np.stack([haar_unitary(r.n, rng) for _ in range(n_samples)])
+    us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 31]))
     ru = apply_batched(r, us)
     cu = np.conj(np.swapaxes(us, -1, -2)) @ ru
 
@@ -271,20 +270,22 @@ def hermitian_check(
     cfg: OptConfig | None = None,
     tol: float | None = None,
     n_samples: int = 32,
+    orbit: RangeEstimate | None = None,
 ) -> VerificationReport:
     """Classify R as hermitian (real numerical range) or not.
 
     The discrepancy is the imaginary extent of the computed orbit region;
     the report also carries the sampled asymmetry criterion
     max_u |T(u) - T(u)*| over Haar unitaries, with T(u) = sum u*a_i u b_i.
+    orbit, when given, is an ``orbit_region(r, m, cfg)`` estimate already
+    computed, which is then used instead of a second sweep.
     """
     cfg = cfg or DEFAULT_CFG
-    est = orbit_region(r, m, cfg)
+    est = orbit if orbit is not None else orbit_region(r, m, cfg)
     extent = float(np.max(np.abs(est.region.vertices[:, 1])))
     tolerance = tol if tol is not None else HERMITIAN_TOL_REL * est.scale
 
-    rng = np.random.default_rng([cfg.seed, 37])
-    us = np.stack([haar_unitary(r.n, rng) for _ in range(n_samples)])
+    us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 37]))
     t = np.conj(np.swapaxes(us, -1, -2)) @ apply_batched(r, us)
     asym = float(np.max(_batched.sigma_max(t - np.conj(np.swapaxes(t, -1, -2)))))
 

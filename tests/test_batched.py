@@ -1,9 +1,19 @@
-"""The closed-form 2x2 kernels must agree with LAPACK to roundoff."""
+"""The batched kernels must agree with their references to roundoff.
+
+The closed-form 2x2 kernels are checked against LAPACK, and the GEMM
+form of the elementary operator against the three-operand contraction
+and the column-stacking Kronecker matricization.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elemrange import _batched
+from elemrange.elemop import KTupleOperator, matricize, vec
+
+from oracles import apply_tuple
 
 
 def _random_hermitian(rng, b, n):
@@ -88,3 +98,52 @@ def test_skew_exp_matches_series(rng):
     lam, v = _batched.skew_exp_factors(k[None])
     got = _batched.apply_skew_exp(np.eye(2, dtype=complex)[None], lam, v, np.array([0.7]))[0]
     assert np.abs(got - expm(0.7 * k)).max() <= 1e-12
+
+
+_SCALES = st.sampled_from([0.0, 1e-6, 1.0, 1e6])
+
+
+def _stack(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    a_scale=_SCALES,
+    b_scale=_SCALES,
+    x_scale=_SCALES,
+)
+def test_elementary_matrix_matches_contraction(n, k, seed, a_scale, b_scale, x_scale):
+    rng = np.random.default_rng(seed)
+    a = _stack(rng, (k, n, n), a_scale)
+    b = _stack(rng, (k, n, n), b_scale)
+    x = _stack(rng, (3, n, n), x_scale)
+    y = _stack(rng, (3, n, n), x_scale)
+    r = _batched.ElementaryMatrix(a, b)
+    rx, ry = r.apply(x), r.adjoint(y)
+
+    # Roundoff is relative to sum_i |a_i| |x| |b_i| (Frobenius), which bounds
+    # every entry of R(x) before cancellation.
+    ab = float(sum(np.linalg.norm(a[i]) * np.linalg.norm(b[i]) for i in range(k)))
+    xn = np.linalg.norm(x, axis=(1, 2))
+    yn = np.linalg.norm(y, axis=(1, 2))
+    tol = 1e-12 * ab
+
+    err = np.linalg.norm(rx - apply_tuple(a, b, x), axis=(1, 2))
+    assert np.all(err <= tol * xn)
+    ah, bh = np.conj(np.swapaxes(a, -1, -2)), np.conj(np.swapaxes(b, -1, -2))
+    err = np.linalg.norm(ry - apply_tuple(ah, bh, y), axis=(1, 2))
+    assert np.all(err <= tol * yn)
+
+    m = matricize(KTupleOperator(a, b))
+    for i in range(3):
+        assert np.linalg.norm(vec(rx[i]) - m @ vec(x[i])) <= tol * xn[i]
+        assert np.linalg.norm(vec(ry[i]) - np.conj(m.T) @ vec(y[i])) <= tol * yn[i]
+
+    # Adjoint identity: Re tr(R(x) y*) = Re tr(x R*(y)*).
+    lhs = np.real(np.sum(rx * np.conj(y), axis=(1, 2)))
+    rhs = np.real(np.sum(x * np.conj(ry), axis=(1, 2)))
+    assert np.all(np.abs(lhs - rhs) <= tol * xn * yn)

@@ -242,6 +242,20 @@ class TestDeterminism:
         capsys.readouterr()
         assert files[0] == files[1]
 
+    def test_identical_result_files_n3(self, tmp_path, capsys):
+        # n = 3 runs the LAPACK eigen/SVD branches, not the 2x2 closed forms.
+        args = ["verify", "--count", "2", "--dim", "3", "--tuples", "2",
+                "--seed", "5", "--directions", "8", "--restarts", "2",
+                "--haar-samples", "4", "--threads", "1"]
+        for fmt in ("json", "csv"):
+            blobs = []
+            for name in ("a", "b"):
+                out = str(tmp_path / f"{name}.{fmt}")
+                assert main([*args, "--format", fmt, "--out", out]) == 0
+                blobs.append(open(out, "rb").read())
+            capsys.readouterr()
+            assert blobs[0] == blobs[1]
+
     def test_csv_and_svg_identical(self, identity_path, tmp_path, capsys):
         for fmt, suffix in (("csv", ".csv"), ("svg", ".svg")):
             blobs = []

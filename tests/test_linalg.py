@@ -5,6 +5,7 @@ from elemrange.linalg import (
     EigenPair,
     MatrixShapeError,
     as_square_matrix,
+    haar_unitaries,
     haar_unitary,
     hermitian_part,
     is_unitary,
@@ -116,6 +117,34 @@ class TestHaarUnitary:
     def test_rejects_bad_dimension(self, rng):
         with pytest.raises(ValueError):
             haar_unitary(0, rng)
+        with pytest.raises(ValueError):
+            haar_unitaries(0, 3, rng)
+
+
+def _sequential_haar(n, rng):
+    """One Ginibre draw and one QR per matrix: the unstacked reference."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    ph = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
+    return q * ph
+
+
+class TestHaarUnitaries:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical_to_sequential_draws(self, n):
+        for count in (0, 1, 5, 33):
+            seq_rng = np.random.default_rng([n, count])
+            stacked_rng = np.random.default_rng([n, count])
+            ref = [_sequential_haar(n, seq_rng) for _ in range(count)]
+            got = haar_unitaries(n, count, stacked_rng)
+            assert got.shape == (count, n, n)
+            assert got.tobytes() == np.array(ref, dtype=complex).reshape(count, n, n).tobytes()
+            assert seq_rng.bit_generator.state == stacked_rng.bit_generator.state
+
+    def test_single_draw_is_first_of_stack(self):
+        one = haar_unitary(3, np.random.default_rng(5))
+        assert np.array_equal(one, haar_unitaries(3, 4, np.random.default_rng(5))[0])
 
 
 class TestRetract:

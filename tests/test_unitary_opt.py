@@ -7,6 +7,7 @@ from elemrange.unitary_opt import (
     OptConfig,
     OrbitSupportObjective,
     ShiftedNormObjective,
+    default_starts,
     directional_derivative,
     finite_difference_directional,
     flip_permutation,
@@ -42,6 +43,21 @@ class TestGradients:
             numeric = finite_difference_directional(objective, u, k)
             denom = max(abs(numeric), 1e-6)
             assert abs(analytic - numeric) / denom <= 1e-5
+
+    @pytest.mark.parametrize("kind", ["orbit", "norm"])
+    def test_analytic_matches_finite_differences_n4k3(self, rng, kind):
+        for _ in range(5):
+            r = random_instance(4, 3, rng)
+            if kind == "orbit":
+                objective = OrbitSupportObjective(r.a, r.b, rng.uniform(0, 2 * np.pi))
+            else:
+                z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 20)
+                objective = ShiftedNormObjective(r.a, r.b, z)
+            u = haar_unitary(4, rng)
+            k = random_skew(rng, 4)
+            analytic = directional_derivative(objective, u, k)
+            numeric = finite_difference_directional(objective, u, k)
+            assert abs(analytic - numeric) / max(abs(numeric), 1e-6) <= 1e-5
 
     def test_tangent_project_is_skew(self, rng):
         u = haar_unitary(3, rng)[None]
@@ -127,6 +143,24 @@ class TestMaximizeGrouped:
         )
         assert len(reports) == 3
         assert all(rep.restarts_used == 2 for rep in reports)
+
+    def test_iterations_are_per_group(self, rng):
+        # Group 0 starts at a converged maximizer of its own subproblem, so
+        # it stops at its first gradient; group 1 climbs from Haar starts.
+        r = random_instance(3, 2, rng)
+        cfg = OptConfig(restarts=4, seed=3)
+        z = np.array([2.0 + 1.0j, -3.0j])
+        solved = maximize(ShiftedNormObjective(r.a, r.b, z[0]), cfg)
+        assert solved.converged
+        hard = default_starts(3, 4, np.random.default_rng(8))
+        starts = np.stack([solved.maximizer] * 2 + hard)
+        groups = np.array([0, 0] + [1] * len(hard))
+        easy, climb = maximize_grouped(
+            ShiftedNormObjective(r.a, r.b, z[groups]), groups, starts, cfg,
+            coarse_first=False,
+        )
+        assert easy.iterations == 1
+        assert climb.iterations > 1
 
 
 class TestHelpers:

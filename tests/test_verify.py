@@ -187,6 +187,15 @@ class TestHermitianCheck:
         assert not rep.check("real_range").passed
         assert rep.diagnostics["imaginary_extent"] >= 0.2
 
+    def test_reused_orbit_estimate_gives_same_report(self):
+        p = np.diag([1.0, 0.0])
+        proj = verify_mult_projection(p, m=M, cfg=CFG)
+        r = KTupleOperator.multiplication(p, p)
+        fresh = hermitian_check(r, m=M, cfg=CFG)
+        reused = hermitian_check(r, m=M, cfg=CFG, orbit=proj.artifacts["rhs"])
+        assert reused.to_dict() == fresh.to_dict()
+        assert reused.artifacts["rhs"] is proj.artifacts["rhs"]
+
 
 class TestRandomBatch:
     def test_labels_and_determinism(self):
