@@ -20,17 +20,14 @@ from .linalg import (
     haar_unitaries,
     haar_unitary,
     hermitian_part,
-    retract,
     spectral_norm,
     top_eigenpair,
 )
 from .orbit import (
     RangeEstimate,
     banach_region,
-    banach_support_ray,
     default_s_schedule,
     orbit_region,
-    orbit_support,
 )
 from .region import (
     DiskSpec,
@@ -71,7 +68,6 @@ __all__ = [
     "VerificationReport",
     "apply",
     "banach_region",
-    "banach_support_ray",
     "default_s_schedule",
     "field_of_values",
     "fov_support",
@@ -86,11 +82,9 @@ __all__ = [
     "minkowski_sum",
     "negate",
     "orbit_region",
-    "orbit_support",
     "random_batch",
     "random_instance",
     "region_from_supports",
-    "retract",
     "russo_dye_norm",
     "shifted_norm",
     "spectral_norm",

@@ -18,7 +18,8 @@ from .unitary_opt import (
     OptConfig,
     OptReport,
     ShiftedNormObjective,
-    maximize,
+    default_starts,
+    maximize_grouped,
 )
 
 
@@ -117,31 +118,25 @@ def vec(x) -> np.ndarray:
     return np.asarray(x).flatten(order="F")
 
 
-def shifted_norm(
-    r: KTupleOperator,
-    z: complex,
-    cfg: OptConfig | None = None,
-    rng=None,
-    extra_starts=(),
-    fresh_starts: bool = True,
-) -> OptReport:
+def shifted_norm(r: KTupleOperator, z: complex, cfg: OptConfig | None = None) -> OptReport:
     """Best found maximum of |R(u) - z u| over the unitary group.
 
     At the global maximum this equals the operator norm of R - z*Id on
-    M_n; the returned value is always a certified lower bound.
+    M_n; the returned value is always a certified lower bound.  The
+    identity, the flip permutation and cfg.restarts Haar unitaries start
+    one grouped ascent.
     """
     cfg = cfg or OptConfig()
+    rng = np.random.default_rng([cfg.seed, 0x5EED])
+    starts = np.stack(default_starts(r.n, cfg.restarts, rng))
+    groups = np.zeros(len(starts), dtype=int)
     objective = ShiftedNormObjective(r.a, r.b, z)
-    return maximize(
-        objective, cfg, rng=rng, extra_starts=extra_starts, fresh_starts=fresh_starts
-    )
+    return maximize_grouped(objective, groups, starts, cfg)[0]
 
 
-def russo_dye_norm(
-    r: KTupleOperator, cfg: OptConfig | None = None, rng=None, extra_starts=()
-) -> OptReport:
+def russo_dye_norm(r: KTupleOperator, cfg: OptConfig | None = None) -> OptReport:
     """Operator norm of R via the reduction of the unit-ball supremum to U(n)."""
-    return shifted_norm(r, 0.0, cfg=cfg, rng=rng, extra_starts=extra_starts)
+    return shifted_norm(r, 0.0, cfg=cfg)
 
 
 def random_instance(

@@ -44,17 +44,6 @@ def fov_supports(c, thetas) -> np.ndarray:
     return _batched.eigvals_max(h)
 
 
-def fov_witnesses(c, thetas) -> np.ndarray:
-    """Boundary witness points v*cv of W(c) at each angle."""
-    c = as_square_matrix(c)
-    th = np.asarray(thetas, dtype=float)
-    ph = np.exp(-1j * th)[:, None, None]
-    rc = ph * c
-    h = (rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0
-    _, v = _batched.top_eigh(h)
-    return np.einsum("bi,ij,bj->b", np.conj(v), c, v)
-
-
 def field_of_values(c, m: int = 720) -> SupportRegion:
     """W(c) sampled at m uniform directions.
 

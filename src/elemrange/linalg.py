@@ -9,7 +9,6 @@ import numpy as np
 # Structural tolerances gate type invariants, not science results.
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
-SKEW_TOL = 1e-10
 
 
 class MatrixShapeError(ValueError):
@@ -101,32 +100,3 @@ def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
         float(np.linalg.norm(u.conj().T @ u - eye, 2)) <= tol
         and float(np.linalg.norm(u @ u.conj().T - eye, 2)) <= tol
     )
-
-
-def check_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
-    u = as_square_matrix(u)
-    if not is_unitary(u, tol):
-        raise ValueError("matrix is not unitary within structural tolerance")
-    return u
-
-
-def check_skew(k, tol: float = SKEW_TOL) -> np.ndarray:
-    """Validate K* = -K within ``tol`` relative to max(1, |K|)."""
-    k = as_square_matrix(k, "K")
-    scale = max(1.0, float(np.abs(k).max()))
-    if float(np.abs(k + k.conj().T).max()) > tol * scale:
-        raise ValueError("matrix is not skew-Hermitian within tolerance")
-    return k
-
-
-def retract(u, k, step: float) -> np.ndarray:
-    """Move along the unitary group: u * exp(step*K) for skew-Hermitian K.
-
-    Uses the eigendecomposition of the Hermitian matrix iK, so the result is
-    unitary to working precision for any step size.
-    """
-    u = check_unitary(u)
-    k = check_skew(k)
-    lam, v = np.linalg.eigh(1j * k)
-    phases = np.exp(-1j * float(step) * lam)
-    return u @ ((v * phases) @ v.conj().T)

@@ -10,10 +10,9 @@ R as an element of B(M_n) through the ray limit
 whose finite-s evaluations g(s) decrease monotonically to h(theta); the
 last decrement of the schedule is reported as the residual bias bound.
 
-Region sweeps run every direction's multistart as one grouped batch; in
-the default chained mode a second grouped pass re-ascends each direction
-from its neighbor's maximizer, while with chaining off the directions
-stay fully independent (the parallel fresh-start mode).
+Region sweeps run every direction's multistart as one grouped batch; a
+second grouped pass then re-ascends each direction from its neighbor's
+maximizer.
 """
 
 from __future__ import annotations
@@ -23,16 +22,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _batched
-from .elemop import KTupleOperator, apply_batched, russo_dye_norm, shifted_norm
+from .elemop import KTupleOperator, apply_batched, russo_dye_norm
 from .linalg import haar_unitaries
 from .region import SupportRegion, cloud_supports, directions, region_from_supports
 from .unitary_opt import (
     OptConfig,
-    OptReport,
     OrbitSupportObjective,
     ShiftedNormObjective,
     default_starts,
-    maximize,
     maximize_grouped,
     merge_reports,
 )
@@ -45,7 +42,6 @@ EARLY_STOP_REL = 1e-4
 _STREAM_ORBIT = 11
 _STREAM_BANACH = 13
 _STREAM_CLOUD = 17
-_STREAM_RAY = 19
 
 
 @dataclass
@@ -86,101 +82,6 @@ def default_s_schedule(scale: float, smax_factor: float = 64.0) -> np.ndarray:
     if factors[-1] != smax_factor:
         factors.append(float(smax_factor))
     return float(scale) * np.array(factors)
-
-
-@dataclass
-class RaySample:
-    """One direction's ray-limit evaluation of the operator-side support."""
-
-    theta: float
-    value: float
-    residual: float
-    g_values: np.ndarray
-    s_values: np.ndarray
-    reports: list
-
-    @property
-    def maximizer(self) -> np.ndarray:
-        return self.reports[-1].maximizer
-
-
-def orbit_support(
-    r: KTupleOperator,
-    theta: float,
-    cfg: OptConfig | None = None,
-    rng=None,
-    extra_starts=(),
-) -> OptReport:
-    """Best found sup_u lambda_max(Herm(e^{-i theta} sum u*a_i u b_i)).
-
-    A certified lower bound on the orbit-side support at theta; the
-    maximizer is the best unitary found.
-    """
-    cfg = cfg or OptConfig()
-    objective = OrbitSupportObjective(r.a, r.b, theta)
-    return maximize(objective, cfg, rng=rng, extra_starts=extra_starts)
-
-
-def banach_support_ray(
-    r: KTupleOperator,
-    theta: float,
-    cfg: OptConfig | None = None,
-    s_schedule=None,
-    early_stop: float | None = None,
-    rng=None,
-    extra_starts=(),
-) -> RaySample:
-    """Evaluate g(s) = |R + s e^{i theta} Id| - s along the shift schedule.
-
-    g is nonincreasing in s and bounded below by the true support, so the
-    final value over-approximates it by at most the reported residual
-    scale (last decrement), up to optimizer undershoot.  The first
-    schedule point runs the full multistart; later points are warm
-    continuations from the previous maximizer (the subproblems differ
-    only in the shift magnitude, so their maximizers track each other).
-    """
-    cfg = cfg or OptConfig()
-    if s_schedule is None:
-        scale = russo_dye_norm(r, cfg).value + 1.0
-        s_schedule = default_s_schedule(scale)
-        early_stop = EARLY_STOP_REL * scale
-    s_schedule = np.asarray(s_schedule, dtype=float)
-    if s_schedule.ndim != 1 or s_schedule.size < 1:
-        raise ValueError("s_schedule must be a nonempty 1-d array")
-    if np.any(np.diff(s_schedule) <= 0) or np.any(s_schedule <= 0):
-        raise ValueError("s_schedule must be strictly increasing and positive")
-    if early_stop is None:
-        early_stop = EARLY_STOP_REL * (s_schedule[0] / 8.0)
-    if rng is None:
-        rng = np.random.default_rng([cfg.seed, _STREAM_RAY])
-
-    phase = np.exp(1j * float(theta))
-    g_values = []
-    reports = []
-    warm = list(extra_starts)
-    for i, s in enumerate(s_schedule):
-        rep = shifted_norm(
-            r,
-            -s * phase,
-            cfg=cfg,
-            rng=rng,
-            extra_starts=warm,
-            fresh_starts=(i == 0),
-        )
-        g_values.append(rep.value - s)
-        reports.append(rep)
-        warm = list(extra_starts) + [rep.maximizer]
-        if len(g_values) >= 2 and abs(g_values[-2] - g_values[-1]) < early_stop:
-            break
-    residual = g_values[-2] - g_values[-1] if len(g_values) >= 2 else 0.0
-    return RaySample(
-        theta=float(theta),
-        value=g_values[-1],
-        residual=float(residual),
-        g_values=np.array(g_values),
-        s_values=s_schedule[: len(g_values)].copy(),
-        reports=reports,
-    )
 
 
 def _orbit_matrices(r: KTupleOperator, us: np.ndarray) -> np.ndarray:
@@ -282,13 +183,9 @@ def orbit_region(
     starts, groups = _sweep_starts(r.n, m, cfg, _STREAM_ORBIT)
     objective = OrbitSupportObjective(r.a, r.b, thetas[groups])
     reports = maximize_grouped(objective, groups, starts, cfg)
-
-    if cfg.chain_directions:
-        reports = _chain_polish(
-            reports,
-            lambda g: OrbitSupportObjective(r.a, r.b, thetas[g]),
-            cfg,
-        )
+    reports = _chain_polish(
+        reports, lambda g: OrbitSupportObjective(r.a, r.b, thetas[g]), cfg
+    )
 
     maximizers = [rep.maximizer for rep in reports]
     h_opt = np.array([rep.value for rep in reports])
@@ -333,6 +230,10 @@ def banach_region(
         scale = russo_dye_norm(r, cfg).value + 1.0
         s_schedule = default_s_schedule(scale)
     s_schedule = np.asarray(s_schedule, dtype=float)
+    if s_schedule.ndim != 1 or s_schedule.size < 1:
+        raise ValueError("s_schedule must be a nonempty 1-d array")
+    if np.any(np.diff(s_schedule) <= 0) or np.any(s_schedule <= 0):
+        raise ValueError("s_schedule must be strictly increasing and positive")
     scale = float(s_schedule[0]) / 8.0
     early_stop = EARLY_STOP_REL * scale
     thetas = directions(m)
@@ -342,13 +243,12 @@ def banach_region(
     starts, groups = _sweep_starts(r.n, m, cfg, _STREAM_BANACH, warm_starts)
     objective = ShiftedNormObjective(r.a, r.b, -s_schedule[0] * phases[groups])
     reports = maximize_grouped(objective, groups, starts, cfg)
-    if cfg.chain_directions:
-        reports = _chain_polish(
-            reports,
-            lambda g: ShiftedNormObjective(r.a, r.b, -s_schedule[0] * phases[g]),
-            cfg,
-            per_dir_extra=warm_starts,
-        )
+    reports = _chain_polish(
+        reports,
+        lambda g: ShiftedNormObjective(r.a, r.b, -s_schedule[0] * phases[g]),
+        cfg,
+        per_dir_extra=warm_starts,
+    )
 
     g_per_dir = [[rep.value - s_schedule[0]] for rep in reports]
     final_reports = list(reports)

@@ -46,7 +46,6 @@ class OptConfig:
     max_backtracks: int = 40
     min_step: float = 1e-13
     seed: int = 0
-    chain_directions: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -250,52 +249,6 @@ class _Ascent:
         return used
 
 
-def maximize(
-    objective,
-    cfg: OptConfig,
-    rng=None,
-    extra_starts=(),
-    fresh_starts: bool = True,
-) -> OptReport:
-    """Run the batched multistart ascent on an objective over U(n).
-
-    extra_starts are additional unitary start points (warm starts from
-    neighboring subproblems); they join the deterministic and Haar starts
-    in one batch.  With fresh_starts=False only the extra starts are used
-    (warm continuation of an already-searched problem).  The aggregate is
-    a maximum, so the result does not depend on evaluation order.
-    """
-    n = objective.n
-    if rng is None:
-        rng = np.random.default_rng([cfg.seed, 0x5EED])
-    if fresh_starts or not len(extra_starts):
-        starts = default_starts(n, cfg.restarts, rng)
-    else:
-        starts = []
-    starts.extend(np.asarray(s, dtype=complex) for s in extra_starts)
-    state = _Ascent(objective, np.stack(starts), cfg)
-
-    # Coarse pass over every start, then full precision only for the starts
-    # still in contention for the maximum; dominated local maxima are not
-    # polished (the aggregate is a max, so their final values don't matter).
-    coarse = max(cfg.gradient_tolerance, _COARSE_TOL)
-    used = state.run(np.arange(state.nb), coarse, cfg.max_iterations)
-    if coarse > cfg.gradient_tolerance:
-        margin = _CONTENTION_MARGIN * (1.0 + np.abs(np.max(state.fval)))
-        contenders = np.flatnonzero(state.fval >= np.max(state.fval) - margin)
-        state.run(contenders, cfg.gradient_tolerance, cfg.max_iterations - used)
-
-    best = int(np.argmax(state.fval))
-    return OptReport(
-        value=float(state.fval[best]),
-        maximizer=state.u[best].copy(),
-        restarts_used=state.nb,
-        iterations=int(np.max(state.iterations)),
-        converged=bool(state.converged[best]),
-        start_values=state.fval.copy(),
-    )
-
-
 def maximize_grouped(
     objective,
     groups: np.ndarray,
@@ -315,6 +268,10 @@ def maximize_grouped(
     ngroups = int(groups.max()) + 1
     state = _Ascent(objective, np.asarray(starts, dtype=complex), cfg)
 
+    # Coarse pass over every start, then full precision only for the starts
+    # still in contention for the maximum of their group; dominated local
+    # maxima are not polished (the aggregate is a max, so their final values
+    # don't matter).
     coarse = max(cfg.gradient_tolerance, _COARSE_TOL)
     if coarse_first and coarse > cfg.gradient_tolerance:
         used = state.run(np.arange(state.nb), coarse, cfg.max_iterations)

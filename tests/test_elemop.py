@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elemrange.elemop import (
     KTupleOperator,
@@ -12,7 +14,7 @@ from elemrange.elemop import (
     vec,
 )
 from elemrange.linalg import haar_unitary, spectral_norm
-from elemrange.unitary_opt import OptConfig
+from elemrange.unitary_opt import OptConfig, ShiftedNormObjective, maximize_grouped
 
 from oracles import grid_norm, su2_grid
 
@@ -175,8 +177,9 @@ class TestShiftedNorm:
         r = random_instance(2, 2, rng)
         u0 = haar_unitary(2, rng)
         alpha = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rep1 = shifted_norm(r, 0.7, CFG, extra_starts=[u0], fresh_starts=False)
-        rep2 = shifted_norm(r, 0.7, CFG, extra_starts=[alpha * u0], fresh_starts=False)
+        rep1, rep2 = maximize_grouped(
+            ShiftedNormObjective(r.a, r.b, 0.7), [0, 1], np.stack([u0, alpha * u0]), CFG
+        )
         assert abs(rep1.value - rep2.value) <= 1e-10 * max(1.0, abs(rep1.value))
 
     def test_determinism(self, rng):
@@ -185,3 +188,32 @@ class TestShiftedNorm:
         b = shifted_norm(r, 1.0 - 0.5j, CFG)
         assert a.value == b.value
         assert np.array_equal(a.maximizer, b.maximizer)
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_russo_dye_norm_edge_inputs(seed):
+    # Every (n, k, scale of a) edge case for each drawn seed.
+    rng = np.random.default_rng(seed)
+    for n in range(1, 5):
+        for k in (1, 3):
+            base = random_instance(n, k, rng)
+            for a_scale in (0.0, 1e-6, 1.0, 1e6):
+                _check_norm_bounds(KTupleOperator(a_scale * base.a, base.b))
+
+
+def _check_norm_bounds(r):
+    n = r.n
+    value = russo_dye_norm(r).value
+
+    # |x|_op <= |x|_F <= sqrt(n) |x|_op, so the norm on (M_n, |.|_op) lies
+    # within a factor sqrt(n) of sigma_max of the matrix of R.
+    sigma = spectral_norm(matricize(r))
+    assert value >= sigma / np.sqrt(n) * (1 - 1e-9)
+    assert value <= np.sqrt(n) * sigma * (1 + 1e-9)
+
+    # The identity is one of the starts and the ascent never descends.
+    at_identity = spectral_norm(np.sum(r.a @ r.b, axis=0))
+    assert value >= at_identity * (1 - 1e-12)
+    if n == 1:
+        assert value == pytest.approx(at_identity, rel=1e-12, abs=0.0)

@@ -8,8 +8,6 @@ from elemrange.linalg import (
     haar_unitaries,
     haar_unitary,
     hermitian_part,
-    is_unitary,
-    retract,
     spectral_norm,
     top_eigenpair,
 )
@@ -145,32 +143,6 @@ class TestHaarUnitaries:
     def test_single_draw_is_first_of_stack(self):
         one = haar_unitary(3, np.random.default_rng(5))
         assert np.array_equal(one, haar_unitaries(3, 4, np.random.default_rng(5))[0])
-
-
-class TestRetract:
-    def test_zero_step(self, rng):
-        u = haar_unitary(3, rng)
-        k = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        k = (k - k.conj().T) / 2
-        assert np.allclose(retract(u, k, 0.0), u)
-
-    def test_real_rotation_half_turn(self):
-        k = np.array([[0.0, -1.0], [1.0, 0.0]])
-        out = retract(np.eye(2), k, np.pi)
-        assert np.allclose(out, -np.eye(2), atol=1e-12)
-
-    def test_preserves_unitarity(self, rng):
-        for _ in range(10):
-            u = haar_unitary(3, rng)
-            k = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            k = (k - k.conj().T) / 2
-            out = retract(u, k, rng.uniform(-2, 2))
-            assert is_unitary(out)
-
-    def test_rejects_non_skew(self, rng):
-        u = haar_unitary(2, rng)
-        with pytest.raises(ValueError):
-            retract(u, np.eye(2), 0.1)
 
 
 class TestScalarSupportInequality:

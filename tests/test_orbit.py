@@ -3,14 +3,7 @@ import pytest
 
 from elemrange.elemop import KTupleOperator, apply, random_instance, russo_dye_norm
 from elemrange.linalg import haar_unitary, hermitian_part, spectral_norm, top_eigenpair
-from elemrange.orbit import (
-    banach_region,
-    banach_support_ray,
-    default_s_schedule,
-    orbit_region,
-    orbit_support,
-    orbit_witnesses,
-)
+from elemrange.orbit import banach_region, default_s_schedule, orbit_region, orbit_witnesses
 from elemrange.region import directions, hausdorff, hull_of_points
 from elemrange.unitary_opt import OptConfig
 
@@ -24,64 +17,57 @@ MPP = KTupleOperator.multiplication(PROJ, PROJ)
 
 
 class TestOrbitSupport:
+    # Single-direction supports, read off the grouped sweep: direction j of
+    # the M-grid is theta = 2 pi j / M, so j = 0 is theta = 0 and j = 8 is pi.
     def test_identity_operator(self):
-        rep = orbit_support(KTupleOperator.identity(2), 0.0, CFG)
-        assert rep.value == pytest.approx(1.0, abs=1e-10)
+        est = orbit_region(KTupleOperator.identity(2), M, CFG, n_haar=4)
+        assert est.reports[0].value == pytest.approx(1.0, abs=1e-10)
 
     def test_projection_mult_theta0(self):
-        rep = orbit_support(MPP, 0.0, CFG)
-        assert rep.value == pytest.approx(1.0, abs=1e-6)
-        assert rep.value == pytest.approx(projection_mult_support(0.0), abs=1e-6)
+        value = orbit_region(MPP, M, CFG, n_haar=4).reports[0].value
+        assert value == pytest.approx(1.0, abs=1e-6)
+        assert value == pytest.approx(projection_mult_support(0.0), abs=1e-6)
 
     def test_projection_mult_theta_pi(self):
-        rep = orbit_support(MPP, np.pi, CFG)
-        assert rep.value == pytest.approx(0.125, abs=1e-6)
-        assert rep.value == pytest.approx(projection_mult_support(np.pi), abs=1e-6)
+        value = orbit_region(MPP, M, CFG, n_haar=4).reports[8].value
+        assert value == pytest.approx(0.125, abs=1e-6)
+        assert value == pytest.approx(projection_mult_support(np.pi), abs=1e-6)
 
     def test_beats_su2_grid(self, rng):
         grid = su2_grid(17, 16)
         r = random_instance(2, 2, rng)
-        for theta in (0.0, 2.0):
-            rep = orbit_support(r, theta, CFG)
+        est = orbit_region(r, M, CFG, n_haar=4)
+        for rep, theta in zip(est.reports, directions(M)):
             assert rep.value >= grid_orbit_support(r.a, r.b, theta, grid) - 1e-9
 
 
 class TestBanachSupportRay:
-    def test_identity_theta0_exact(self):
-        ray = banach_support_ray(KTupleOperator.identity(2), 0.0, CFG)
-        assert ray.value == pytest.approx(1.0, abs=1e-10)
-        assert abs(ray.residual) <= 1e-10
-
+    # Ray-limit supports g(s) = |R + s e^{i theta} Id| - s at every grid
+    # direction, read off banach_region.
     def test_zero_operator(self):
         r = KTupleOperator(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
-        for theta in (0.0, 1.0, np.pi):
-            ray = banach_support_ray(r, theta, CFG)
-            assert abs(ray.value) <= 1e-10
+        est = banach_region(r, M, CFG)
+        for g in est.g_schedules:
+            assert abs(g[-1]) <= 1e-10
 
     def test_scalar_operator_ray_excess(self):
-        # R = c*Id: g(s) = |c + s e^{i theta}| - s >= Re(e^{-i theta} c),
+        # R = c*Id: g(s) = |c + s e^{i theta} Id| - s >= Re(e^{-i theta} c),
         # with excess O(|c|^2 / s).
         c = 0.7 - 0.4j
         r = KTupleOperator.identity(2).translated(c - 1.0)
-        theta = 2.1
         schedule = default_s_schedule(2.0)
-        ray = banach_support_ray(r, theta, CFG, s_schedule=schedule)
-        target = np.real(np.exp(-1j * theta) * c)
-        assert ray.value >= target - 1e-9
-        assert ray.value - target <= abs(c) ** 2 / schedule[-1] + 1e-9
-
-    def test_monotone_g(self, rng):
-        r = random_instance(2, 2, rng)
-        ray = banach_support_ray(r, 0.7, CFG)
-        scale = ray.s_values[0] / 8.0
-        assert np.all(np.diff(ray.g_values) <= 1e-6 * scale)
+        est = banach_region(r, M, CFG, s_schedule=schedule)
+        for g, theta in zip(est.g_schedules, directions(M)):
+            target = np.real(np.exp(-1j * theta) * c)
+            assert g[-1] >= target - 1e-9
+            assert g[-1] - target <= abs(c) ** 2 / schedule[-1] + 1e-9
 
     def test_rejects_bad_schedule(self):
         r = KTupleOperator.identity(2)
         with pytest.raises(ValueError):
-            banach_support_ray(r, 0.0, CFG, s_schedule=[4.0, 2.0])
+            banach_region(r, M, CFG, s_schedule=[4.0, 2.0])
         with pytest.raises(ValueError):
-            banach_support_ray(r, 0.0, CFG, s_schedule=[-1.0, 2.0])
+            banach_region(r, M, CFG, s_schedule=[-1.0, 2.0])
 
 
 class TestDefaultSchedule:
@@ -146,14 +132,6 @@ class TestOrbitRegion:
         est_z = orbit_region(r.translated(z), M, CFG, n_haar=8)
         shift = np.real(np.exp(-1j * directions(M)) * z)
         assert np.abs(est_z.region.support - (est.region.support + shift)).max() <= 1e-6 * est.scale
-
-    def test_chain_modes_agree(self, rng):
-        r = random_instance(2, 2, rng)
-        est_chain = orbit_region(r, M, CFG, n_haar=8)
-        est_indep = orbit_region(
-            r, M, OptConfig(restarts=4, seed=0, chain_directions=False), n_haar=8
-        )
-        assert hausdorff(est_chain.region, est_indep.region) <= 1e-4 * est_chain.scale
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from elemrange.unitary_opt import (
     directional_derivative,
     finite_difference_directional,
     flip_permutation,
-    maximize,
     maximize_grouped,
     tangent_project,
 )
@@ -66,22 +65,34 @@ class TestGradients:
         assert np.abs(k + k.conj().T).max() <= 1e-12
 
 
+def one_group(objective, cfg, starts=None):
+    """maximize_grouped with every start in one group.
+
+    The default starts are those of elemop.shifted_norm.
+    """
+    if starts is None:
+        rng = np.random.default_rng([cfg.seed, 0x5EED])
+        starts = default_starts(objective.n, cfg.restarts, rng)
+    starts = np.stack(starts)
+    return maximize_grouped(objective, np.zeros(len(starts), dtype=int), starts, cfg)[0]
+
+
 class TestMaximize:
     def test_constant_objective_converges_immediately(self):
         obj = ShiftedNormObjective(np.eye(2)[None], np.eye(2)[None], 0.0)
-        rep = maximize(obj, OptConfig(restarts=2, seed=1))
+        rep = one_group(obj, OptConfig(restarts=2, seed=1))
         assert rep.value == pytest.approx(1.0, abs=1e-12)
         assert rep.converged
         assert rep.iterations <= 2
 
     def test_maximizer_is_unitary(self, rng):
         r = random_instance(2, 2, rng)
-        rep = maximize(ShiftedNormObjective(r.a, r.b, 0.0), OptConfig(restarts=4, seed=2))
+        rep = one_group(ShiftedNormObjective(r.a, r.b, 0.0), OptConfig(restarts=4, seed=2))
         assert is_unitary(rep.maximizer)
 
     def test_value_is_max_of_start_values(self, rng):
         r = random_instance(2, 2, rng)
-        rep = maximize(ShiftedNormObjective(r.a, r.b, 0.0), OptConfig(restarts=4, seed=2))
+        rep = one_group(ShiftedNormObjective(r.a, r.b, 0.0), OptConfig(restarts=4, seed=2))
         assert rep.value == np.max(rep.start_values)
         assert rep.restarts_used == 4 + 2
         assert rep.spread >= 0.0
@@ -90,8 +101,7 @@ class TestMaximize:
         r = random_instance(2, 1, rng)
         obj = ShiftedNormObjective(r.a, r.b, 0.0)
         u0 = haar_unitary(2, rng)
-        rep = maximize(obj, OptConfig(restarts=1, seed=0), extra_starts=[u0],
-                       fresh_starts=False)
+        rep = one_group(obj, OptConfig(restarts=1, seed=0), starts=[u0])
         assert rep.restarts_used == 1
         assert float(obj.value(rep.maximizer[None])[0]) >= float(obj.value(u0[None])[0])
 
@@ -99,8 +109,8 @@ class TestMaximize:
         r = random_instance(3, 2, rng)
         obj = OrbitSupportObjective(r.a, r.b, 0.3)
         cfg = OptConfig(restarts=3, seed=9)
-        rep1 = maximize(obj, cfg)
-        rep2 = maximize(obj, cfg)
+        rep1 = one_group(obj, cfg)
+        rep2 = one_group(obj, cfg)
         assert rep1.value == rep2.value
         assert np.array_equal(rep1.maximizer, rep2.maximizer)
 
@@ -114,8 +124,6 @@ class TestMaximizeGrouped:
         cfg = OptConfig(restarts=3, seed=5)
         starts = []
         groups = []
-        from elemrange.unitary_opt import default_starts
-
         for j in range(4):
             block = default_starts(2, cfg.restarts, np.random.default_rng([5, j]))
             starts.extend(block)
@@ -126,11 +134,8 @@ class TestMaximizeGrouped:
             OrbitSupportObjective(r.a, r.b, thetas[groups]), groups, starts, cfg
         )
         for j, theta in enumerate(thetas):
-            solo = maximize(
-                OrbitSupportObjective(r.a, r.b, theta),
-                cfg,
-                extra_starts=starts[groups == j],
-                fresh_starts=False,
+            solo = one_group(
+                OrbitSupportObjective(r.a, r.b, theta), cfg, starts=starts[groups == j]
             )
             assert grouped[j].value == pytest.approx(solo.value, abs=1e-7)
 
@@ -150,7 +155,7 @@ class TestMaximizeGrouped:
         r = random_instance(3, 2, rng)
         cfg = OptConfig(restarts=4, seed=3)
         z = np.array([2.0 + 1.0j, -3.0j])
-        solved = maximize(ShiftedNormObjective(r.a, r.b, z[0]), cfg)
+        solved = one_group(ShiftedNormObjective(r.a, r.b, z[0]), cfg)
         assert solved.converged
         hard = default_starts(3, 4, np.random.default_rng(8))
         starts = np.stack([solved.maximizer] * 2 + hard)
