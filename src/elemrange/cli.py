@@ -25,13 +25,15 @@ from .io import (
     result_to_csv,
     write_text_atomic,
 )
-from .orbit import banach_region, default_s_schedule, orbit_region
+from .orbit import banach_region, orbit_region
 from .region import RegionEmptyError
 from .svg import render_svg
 from .unitary_opt import OptConfig
 from .verify import (
     DEFAULT_CFG,
     DEFAULT_DIRECTIONS,
+    DEFAULT_HAAR_SAMPLES,
+    DEFAULT_SMAX_FACTOR,
     random_batch,
     verify_derivation,
     verify_main,
@@ -47,10 +49,12 @@ def _common_options(sub, directions: int, restarts: int):
                      help=f"support directions (default {directions})")
     sub.add_argument("--restarts", type=int, default=restarts,
                      help=f"Haar restarts per optimization (default {restarts})")
-    sub.add_argument("--haar-samples", type=int, default=64,
-                     help="Haar samples for the witness cloud (default 64)")
-    sub.add_argument("--smax-factor", type=float, default=64.0,
-                     help="largest shift as a multiple of scale (default 64)")
+    sub.add_argument("--haar-samples", type=int, default=DEFAULT_HAAR_SAMPLES,
+                     help="Haar samples for the witness cloud "
+                          f"(default {DEFAULT_HAAR_SAMPLES})")
+    sub.add_argument("--smax-factor", type=float, default=DEFAULT_SMAX_FACTOR,
+                     help="largest shift as a multiple of scale "
+                          f"(default {DEFAULT_SMAX_FACTOR:g})")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub.add_argument("--tol", type=float, default=None,
                      help="override the verification tolerance")
@@ -271,13 +275,8 @@ def _cmd_range(args) -> int:
         _estimate_fragment(inst, "rhs", rhs)
     if args.side in ("lhs", "both"):
         warm = rhs.maximizers if rhs is not None else None
-        scale = russo_dye_norm(r, cfg).value + 1.0
         lhs = banach_region(
-            r,
-            args.directions,
-            cfg,
-            s_schedule=default_s_schedule(scale, args.smax_factor),
-            warm_starts=warm,
+            r, args.directions, cfg, smax_factor=args.smax_factor, warm_starts=warm
         )
         _estimate_fragment(inst, "lhs", lhs)
     result = _result_shell(args)

@@ -21,15 +21,14 @@ from .elemop import (
 )
 from .fov import field_of_values
 from .linalg import haar_unitaries, spectral_norm
-from .orbit import RangeEstimate, banach_region, default_s_schedule, orbit_region
+from .orbit import DEFAULT_HAAR_SAMPLES, DEFAULT_SMAX_FACTOR, RangeEstimate
+from .orbit import banach_region, orbit_region
 from .region import directions, hausdorff, hull_of_points, minkowski_sum, negate
 from .unitary_opt import OptConfig
 
 # Direction count sized so a 20-instance main-formula batch at n=2, k=2
 # completes within the acceptance runtime budget.
 DEFAULT_DIRECTIONS = 64
-DEFAULT_HAAR_SAMPLES = 64
-DEFAULT_SMAX_FACTOR = 64.0
 DEFAULT_CFG = OptConfig()
 
 INCLUSION_TOL = 1e-10
@@ -100,6 +99,11 @@ def _rollup(estimates: dict) -> dict:
         )
         out[f"{side}_iterations_max"] = int(max(r.iterations for r in reports))
     return out
+
+
+def _require_even(m: int) -> None:
+    if m % 2 != 0:
+        raise ValueError(f"need an even number of directions, got {m}")
 
 
 def random_batch(count: int, n: int, k: int, seed: int) -> list[KTupleOperator]:
@@ -174,10 +178,11 @@ def verify_main(
     cfg = cfg or DEFAULT_CFG
     nrm = russo_dye_norm(r, cfg)
     scale = nrm.value + 1.0
-    schedule = default_s_schedule(scale, smax_factor)
 
     rhs = orbit_region(r, m, cfg, n_haar=n_haar)
-    lhs = banach_region(r, m, cfg, s_schedule=schedule, warm_starts=rhs.maximizers)
+    lhs = banach_region(
+        r, m, cfg, scale=scale, smax_factor=smax_factor, warm_starts=rhs.maximizers
+    )
 
     disc = hausdorff(lhs.region, rhs.region)
     residual = lhs.max_residual
@@ -217,7 +222,9 @@ def verify_derivation(
 
     The oracle region W(a) + (-W(b)) is computed by eigenvalue sweeps and
     Minkowski arithmetic only, independent of any unitary optimization.
+    Negating W(b) rotates the grid by half a turn, so m must be even.
     """
+    _require_even(m)
     cfg = cfg or DEFAULT_CFG
     delta = KTupleOperator.derivation(a, b, label=label)
     est = orbit_region(delta, m, cfg)
@@ -239,8 +246,10 @@ def verify_mult_projection(
     """Both regions of the two-sided multiplication by an orthogonal projection.
 
     Rejects inputs that are not orthogonal projections; reports the region
-    gap plus the support values at angles 0 and pi.
+    gap plus the support values at angles 0 and pi; pi is a grid direction
+    only for even m.
     """
+    _require_even(m)
     p = np.asarray(p, dtype=complex)
     if (
         float(np.abs(p - p.conj().T).max()) > 1e-10

@@ -98,6 +98,20 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_non_finite_smax_factor_is_2(self, identity_path, factor, capsys):
+        code = main(["verify", identity_path, *fast_args(["--smax-factor", factor])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "smax_factor" in err
+
+    @pytest.mark.parametrize("command", ["projection", "derivation"])
+    def test_odd_directions_is_2(self, command, capsys):
+        code = main([command, "--directions", "9", "--restarts", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "even number of directions" in err
+
 
 class TestCommands:
     def test_fov_json(self, identity_path, tmp_path, capsys):

@@ -3,7 +3,13 @@ import pytest
 
 from elemrange.elemop import KTupleOperator, apply, random_instance, russo_dye_norm
 from elemrange.linalg import haar_unitary, hermitian_part, spectral_norm, top_eigenpair
-from elemrange.orbit import banach_region, default_s_schedule, orbit_region, orbit_witnesses
+from elemrange.orbit import (
+    EARLY_STOP_REL,
+    banach_region,
+    default_s_schedule,
+    orbit_region,
+    orbit_witnesses,
+)
 from elemrange.region import directions, hausdorff, hull_of_points
 from elemrange.unitary_opt import OptConfig
 
@@ -56,7 +62,8 @@ class TestBanachSupportRay:
         c = 0.7 - 0.4j
         r = KTupleOperator.identity(2).translated(c - 1.0)
         schedule = default_s_schedule(2.0)
-        est = banach_region(r, M, CFG, s_schedule=schedule)
+        est = banach_region(r, M, CFG, scale=2.0)
+        assert np.array_equal(est.s_schedule, schedule)
         for g, theta in zip(est.g_schedules, directions(M)):
             target = np.real(np.exp(-1j * theta) * c)
             assert g[-1] >= target - 1e-9
@@ -64,10 +71,11 @@ class TestBanachSupportRay:
 
     def test_rejects_bad_schedule(self):
         r = KTupleOperator.identity(2)
+        for scale in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValueError):
+                banach_region(r, M, CFG, scale=scale)
         with pytest.raises(ValueError):
-            banach_region(r, M, CFG, s_schedule=[4.0, 2.0])
-        with pytest.raises(ValueError):
-            banach_region(r, M, CFG, s_schedule=[-1.0, 2.0])
+            banach_region(r, M, CFG, scale=1.0, smax_factor=8.0)
 
 
 class TestDefaultSchedule:
@@ -82,6 +90,16 @@ class TestDefaultSchedule:
     def test_rejects_small_factor(self):
         with pytest.raises(ValueError):
             default_s_schedule(1.0, 8.0)
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf])
+    def test_rejects_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match="smax_factor"):
+            default_s_schedule(1.0, factor)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_scale(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            default_s_schedule(scale)
 
 
 class TestOrbitRegion:
@@ -148,6 +166,35 @@ class TestBanachRegion:
         assert err[0] <= 1e-10
         assert abs(est.residuals[0]) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "r, smax_factor",
+        [
+            (random_instance(2, 2, np.random.default_rng(3)), 64.0),
+            (random_instance(2, 2, np.random.default_rng(3)), 100.0),
+            (KTupleOperator.identity(2), 64.0),
+        ],
+        ids=["default", "non-power", "early-stop"],
+    )
+    def test_derived_fields(self, r, smax_factor):
+        est = banach_region(r, M, CFG, smax_factor=smax_factor)
+        if r.k == 1:
+            # The identity's ray at theta = 0 is exact, so it freezes early.
+            assert len(est.g_schedules[0]) < len(est.s_schedule)
+        for j, g in enumerate(est.g_schedules):
+            assert len(g) >= 2
+            assert est.residuals[j] == g[-2] - g[-1]
+            if len(g) < len(est.s_schedule):
+                assert abs(est.residuals[j]) < EARLY_STOP_REL * est.scale
+        assert len(est.maximizers) == M
+        for u, rep in zip(est.maximizers, est.reports):
+            assert np.array_equal(u, rep.maximizer)
+
+    def test_orbit_side_has_no_residuals(self):
+        est = orbit_region(KTupleOperator.identity(2), M, CFG, n_haar=4)
+        assert est.residuals is None and est.max_residual == 0.0
+        for u, rep in zip(est.maximizers, est.reports):
+            assert np.array_equal(u, rep.maximizer)
+
     def test_zero_operator_point(self):
         r = KTupleOperator(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
         est = banach_region(r, M, CFG)
@@ -176,9 +223,8 @@ class TestBanachRegion:
         scale = max(
             russo_dye_norm(r, CFG).value, russo_dye_norm(rz, CFG).value
         ) + 1.0
-        sched = default_s_schedule(scale)
-        est = banach_region(r, M, CFG, s_schedule=sched)
-        est_z = banach_region(rz, M, CFG, s_schedule=sched)
+        est = banach_region(r, M, CFG, scale=scale)
+        est_z = banach_region(rz, M, CFG, scale=scale)
         shift = np.real(np.exp(-1j * directions(M)) * z)
         dev = np.abs(est_z.region.support - (est.region.support + shift)).max()
         assert dev <= 2 * (est.max_residual + est_z.max_residual) + 1e-6 * scale

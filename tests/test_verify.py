@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import elemrange.verify as verify_mod
 from elemrange.elemop import KTupleOperator, random_instance
 from elemrange.linalg import haar_unitary
 from elemrange.region import directions
@@ -144,6 +145,16 @@ class TestVerifyDerivation:
             rep = verify_derivation(a, b, m=M, cfg=CFG)
             assert rep.passed
 
+    def test_rejects_odd_directions(self, monkeypatch):
+        # The oracle negates W(b), a half-turn grid rotation that needs even
+        # m; the check must fail before the orbit sweep runs.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("orbit sweep ran")
+
+        monkeypatch.setattr(verify_mod, "orbit_region", no_sweep)
+        with pytest.raises(ValueError, match="even"):
+            verify_derivation(np.eye(2), np.eye(2), m=9, cfg=CFG)
+
 
 class TestVerifyMultProjection:
     def test_identity_projection(self):
@@ -166,6 +177,15 @@ class TestVerifyMultProjection:
             verify_mult_projection(np.diag([0.5, 0.0]), m=M, cfg=CFG)
         with pytest.raises(ValueError):
             verify_mult_projection(np.array([[0.0, 1.0], [0.0, 0.0]]), m=M, cfg=CFG)
+
+    def test_rejects_odd_directions(self, monkeypatch):
+        # Direction m // 2 is pi only for even m.
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verification ran")
+
+        monkeypatch.setattr(verify_mod, "verify_main", no_verify)
+        with pytest.raises(ValueError, match="even"):
+            verify_mult_projection(np.diag([1.0, 0.0]), m=9, cfg=CFG)
 
 
 class TestHermitianCheck:
