@@ -4,9 +4,11 @@ The unitary ascent engine evaluates objectives on stacks of shape
 (B, n, n).  The elementary operator R(x) = sum_i a_i x b_i and its adjoint
 are applied as one matrix product against the n^2 x n^2 matrix of R
 (``ElementaryMatrix``), B n^4 multiply-adds per call whatever the tuple
-length k.  For n = 2 the eigen/singular problems have closed forms that
-are an order of magnitude faster than per-matrix LAPACK calls; larger n
-falls back to numpy.linalg.  All kernels are pure and deterministic.
+length k; a stack may hold the operands of several instances, each
+multiplied by its own matrix.  For n = 2 the eigen/singular problems have
+closed forms that are an order of magnitude faster than per-matrix LAPACK
+calls; larger n falls back to numpy.linalg.  All kernels are pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,35 +17,51 @@ import numpy as np
 
 
 class ElementaryMatrix:
-    """x -> sum_i a_i x b_i and its adjoint as one dense n^2 x n^2 matrix.
+    """x -> sum_i a_i x b_i and its adjoint as dense n^2 x n^2 matrices.
 
     With vec the row-major stacking, vec(a x b) = (a kron b^T) vec(x), so
     R has the matrix M = sum_i a_i kron b_i^T and the adjoint
     R*(y) = sum_i a_i* y b_i* has M*.  Applying either to a stack of B
     operands is one GEMM of B n^4 multiply-adds, against B k n^4 for the
     three-operand contraction; M itself is built once, in k n^4.
+
+    One object holds the operators of a batch of I instances, given as
+    ``tuples`` of (a, b) stacks.  Their operands share one stack, where the
+    rows of instance i are contiguous from ``offsets[i]`` on.  ``apply``
+    and ``adjoint`` take the sorted stack indices ``idx`` of the rows
+    passed (None: the whole stack), split them per instance and run one
+    GEMM per instance on exactly its rows: a GEMM's bits can depend on its
+    row count (at n = 4 they do), so an instance gets the bits it gets
+    when run alone.
     """
 
-    def __init__(self, a, b):
-        n = a.shape[-1]
-        m = np.einsum("kij,klm->imjl", a, b).reshape(n * n, n * n)
-        # Operands are row vectors vec(x)^T, so R acts as vec(x)^T M^T and
-        # R* as vec(y)^T conj(M).
-        self._mt = np.ascontiguousarray(m.T)
-        self._mc = np.conj(m)
-        self.n = n
+    def __init__(self, tuples, offsets=(0,)):
+        self.n = tuples[0][0].shape[-1]
+        self._mt, self._mc = [], []
+        for a, b in tuples:
+            m = np.einsum("kij,klm->imjl", a, b).reshape(self.n**2, self.n**2)
+            # Operands are row vectors vec(x)^T, so R acts as vec(x)^T M^T
+            # and R* as vec(y)^T conj(M).
+            self._mt.append(np.ascontiguousarray(m.T))
+            self._mc.append(np.conj(m))
+        self._bounds = np.asarray(offsets[1:])
 
-    def _gemm(self, x, m):
-        nn = self.n * self.n
-        return (x.reshape(x.shape[:-2] + (nn,)) @ m).reshape(x.shape)
+    def _gemm(self, x, mats, idx):
+        flat = x.reshape(-1, self.n**2)
+        cuts = self._bounds if idx is None else np.searchsorted(idx, self._bounds)
+        out = np.empty_like(flat)
+        for m, lo, hi in zip(mats, [0, *cuts], [*cuts, len(flat)]):
+            if hi > lo:
+                np.matmul(flat[lo:hi], m, out=out[lo:hi])
+        return out.reshape(x.shape)
 
-    def apply(self, x) -> np.ndarray:
-        """R(x) for an operand or a stack of operands of shape (..., n, n)."""
-        return self._gemm(x, self._mt)
+    def apply(self, x, idx=None) -> np.ndarray:
+        """R_i(x) for the rows idx of the stack, each with its instance's R_i."""
+        return self._gemm(x, self._mt, idx)
 
-    def adjoint(self, y) -> np.ndarray:
-        """R*(y) = sum_i a_i* y b_i* for operands of shape (..., n, n)."""
-        return self._gemm(y, self._mc)
+    def adjoint(self, y, idx=None) -> np.ndarray:
+        """R_i*(y) = sum a_i* y b_i* for the rows idx, as ``apply``."""
+        return self._gemm(y, self._mc, idx)
 
 
 def _eig2_parts(h):

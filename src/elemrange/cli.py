@@ -18,6 +18,7 @@ from .elemop import KTupleOperator, russo_dye_norm, shifted_norm
 from .fov import field_of_values
 from .io import (
     InstanceFormatError,
+    dump_result,
     dumps_result,
     instance_to_dict,
     parse_instance,
@@ -42,6 +43,11 @@ from .verify import (
 )
 
 _WITNESS_CAP = 512
+
+# Cap on a chunk's first-pass stack, instances * m * (restarts + 3) * n^2
+# matrix entries: instances run one grouped ascent per phase in chunks, and
+# the cap bounds a chunk's peak memory (see CHANGES.md for the sizing).
+_CHUNK_ENTRIES = 12_288
 
 
 def _common_options(sub, directions: int, restarts: int):
@@ -194,7 +200,7 @@ def _emit(result: dict, args) -> None:
             raise ValueError("--format svg requires --out")
         return
     if args.format == "json":
-        write_text_atomic(args.out, dumps_result(result) + "\n")
+        write_text_atomic(args.out, lambda fh: dump_result(result, fh))
     elif args.format == "csv":
         write_text_atomic(args.out, result_to_csv(result))
     else:
@@ -241,10 +247,10 @@ def _cmd_norm(args) -> int:
     if args.z is not None:
         parts = [float(x) for x in args.z.split(",")]
         z = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
-        rep = shifted_norm(r, z, cfg)
+        rep = shifted_norm([r], z, cfg)[0]
     else:
         z = 0.0
-        rep = russo_dye_norm(r, cfg)
+        rep = russo_dye_norm([r], cfg)[0]
     result = _result_shell(args)
     result["instances"].append(
         {
@@ -271,13 +277,13 @@ def _cmd_range(args) -> int:
     inst: dict = {"label": r.label, "instance": instance_to_dict(r)}
     rhs = None
     if args.side in ("rhs", "both"):
-        rhs = orbit_region(r, args.directions, cfg, n_haar=args.haar_samples)
+        rhs = orbit_region([r], args.directions, cfg, n_haar=args.haar_samples)[0]
         _estimate_fragment(inst, "rhs", rhs)
     if args.side in ("lhs", "both"):
-        warm = rhs.maximizers if rhs is not None else None
+        warm = [rhs.maximizers] if rhs is not None else None
         lhs = banach_region(
-            r, args.directions, cfg, smax_factor=args.smax_factor, warm_starts=warm
-        )
+            [r], args.directions, cfg, smax_factor=args.smax_factor, warm_starts=warm
+        )[0]
         _estimate_fragment(inst, "lhs", lhs)
     result = _result_shell(args)
     result["instances"].append(inst)
@@ -285,11 +291,29 @@ def _cmd_range(args) -> int:
     return 0
 
 
-def _run_batch(instances, worker, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, instances))
-    return [worker(r) for r in instances]
+def _chunks(items, dims, args) -> list:
+    """Consecutive runs of items on one n, each under _CHUNK_ENTRIES."""
+    chunks = []
+    for item, n in zip(items, dims):
+        cost = args.directions * (args.restarts + 3) * n * n
+        last = chunks[-1] if chunks else None
+        fits = last is not None and (len(last[1]) + 1) * cost <= _CHUNK_ENTRIES
+        if fits and last[0] == n:
+            last[1].append(item)
+        else:
+            chunks.append((n, [item]))
+    return [chunk for _, chunk in chunks]
+
+
+def _run_batch(items, dims, worker, args) -> list:
+    """Map worker(chunk) -> one result per item over chunks; dims[i] is item i's n."""
+    chunks = _chunks(items, dims, args)
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            parts = list(pool.map(worker, chunks))
+    else:
+        parts = [worker(chunk) for chunk in chunks]
+    return [out for part in parts for out in part]
 
 
 def _cmd_verify(args) -> int:
@@ -299,9 +323,9 @@ def _cmd_verify(args) -> int:
     else:
         batch = random_batch(args.count, args.dim, args.tuples, args.seed)
 
-    def worker(r):
+    def worker(chunk):
         return verify_main(
-            r,
+            chunk,
             m=args.directions,
             cfg=cfg,
             n_haar=args.haar_samples,
@@ -309,7 +333,7 @@ def _cmd_verify(args) -> int:
             tol=args.tol,
         )
 
-    reports = _run_batch(batch, worker, args.threads)
+    reports = _run_batch(batch, [r.n for r in batch], worker, args)
     result = _result_shell(args)
     for r, rep in zip(batch, reports):
         inst = {"label": r.label, "instance": instance_to_dict(r)}
@@ -350,12 +374,15 @@ def _cmd_derivation(args) -> int:
             b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
             pairs.append((a, b, f"derivation-n{n}-{i:02d}"))
 
-    def worker(pair):
-        a, b, label = pair
-        kwargs = {} if args.tol is None else {"tol_rel": args.tol}
-        return verify_derivation(a, b, m=args.directions, cfg=cfg, label=label, **kwargs)
+    kwargs = {} if args.tol is None else {"tol_rel": args.tol}
 
-    reports = _run_batch(pairs, worker, args.threads)
+    def worker(chunk):
+        return verify_derivation(
+            [(a, b) for a, b, _ in chunk], m=args.directions, cfg=cfg,
+            labels=[label for _, _, label in chunk], n_haar=args.haar_samples, **kwargs,
+        )
+
+    reports = _run_batch(pairs, [a.shape[0] for a, _, _ in pairs], worker, args)
     result = _result_shell(args)
     for (a, b, label), rep in zip(pairs, reports):
         inst = {"label": label}
@@ -385,7 +412,10 @@ def _cmd_projection(args) -> int:
     result = _result_shell(args)
     code = 0
     for p, label in items:
-        rep = verify_mult_projection(p, m=args.directions, cfg=cfg)
+        rep = verify_mult_projection(
+            p, m=args.directions, cfg=cfg, n_haar=args.haar_samples,
+            smax_factor=args.smax_factor, tol=args.tol,
+        )
         rep.label = label
         herm = hermitian_check(
             KTupleOperator.multiplication(p, p, label=label),

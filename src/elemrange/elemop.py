@@ -93,12 +93,12 @@ def apply(r: KTupleOperator, x) -> np.ndarray:
     x = as_square_matrix(x, "x")
     if x.shape[0] != r.n:
         raise ValueError(f"operand is {x.shape[0]}x{x.shape[0]}, operator acts on {r.n}x{r.n}")
-    return ElementaryMatrix(r.a, r.b).apply(x)
+    return apply_batched(r, x[None])[0]
 
 
 def apply_batched(r: KTupleOperator, u: np.ndarray) -> np.ndarray:
     """R applied to a stack of operands of shape (B, n, n)."""
-    return ElementaryMatrix(r.a, r.b).apply(np.asarray(u))
+    return ElementaryMatrix([(r.a, r.b)]).apply(np.asarray(u))
 
 
 def matricize(r: KTupleOperator) -> np.ndarray:
@@ -118,25 +118,43 @@ def vec(x) -> np.ndarray:
     return np.asarray(x).flatten(order="F")
 
 
-def shifted_norm(r: KTupleOperator, z: complex, cfg: OptConfig | None = None) -> OptReport:
-    """Best found maximum of |R(u) - z u| over the unitary group.
+def _batch_dim(rs) -> int:
+    """The common n of a nonempty batch of operators."""
+    if not rs:
+        raise ValueError("empty batch of operators")
+    dims = sorted({r.n for r in rs})
+    if len(dims) > 1:
+        raise ValueError(f"a batch needs operators on one M_n, got n = {dims}")
+    return dims[0]
+
+
+def shifted_norm(
+    rs: list[KTupleOperator], z: complex, cfg: OptConfig | None = None
+) -> list[OptReport]:
+    """Best found maximum of |R(u) - z u| over the unitary group, per operator.
 
     At the global maximum this equals the operator norm of R - z*Id on
     M_n; the returned value is always a certified lower bound.  The
     identity, the flip permutation and cfg.restarts Haar unitaries start
-    one grouped ascent.
+    each operator's ascent; all operators run as one grouped ascent, and
+    each report is the one its operator gets alone.
     """
     cfg = cfg or OptConfig()
+    n = _batch_dim(rs)
     rng = np.random.default_rng([cfg.seed, 0x5EED])
-    starts = np.stack(default_starts(r.n, cfg.restarts, rng))
-    groups = np.zeros(len(starts), dtype=int)
-    objective = ShiftedNormObjective(r.a, r.b, z)
-    return maximize_grouped(objective, groups, starts, cfg)[0]
+    block = np.stack(default_starts(n, cfg.restarts, rng))
+    starts = np.tile(block, (len(rs), 1, 1))
+    groups = np.repeat(np.arange(len(rs)), len(block))
+    offsets = len(block) * np.arange(len(rs))
+    objective = ShiftedNormObjective([(r.a, r.b) for r in rs], z, offsets)
+    return maximize_grouped(objective, groups, starts, cfg, offsets=offsets)
 
 
-def russo_dye_norm(r: KTupleOperator, cfg: OptConfig | None = None) -> OptReport:
-    """Operator norm of R via the reduction of the unit-ball supremum to U(n)."""
-    return shifted_norm(r, 0.0, cfg=cfg)
+def russo_dye_norm(
+    rs: list[KTupleOperator], cfg: OptConfig | None = None
+) -> list[OptReport]:
+    """Operator norm of each R via the reduction of the unit-ball supremum to U(n)."""
+    return shifted_norm(rs, 0.0, cfg=cfg)
 
 
 def random_instance(

@@ -142,13 +142,29 @@ def dumps_result(result: dict) -> str:
     return json.dumps(_native(result), indent=2, sort_keys=True)
 
 
-def write_text_atomic(path: str, text: str):
-    """Write via a temporary file in the target directory, then rename."""
+def dump_result(result: dict, fh) -> None:
+    """Write ``dumps_result(result)`` and a newline to the text file fh.
+
+    The text goes out piece by piece and is never held whole: for a large
+    batch, the whole text and its pieces would set the peak memory of a run.
+    """
+    json.dump(_native(result), fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def write_text_atomic(path: str, text):
+    """Write via a temporary file in the target directory, then rename.
+
+    text is a string, or a function that writes to the open file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if callable(text):
+                text(fh)
+            else:
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

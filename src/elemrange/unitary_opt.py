@@ -11,6 +11,12 @@ a whole sweep of related subproblems runs as one batch; the grouped
 driver then aggregates per subproblem.  Values found are always certified
 lower bounds on the supremum; restart agreement is the (empirical)
 quality signal.
+
+One batch may also hold the sweeps of several instances (operators).
+The objectives then apply each instance's operator to its own rows, one
+GEMM per instance, and the driver keeps every iteration budget per
+instance, so an instance's reports are bit-identical whether it runs
+alone or inside a batch; every other kernel runs once on the whole stack.
 """
 
 from __future__ import annotations
@@ -78,19 +84,27 @@ def _colify(x: np.ndarray) -> np.ndarray:
     return x[:, None, None] if x.ndim == 1 else x
 
 
+def _elementary(tuples, offsets) -> _batched.ElementaryMatrix:
+    tuples = [
+        (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in tuples
+    ]
+    return _batched.ElementaryMatrix(tuples, offsets)
+
+
 class ShiftedNormObjective:
     """f(u) = sigma_max(sum_i a_i u b_i - z u); z scalar or per-element.
 
-    When z carries one value per batch element, value/value_and_grad take
-    the element indices of the rows being evaluated.
+    ``tuples`` holds the (a, b) stacks of a batch of instances, whose rows
+    start at ``offsets`` (see ``_batched.ElementaryMatrix``).  value and
+    value_and_grad take the sorted element indices of the rows being
+    evaluated, which select each row's instance and, when z carries one
+    value per element, its shift.
     """
 
-    def __init__(self, a, b, z: complex | np.ndarray = 0.0):
-        self.a = np.asarray(a, dtype=complex)
-        self.b = np.asarray(b, dtype=complex)
+    def __init__(self, tuples, z: complex | np.ndarray = 0.0, offsets=(0,)):
         self.z = np.asarray(z, dtype=complex)
-        self.n = self.a.shape[-1]
-        self._r = _batched.ElementaryMatrix(self.a, self.b)
+        self._r = _elementary(tuples, offsets)
+        self.n = self._r.n
         self._shifted = bool(np.any(self.z != 0))
 
     def _z_at(self, idx):
@@ -99,7 +113,7 @@ class ShiftedNormObjective:
         return self.z[idx]
 
     def _transform(self, u, idx):
-        g = self._r.apply(u)
+        g = self._r.apply(u, idx)
         if self._shifted:
             g = g - _colify(self._z_at(idx)) * u
         return g
@@ -108,28 +122,25 @@ class ShiftedNormObjective:
         return _batched.sigma_max(self._transform(u, idx))
 
     def value_and_grad(self, u, idx=None):
-        g = self._transform(u, idx)
-        sigma, w, v = _batched.top_svd(g)
+        sigma, w, v = _batched.top_svd(self._transform(u, idx))
         outer = w[:, :, None] * np.conj(v)[:, None, :]
-        e = self._r.adjoint(outer)
+        e = self._r.adjoint(outer, idx)
         if self._shifted:
-            e = e - np.conj(_colify(self._z_at(idx))) * outer
+            e -= np.conj(_colify(self._z_at(idx))) * outer
         return sigma, e
 
 
 class OrbitSupportObjective:
     """f(u) = lambda_max(Herm(e^{-i theta} sum_i u* a_i u b_i)).
 
-    theta is a scalar or one angle per batch element; with per-element
-    angles, value/value_and_grad take the element indices being evaluated.
+    theta is a scalar or one angle per batch element; ``tuples``,
+    ``offsets`` and the element indices are as for ShiftedNormObjective.
     """
 
-    def __init__(self, a, b, theta: float | np.ndarray):
-        self.a = np.asarray(a, dtype=complex)
-        self.b = np.asarray(b, dtype=complex)
+    def __init__(self, tuples, theta: float | np.ndarray, offsets=(0,)):
         self.theta = np.asarray(theta, dtype=float)
-        self.n = self.a.shape[-1]
-        self._r = _batched.ElementaryMatrix(self.a, self.b)
+        self._r = _elementary(tuples, offsets)
+        self.n = self._r.n
         self._phase = np.exp(-1j * self.theta)
 
     def _phase_at(self, idx):
@@ -137,26 +148,26 @@ class OrbitSupportObjective:
             return self._phase
         return self._phase[idx]
 
-    def _parts(self, u, idx):
-        s = self._r.apply(u)
-        t = np.conj(np.swapaxes(u, -1, -2)) @ s
-        rt = _colify(self._phase_at(idx)) * t
-        return s, (rt + np.conj(np.swapaxes(rt, -1, -2))) / 2.0
+    def _herm(self, u, s, idx):
+        """Herm(e^{-i theta} u* s), with s = R(u)."""
+        rt = _colify(self._phase_at(idx)) * (np.conj(np.swapaxes(u, -1, -2)) @ s)
+        return (rt + np.conj(np.swapaxes(rt, -1, -2))) / 2.0
 
     def value(self, u, idx=None):
-        _, h = self._parts(u, idx)
-        return _batched.eigvals_max(h)
+        return _batched.eigvals_max(self._herm(u, self._r.apply(u, idx), idx))
 
     def value_and_grad(self, u, idx=None):
-        s, h = self._parts(u, idx)
-        lam, v = _batched.top_eigh(h)
+        s = self._r.apply(u, idx)
+        lam, v = _batched.top_eigh(self._herm(u, s, idx))
         phase = _colify(self._phase_at(idx))
         vh = np.conj(v)[:, None, :]
         sv = np.einsum("bij,bj->bi", s, v)
-        term1 = phase * (sv[:, :, None] * vh)
+        # Row-sized temporaries set a chunk's peak memory; drop s first.
+        del s
         uv = np.einsum("bij,bj->bi", u, v)
-        term2 = np.conj(phase) * self._r.adjoint(uv[:, :, None] * vh)
-        return lam, term1 + term2
+        grad = np.conj(phase) * self._r.adjoint(uv[:, :, None] * vh, idx)
+        grad += phase * (sv[:, :, None] * vh)
+        return lam, grad
 
 
 def tangent_project(u, e):
@@ -189,64 +200,78 @@ class _Ascent:
         self.converged = np.zeros(self.nb, dtype=bool)
         self.iterations = np.zeros(self.nb, dtype=int)
 
-    def run(self, active: np.ndarray, gtol: float, budget: int) -> int:
-        """Ascend the given elements until gradient tolerance or budget."""
-        cfg = self.cfg
-        u, fval, step = self.u, self.fval, self.step
-        done, converged = self.done, self.converged
+    def run(self, active: np.ndarray, gtol: float, budget) -> None:
+        """Ascend the given elements until gradient tolerance or budget.
+
+        budget is one iteration count for every element or one per element;
+        an element takes part in the first budget[i] iterations only.
+        """
+        done = self.done
         done[active] = False
-        converged[active] = False
-        used = 0
-        for _ in range(budget):
-            idx = np.flatnonzero(~done)
+        self.converged[active] = False
+        budget = np.broadcast_to(budget, (self.nb,))
+        for it in range(int(budget.max(initial=0))):
+            idx = np.flatnonzero(~done & (budget > it))
             if idx.size == 0:
                 break
-            used += 1
             self.iterations[idx] += 1
-            ua = u[idx]
-            fa, ea = self.objective.value_and_grad(ua, idx)
-            fval[idx] = fa
-            k = tangent_project(ua, ea)
-            gn2 = np.sum(k.real**2 + k.imag**2, axis=(1, 2))
-            gn = np.sqrt(gn2)
-            hit = gn <= gtol * (1.0 + np.abs(fa))
-            done[idx[hit]] = True
-            converged[idx[hit]] = True
-            live = idx[~hit]
-            if live.size == 0:
-                continue
-            k = k[~hit]
-            gn2 = gn2[~hit]
-            lam, vv = _batched.skew_exp_factors(k)
-            # Cap the step so one retraction never rotates past half a turn.
-            tmax = np.pi / (np.max(np.abs(lam), axis=1) + 1e-300)
-            t = np.minimum(step[live], tmax)
-            ub = u[live]
-            pending = np.arange(live.size)
-            for _ in range(cfg.max_backtracks):
-                trial = _batched.apply_skew_exp(
-                    ub[pending], lam[pending], vv[pending], t[pending]
-                )
-                ft = np.asarray(
-                    self.objective.value(trial, live[pending]), dtype=float
-                )
-                ok = ft >= fval[live[pending]] + cfg.armijo * t[pending] * gn2[pending]
-                acc = pending[ok]
-                if acc.size:
-                    u[live[acc]] = trial[ok]
-                    fval[live[acc]] = ft[ok]
-                    step[live[acc]] = 2.0 * t[acc]
-                pending = pending[~ok]
-                if pending.size == 0:
-                    break
-                t[pending] *= cfg.backtrack
-                collapsed = t[pending] < cfg.min_step
-                done[live[pending[collapsed]]] = True
-                pending = pending[~collapsed]
-                if pending.size == 0:
-                    break
-            done[live[pending]] = True  # backtracking budget exhausted: stall
-        return used
+            self._step(idx, gtol)
+
+    # _gradient and _step are methods of their own so that their row-sized
+    # temporaries are freed before the next iteration allocates its own:
+    # those temporaries set the peak memory of a large batch.
+
+    def _gradient(self, idx):
+        """Objective values and tangent ascent directions at the rows idx."""
+        ua = self.u[idx]
+        fa, ea = self.objective.value_and_grad(ua, idx)
+        return fa, tangent_project(ua, ea)
+
+    def _step(self, idx, gtol: float) -> None:
+        """One gradient evaluation and Armijo line search for the rows idx."""
+        cfg = self.cfg
+        u, fval, step, done = self.u, self.fval, self.step, self.done
+        fa, k = self._gradient(idx)
+        fval[idx] = fa
+        gn2 = np.sum(k.real**2 + k.imag**2, axis=(1, 2))
+        gn = np.sqrt(gn2)
+        hit = gn <= gtol * (1.0 + np.abs(fa))
+        done[idx[hit]] = True
+        self.converged[idx[hit]] = True
+        live = idx[~hit]
+        if live.size == 0:
+            return
+        gn2 = gn2[~hit]
+        lam, vv = _batched.skew_exp_factors(k[~hit])
+        del k  # freed before the line search allocates its temporaries
+        # Cap the step so one retraction never rotates past half a turn.
+        tmax = np.pi / (np.max(np.abs(lam), axis=1) + 1e-300)
+        t = np.minimum(step[live], tmax)
+        # live and its per-row arrays shrink to the rows still backtracking;
+        # those rows have not moved, so u holds their start.
+        for _ in range(cfg.max_backtracks):
+            trial = _batched.apply_skew_exp(u[live], lam, vv, t)
+            ft = np.asarray(self.objective.value(trial, live), dtype=float)
+            ok = ft >= fval[live] + cfg.armijo * t * gn2
+            acc = live[ok]
+            if acc.size:
+                u[acc] = trial[ok]
+                fval[acc] = ft[ok]
+                step[acc] = 2.0 * t[ok]
+            rest = ~ok
+            if not rest.any():
+                return
+            live, lam, vv, gn2 = live[rest], lam[rest], vv[rest], gn2[rest]
+            t = t[rest] * cfg.backtrack
+            collapsed = t < cfg.min_step
+            if collapsed.any():
+                done[live[collapsed]] = True
+                rest = ~collapsed
+                if not rest.any():
+                    return
+                live, lam, vv = live[rest], lam[rest], vv[rest]
+                gn2, t = gn2[rest], t[rest]
+        done[live] = True  # backtracking budget exhausted: stall
 
 
 def maximize_grouped(
@@ -255,6 +280,8 @@ def maximize_grouped(
     starts: np.ndarray,
     cfg: OptConfig,
     coarse_first: bool = True,
+    *,
+    offsets=(0,),
 ) -> list[OptReport]:
     """One batched ascent for a family of subproblems sharing an objective form.
 
@@ -262,11 +289,19 @@ def maximize_grouped(
     per-element parameters must agree within a group); the return value is
     one report per group, aggregated by maximum.  Equivalent to independent
     per-group multistarts, but the whole family shares each batched kernel
-    call.
+    call.  starts, a stack or a sequence of unitaries, is copied, never
+    ascended in place.
+
+    The elements may belong to several instances: instance i owns the
+    contiguous elements from offsets[i] on (the offsets the objective was
+    built with), and no group spans two instances.  Every budget is per
+    instance, so each instance's reports are bit-identical to those of a
+    call on that instance alone: the fine pass of instance i gets
+    max_iterations minus the most coarse iterations of any of its starts.
     """
     groups = np.asarray(groups)
     ngroups = int(groups.max()) + 1
-    state = _Ascent(objective, np.asarray(starts, dtype=complex), cfg)
+    state = _Ascent(objective, np.array(starts, dtype=complex), cfg)
 
     # Coarse pass over every start, then full precision only for the starts
     # still in contention for the maximum of their group; dominated local
@@ -274,18 +309,23 @@ def maximize_grouped(
     # don't matter).
     coarse = max(cfg.gradient_tolerance, _COARSE_TOL)
     if coarse_first and coarse > cfg.gradient_tolerance:
-        used = state.run(np.arange(state.nb), coarse, cfg.max_iterations)
+        state.run(np.arange(state.nb), coarse, cfg.max_iterations)
         gmax = np.full(ngroups, -np.inf)
         np.maximum.at(gmax, groups, state.fval)
         margin = _CONTENTION_MARGIN * (1.0 + np.abs(gmax))
         contenders = np.flatnonzero(state.fval >= (gmax - margin)[groups])
-        state.run(contenders, cfg.gradient_tolerance, cfg.max_iterations - used)
+        owner = np.searchsorted(offsets, np.arange(state.nb), side="right") - 1
+        used = np.zeros(len(offsets), dtype=int)
+        np.maximum.at(used, owner, state.iterations)
+        state.run(contenders, cfg.gradient_tolerance, cfg.max_iterations - used[owner])
     else:
         state.run(np.arange(state.nb), cfg.gradient_tolerance, cfg.max_iterations)
 
+    order = np.argsort(groups, kind="stable")
+    cuts = np.searchsorted(groups[order], np.arange(ngroups + 1))
     reports = []
     for g in range(ngroups):
-        idx = np.flatnonzero(groups == g)
+        idx = order[cuts[g]:cuts[g + 1]]
         vals = state.fval[idx]
         best = idx[int(np.argmax(vals))]
         reports.append(

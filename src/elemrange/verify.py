@@ -22,7 +22,7 @@ from .elemop import (
 from .fov import field_of_values
 from .linalg import haar_unitaries, spectral_norm
 from .orbit import DEFAULT_HAAR_SAMPLES, DEFAULT_SMAX_FACTOR, RangeEstimate
-from .orbit import banach_region, orbit_region
+from .orbit import banach_region, check_smax_factor, orbit_region
 from .region import directions, hausdorff, hull_of_points, minkowski_sum, negate
 from .unitary_opt import OptConfig
 
@@ -162,28 +162,36 @@ def verify_inclusion(
 
 
 def verify_main(
-    r: KTupleOperator,
+    rs: list[KTupleOperator],
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
     n_haar: int = DEFAULT_HAAR_SAMPLES,
     smax_factor: float = DEFAULT_SMAX_FACTOR,
     tol: float | None = None,
-) -> VerificationReport:
-    """Compute both sides of the orbit formula and compare them.
+) -> list[VerificationReport]:
+    """Compute both sides of the orbit formula for each operator and compare them.
 
     Checks: the Hausdorff gap between the two regions (tolerance budgets
     the ray residual), monotonicity of every ray schedule, and that the
-    witness cloud's hull fills the orbit region.
+    witness cloud's hull fills the orbit region.  The operators act on one
+    M_n and run as one batch per phase; each report is the one its
+    operator gets alone.
     """
+    check_smax_factor(smax_factor)
     cfg = cfg or DEFAULT_CFG
-    nrm = russo_dye_norm(r, cfg)
-    scale = nrm.value + 1.0
-
-    rhs = orbit_region(r, m, cfg, n_haar=n_haar)
+    norms = russo_dye_norm(rs, cfg)
+    scales = [nrm.value + 1.0 for nrm in norms]
+    rhs = orbit_region(rs, m, cfg, n_haar=n_haar)
     lhs = banach_region(
-        r, m, cfg, scale=scale, smax_factor=smax_factor, warm_starts=rhs.maximizers
+        rs, m, cfg, scales=scales, smax_factor=smax_factor,
+        warm_starts=[est.maximizers for est in rhs],
     )
+    return [
+        _main_report(*parts, m, tol) for parts in zip(rs, norms, scales, lhs, rhs)
+    ]
 
+
+def _main_report(r, nrm, scale, lhs, rhs, m, tol) -> VerificationReport:
     disc = hausdorff(lhs.region, rhs.region)
     residual = lhs.max_residual
     tolerance = tol if tol is not None else max(MAIN_TOL_REL * scale, 2.0 * residual)
@@ -211,43 +219,57 @@ def verify_main(
 
 
 def verify_derivation(
-    a,
-    b,
+    pairs,
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
     tol_rel: float = DERIVATION_TOL_REL,
-    label: str | None = None,
-) -> VerificationReport:
-    """Orbit region of x -> a x - x b against the difference of fields of values.
+    labels=None,
+    n_haar: int = DEFAULT_HAAR_SAMPLES,
+) -> list[VerificationReport]:
+    """Orbit region of x -> a x - x b against the difference of fields of
+    values, for each (a, b) in pairs.
 
     The oracle region W(a) + (-W(b)) is computed by eigenvalue sweeps and
     Minkowski arithmetic only, independent of any unitary optimization.
     Negating W(b) rotates the grid by half a turn, so m must be even.
+    labels, when given, names each pair.  The pairs share one n and their
+    orbit sweeps run as one batch; each report is the one its pair gets
+    alone.
     """
     _require_even(m)
     cfg = cfg or DEFAULT_CFG
-    delta = KTupleOperator.derivation(a, b, label=label)
-    est = orbit_region(delta, m, cfg)
-    oracle = minkowski_sum(field_of_values(a, m), negate(field_of_values(b, m)))
-    disc = hausdorff(est.region, oracle)
-    diam = max(oracle.diameter(), 1e-12)
-    rep = VerificationReport(label=label or "derivation")
-    rep.checks.append(CheckResult("derivation_difference", disc, tol_rel * diam))
-    rep.diagnostics = {"oracle_diameter": diam, **_rollup({"rhs": est})}
-    rep.artifacts = {"rhs": est, "oracle": oracle}
-    return rep
+    labels = labels if labels is not None else [None] * len(pairs)
+    deltas = [
+        KTupleOperator.derivation(a, b, label=label)
+        for (a, b), label in zip(pairs, labels)
+    ]
+    estimates = orbit_region(deltas, m, cfg, n_haar=n_haar)
+    reports = []
+    for (a, b), label, est in zip(pairs, labels, estimates):
+        oracle = minkowski_sum(field_of_values(a, m), negate(field_of_values(b, m)))
+        disc = hausdorff(est.region, oracle)
+        diam = max(oracle.diameter(), 1e-12)
+        rep = VerificationReport(label=label or "derivation")
+        rep.checks.append(CheckResult("derivation_difference", disc, tol_rel * diam))
+        rep.diagnostics = {"oracle_diameter": diam, **_rollup({"rhs": est})}
+        rep.artifacts = {"rhs": est, "oracle": oracle}
+        reports.append(rep)
+    return reports
 
 
 def verify_mult_projection(
     p,
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
+    n_haar: int = DEFAULT_HAAR_SAMPLES,
+    smax_factor: float = DEFAULT_SMAX_FACTOR,
+    tol: float | None = None,
 ) -> VerificationReport:
     """Both regions of the two-sided multiplication by an orthogonal projection.
 
     Rejects inputs that are not orthogonal projections; reports the region
     gap plus the support values at angles 0 and pi; pi is a grid direction
-    only for even m.
+    only for even m.  n_haar, smax_factor and tol are those of verify_main.
     """
     _require_even(m)
     p = np.asarray(p, dtype=complex)
@@ -258,7 +280,9 @@ def verify_mult_projection(
         raise ValueError("input is not an orthogonal projection (p = p* = p^2)")
     cfg = cfg or DEFAULT_CFG
     r = KTupleOperator.multiplication(p, p, label="projection-mult")
-    rep = verify_main(r, m=m, cfg=cfg)
+    rep = verify_main(
+        [r], m=m, cfg=cfg, n_haar=n_haar, smax_factor=smax_factor, tol=tol
+    )[0]
     rep.label = "projection-mult"
     rhs_h = rep.artifacts["rhs"].region.support
     lhs_h = rep.artifacts["lhs"].region.support
@@ -290,7 +314,7 @@ def hermitian_check(
     computed, which is then used instead of a second sweep.
     """
     cfg = cfg or DEFAULT_CFG
-    est = orbit if orbit is not None else orbit_region(r, m, cfg)
+    est = orbit if orbit is not None else orbit_region([r], m, cfg)[0]
     extent = float(np.max(np.abs(est.region.vertices[:, 1])))
     tolerance = tol if tol is not None else HERMITIAN_TOL_REL * est.scale
 

@@ -57,7 +57,7 @@ def main_batch():
     """
     instances = random_batch(20, 2, 2, seed=0)
     t0 = time.perf_counter()
-    reports = [verify_main(r) for r in instances]
+    reports = verify_main(instances)
     elapsed = time.perf_counter() - t0
     return reports, elapsed
 
@@ -88,14 +88,14 @@ def test_criterion_02_derivation_oracle():
         rng = np.random.default_rng([202, i])
         a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
         b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        rep = verify_derivation(a, b, tol_rel=1e-2)
+        rep = verify_derivation([(a, b)], tol_rel=1e-2)[0]
         chk = rep.check("derivation_difference")
         worst = max(worst, chk.discrepancy / chk.tolerance)
         ok &= chk.passed
 
     # Exact case: A = diag(0,1), B = diag(0,i) gives [0,1] x [-1,0].
     delta = KTupleOperator.derivation(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]))
-    est = orbit_region(delta, DEFAULT_DIRECTIONS, DEFAULT_CFG)
+    est = orbit_region([delta], DEFAULT_DIRECTIONS, DEFAULT_CFG)[0]
     expected = np.array([rectangle_support(t) for t in directions(DEFAULT_DIRECTIONS)])
     rect_err = float(np.abs(est.region.support - expected).max())
     ok &= rect_err <= 5e-3
@@ -133,7 +133,7 @@ def test_criterion_04_norm_reduction_to_unitaries():
     worst_excess = -np.inf
     for _ in range(20):
         r = random_instance(2, 2, rng)
-        rep = russo_dye_norm(r, DEFAULT_CFG)
+        rep = russo_dye_norm([r], DEFAULT_CFG)[0]
         xs = rng.standard_normal((10_000, 2, 2)) + 1j * rng.standard_normal((10_000, 2, 2))
         xs /= _batched.sigma_max(xs)[:, None, None]
         ball_max = float(_batched.sigma_max(apply_batched(r, xs)).max())
@@ -228,10 +228,10 @@ def test_criterion_09_gradient_correctness():
         r = random_instance(n, 2, rng)
         if i % 2 == 0:
             theta = rng.uniform(0, 2 * np.pi)
-            objective = OrbitSupportObjective(r.a, r.b, theta)
+            objective = OrbitSupportObjective([(r.a, r.b)], theta)
         else:
             z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 20)
-            objective = ShiftedNormObjective(r.a, r.b, z)
+            objective = ShiftedNormObjective([(r.a, r.b)], z)
         u = haar_unitary(n, rng)
         k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         k = (k - k.conj().T) / 2

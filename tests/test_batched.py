@@ -122,7 +122,7 @@ def test_elementary_matrix_matches_contraction(n, k, seed, a_scale, b_scale, x_s
     b = _stack(rng, (k, n, n), b_scale)
     x = _stack(rng, (3, n, n), x_scale)
     y = _stack(rng, (3, n, n), x_scale)
-    r = _batched.ElementaryMatrix(a, b)
+    r = _batched.ElementaryMatrix([(a, b)])
     rx, ry = r.apply(x), r.adjoint(y)
 
     # Roundoff is relative to sum_i |a_i| |x| |b_i| (Frobenius), which bounds

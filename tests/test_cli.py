@@ -1,12 +1,15 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
+import elemrange.cli as cli_mod
 from elemrange.cli import main
 from elemrange.elemop import KTupleOperator, random_instance
 from elemrange.io import (
     InstanceFormatError,
+    dump_result,
     dumps_result,
     instance_to_dict,
     parse_instance,
@@ -230,18 +233,88 @@ class TestCommands:
         capsys.readouterr()
         assert code == 2
 
-    def test_threads_give_same_result(self, tmp_path, capsys):
-        args = ["verify", "--count", "2", "--dim", "2", "--tuples", "1",
-                "--seed", "11", *fast_args()]
-        out1, out2 = str(tmp_path / "t1.json"), str(tmp_path / "t2.json")
-        assert main([*args, "--threads", "1", "--out", out1]) == 0
-        assert main([*args, "--threads", "2", "--out", out2]) == 0
+    def test_threads_give_same_result(self, tmp_path, capsys, monkeypatch):
+        # Every instance's result fragment is the same whether it runs alone,
+        # inside a 20-instance batch (one chunk), in chunks of one instance,
+        # or in two chunks of ten on two threads.  n = 3 runs one GEMM per
+        # instance, where a GEMM over every row of a chunk would change bits.
+        for command, dim in (("verify", 2), ("verify", 3), ("derivation", 3)):
+            args = [command, "--dim", str(dim), "--seed", "11", "--directions", "8",
+                    "--restarts", "1", "--haar-samples", "4", "--smax-factor", "16"]
+
+            def run(extra, name):
+                out = tmp_path / f"{command}{dim}-{name}.json"
+                assert main([*args, *extra, "--out", str(out)]) == 0
+                doc = json.loads(out.read_text())
+                return doc["config"], doc["instances"]
+
+            batch = ["--count", "20"]
+            config, whole = run(batch, "whole")
+            monkeypatch.setattr(cli_mod, "_CHUNK_ENTRIES", 1)
+            assert run(batch, "ones")[1] == whole
+            monkeypatch.setattr(cli_mod, "_CHUNK_ENTRIES", 10 * 8 * (1 + 3) * dim * dim)
+            threaded_config, threaded = run([*batch, "--threads", "2"], "threads")
+            monkeypatch.undo()
+            assert len(whole) == 20 and threaded == whole
+            assert threaded_config.pop("threads") == 2
+            config.pop("threads")
+            assert threaded_config == config
+
+            for i in (0, 13):
+                path = tmp_path / f"{command}{dim}-alone{i}.json"
+                if command == "verify":
+                    path.write_text(json.dumps(whole[i]["instance"]))
+                else:
+                    rng = np.random.default_rng([11, 131, i])
+                    a, b = (
+                        (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+                        / np.sqrt(2)
+                        for _ in range(2)
+                    )
+                    write_instance(
+                        KTupleOperator.derivation(a, b, label=whole[i]["label"]), str(path)
+                    )
+                assert run([str(path)], f"alone{i}")[1] == [whole[i]]
         capsys.readouterr()
-        d1 = json.loads(open(out1).read())
-        d2 = json.loads(open(out2).read())
-        d1["config"].pop("threads")
-        d2["config"].pop("threads")
-        assert d1 == d2
+
+    def test_verify_mixed_dimensions(self, identity_path, tmp_path, capsys):
+        # Chunks hold one n; a change of n between files starts a new chunk.
+        path3 = str(tmp_path / "identity3.json")
+        write_instance(KTupleOperator.identity(3, label="identity3"), path3)
+        out = tmp_path / "mixed.json"
+        code = main(["verify", identity_path, path3, identity_path,
+                     *fast_args(["--out", str(out)])])
+        capsys.readouterr()
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert [inst["instance"]["n"] for inst in doc["instances"]] == [2, 3, 2]
+
+    def test_haar_samples_reach_the_witness_cloud(self, tmp_path, capsys):
+        # derivation and projection pass --haar-samples to the orbit side.
+        for command in ("derivation", "projection"):
+            witnesses = []
+            for samples in ("4", "9"):
+                out = tmp_path / f"{command}-{samples}.json"
+                code = main([command, "--count", "1", "--directions", "8",
+                             "--restarts", "2", "--haar-samples", samples,
+                             "--out", str(out)] if command == "derivation" else
+                            [command, "--directions", "8", "--restarts", "2",
+                             "--haar-samples", samples, "--out", str(out)])
+                assert code == 0
+                witnesses.append(json.loads(out.read_text())["instances"][0]["witnesses"])
+            assert witnesses[0] != witnesses[1]
+        capsys.readouterr()
+
+    def test_projection_honours_tol_and_smax_factor(self, tmp_path, capsys):
+        args = ["projection", "--directions", "8", "--restarts", "2", "--haar-samples", "4"]
+        assert main([*args, "--tol", "1e-15"]) == 1
+        residuals = []
+        for factor in ("16", "64"):
+            out = tmp_path / f"proj-{factor}.json"
+            assert main([*args, "--smax-factor", factor, "--out", str(out)]) == 0
+            residuals.append(json.loads(out.read_text())["instances"][0]["residuals"])
+        capsys.readouterr()
+        assert residuals[0] != residuals[1]
 
 
 class TestDeterminism:
@@ -289,6 +362,12 @@ class TestResultSerialization:
         doc = json.loads(text)
         assert doc == {"a": 2, "b": 1.5, "c": [1.0, 2.0], "d": [1.0, 2.0]}
         assert list(doc) == ["a", "b", "c", "d"]
+
+    def test_dump_result_streams_the_dumps_text(self):
+        result = {"z": [1.5, np.float64(2.0)], "a": {"m": np.arange(3), "c": 1 - 2j}}
+        fh = io.StringIO()
+        dump_result(result, fh)
+        assert fh.getvalue() == dumps_result(result) + "\n"
 
     def test_instance_dict_matches_spec_shape(self, rng):
         r = random_instance(2, 1, rng, label="x")

@@ -104,19 +104,19 @@ class TestMatricize:
 
 class TestRussoDyeNorm:
     def test_identity_operator(self):
-        rep = russo_dye_norm(KTupleOperator.identity(2), CFG)
+        rep = russo_dye_norm([KTupleOperator.identity(2)], CFG)[0]
         assert rep.value == pytest.approx(1.0, abs=1e-10)
 
     def test_diagonal_product(self):
         r = KTupleOperator(np.diag([2.0, 1.0])[None], np.diag([3.0, 1.0])[None])
-        rep = russo_dye_norm(r, CFG)
+        rep = russo_dye_norm([r], CFG)[0]
         assert rep.value == pytest.approx(6.0, abs=1e-8)
         assert rep.value >= grid_norm(r.a, r.b) - 1e-9
 
     def test_derivation_diag01(self):
         a = np.diag([0.0, 1.0])
         d = KTupleOperator.derivation(a, a)
-        rep = russo_dye_norm(d, CFG)
+        rep = russo_dye_norm([d], CFG)[0]
         assert rep.value == pytest.approx(1.0, abs=1e-8)
         # The flip permutation is a witness.
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -126,20 +126,20 @@ class TestRussoDyeNorm:
         grid = su2_grid(17, 16)
         for _ in range(3):
             r = random_instance(2, 2, rng)
-            rep = russo_dye_norm(r, CFG)
+            rep = russo_dye_norm([r], CFG)[0]
             assert rep.value >= grid_norm(r.a, r.b, grid) - 1e-9
 
     def test_matricization_sandwich(self, rng):
         for _ in range(5):
             r = random_instance(2, 2, rng)
-            rep = russo_dye_norm(r, CFG)
+            rep = russo_dye_norm([r], CFG)[0]
             sigma = spectral_norm(matricize(r))
             eps = 1e-8 * sigma
             assert sigma / np.sqrt(2) - eps <= rep.value <= np.sqrt(2) * sigma + eps
 
     def test_dominates_unit_ball_samples(self, rng):
         r = random_instance(2, 2, rng)
-        rep = russo_dye_norm(r, CFG)
+        rep = russo_dye_norm([r], CFG)[0]
         xs = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
         xs /= np.linalg.svd(xs, compute_uv=False)[:, :1][:, :, None]
         vals = np.linalg.svd(apply_batched(r, xs), compute_uv=False)[:, 0]
@@ -147,45 +147,45 @@ class TestRussoDyeNorm:
 
     def test_value_matches_maximizer(self, rng):
         r = random_instance(2, 2, rng)
-        rep = russo_dye_norm(r, CFG)
+        rep = russo_dye_norm([r], CFG)[0]
         recomputed = spectral_norm(apply(r, rep.maximizer))
         assert abs(rep.value - recomputed) <= 1e-10 * max(1.0, abs(rep.value))
 
 
 class TestShiftedNorm:
     def test_identity_shifted(self):
-        rep = shifted_norm(KTupleOperator.identity(2), 0.5, CFG)
+        rep = shifted_norm([KTupleOperator.identity(2)], 0.5, CFG)[0]
         assert rep.value == pytest.approx(0.5, abs=1e-10)
 
     def test_zero_operator(self, rng):
         r = KTupleOperator(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
         for z in (0.3, -1j, 2 + 2j):
-            rep = shifted_norm(r, z, CFG)
+            rep = shifted_norm([r], z, CFG)[0]
             assert rep.value == pytest.approx(abs(z), abs=1e-10)
 
     def test_derivation_unshifted(self):
         a = np.diag([0.0, 1.0])
         d = KTupleOperator.derivation(a, a)
-        rep = shifted_norm(d, 0.0, CFG)
+        rep = shifted_norm([d], 0.0, CFG)[0]
         assert rep.value == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_shift_equals_russo_dye(self, rng):
         r = random_instance(2, 2, rng)
-        assert shifted_norm(r, 0.0, CFG).value == russo_dye_norm(r, CFG).value
+        assert shifted_norm([r], 0.0, CFG)[0].value == russo_dye_norm([r], CFG)[0].value
 
     def test_phase_invariant_starts(self, rng):
         r = random_instance(2, 2, rng)
         u0 = haar_unitary(2, rng)
         alpha = np.exp(1j * rng.uniform(0, 2 * np.pi))
         rep1, rep2 = maximize_grouped(
-            ShiftedNormObjective(r.a, r.b, 0.7), [0, 1], np.stack([u0, alpha * u0]), CFG
+            ShiftedNormObjective([(r.a, r.b)], 0.7), [0, 1], np.stack([u0, alpha * u0]), CFG
         )
         assert abs(rep1.value - rep2.value) <= 1e-10 * max(1.0, abs(rep1.value))
 
     def test_determinism(self, rng):
         r = random_instance(2, 2, rng)
-        a = shifted_norm(r, 1.0 - 0.5j, CFG)
-        b = shifted_norm(r, 1.0 - 0.5j, CFG)
+        a = shifted_norm([r], 1.0 - 0.5j, CFG)[0]
+        b = shifted_norm([r], 1.0 - 0.5j, CFG)[0]
         assert a.value == b.value
         assert np.array_equal(a.maximizer, b.maximizer)
 
@@ -204,7 +204,7 @@ def test_russo_dye_norm_edge_inputs(seed):
 
 def _check_norm_bounds(r):
     n = r.n
-    value = russo_dye_norm(r).value
+    value = russo_dye_norm([r])[0].value
 
     # |x|_op <= |x|_F <= sqrt(n) |x|_op, so the norm on (M_n, |.|_op) lies
     # within a factor sqrt(n) of sigma_max of the matrix of R.

@@ -26,23 +26,23 @@ class TestOrbitSupport:
     # Single-direction supports, read off the grouped sweep: direction j of
     # the M-grid is theta = 2 pi j / M, so j = 0 is theta = 0 and j = 8 is pi.
     def test_identity_operator(self):
-        est = orbit_region(KTupleOperator.identity(2), M, CFG, n_haar=4)
+        est = orbit_region([KTupleOperator.identity(2)], M, CFG, n_haar=4)[0]
         assert est.reports[0].value == pytest.approx(1.0, abs=1e-10)
 
     def test_projection_mult_theta0(self):
-        value = orbit_region(MPP, M, CFG, n_haar=4).reports[0].value
+        value = orbit_region([MPP], M, CFG, n_haar=4)[0].reports[0].value
         assert value == pytest.approx(1.0, abs=1e-6)
         assert value == pytest.approx(projection_mult_support(0.0), abs=1e-6)
 
     def test_projection_mult_theta_pi(self):
-        value = orbit_region(MPP, M, CFG, n_haar=4).reports[8].value
+        value = orbit_region([MPP], M, CFG, n_haar=4)[0].reports[8].value
         assert value == pytest.approx(0.125, abs=1e-6)
         assert value == pytest.approx(projection_mult_support(np.pi), abs=1e-6)
 
     def test_beats_su2_grid(self, rng):
         grid = su2_grid(17, 16)
         r = random_instance(2, 2, rng)
-        est = orbit_region(r, M, CFG, n_haar=4)
+        est = orbit_region([r], M, CFG, n_haar=4)[0]
         for rep, theta in zip(est.reports, directions(M)):
             assert rep.value >= grid_orbit_support(r.a, r.b, theta, grid) - 1e-9
 
@@ -52,7 +52,7 @@ class TestBanachSupportRay:
     # direction, read off banach_region.
     def test_zero_operator(self):
         r = KTupleOperator(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
-        est = banach_region(r, M, CFG)
+        est = banach_region([r], M, CFG)[0]
         for g in est.g_schedules:
             assert abs(g[-1]) <= 1e-10
 
@@ -62,7 +62,7 @@ class TestBanachSupportRay:
         c = 0.7 - 0.4j
         r = KTupleOperator.identity(2).translated(c - 1.0)
         schedule = default_s_schedule(2.0)
-        est = banach_region(r, M, CFG, scale=2.0)
+        est = banach_region([r], M, CFG, scales=[2.0])[0]
         assert np.array_equal(est.s_schedule, schedule)
         for g, theta in zip(est.g_schedules, directions(M)):
             target = np.real(np.exp(-1j * theta) * c)
@@ -73,9 +73,9 @@ class TestBanachSupportRay:
         r = KTupleOperator.identity(2)
         for scale in (-1.0, 0.0, np.nan):
             with pytest.raises(ValueError):
-                banach_region(r, M, CFG, scale=scale)
+                banach_region([r], M, CFG, scales=[scale])[0]
         with pytest.raises(ValueError):
-            banach_region(r, M, CFG, scale=1.0, smax_factor=8.0)
+            banach_region([r], M, CFG, scales=[1.0], smax_factor=8.0)[0]
 
 
 class TestDefaultSchedule:
@@ -104,30 +104,30 @@ class TestDefaultSchedule:
 
 class TestOrbitRegion:
     def test_identity_point(self):
-        est = orbit_region(KTupleOperator.identity(2), M, CFG, n_haar=8)
+        est = orbit_region([KTupleOperator.identity(2)], M, CFG, n_haar=8)[0]
         assert np.abs(est.region.support - np.cos(directions(M))).max() <= 1e-8
 
     def test_scalar_multiplication_point(self):
         r = KTupleOperator.multiplication(np.eye(2), np.eye(2))
-        est = orbit_region(r, M, CFG, n_haar=4)
+        est = orbit_region([r], M, CFG, n_haar=4)[0]
         assert np.abs(est.region.support - np.cos(directions(M))).max() <= 1e-8
 
     def test_derivation_rectangle(self):
         # x -> Ax - xB with A = diag(0,1), B = diag(0,i): the orbit union
         # is W(A) - W(B) = [0,1] x [-1,0].
         delta = KTupleOperator.derivation(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]))
-        est = orbit_region(delta, M, CFG, n_haar=16)
+        est = orbit_region([delta], M, CFG, n_haar=16)[0]
         expected = np.array([rectangle_support(t) for t in directions(M)])
         assert np.abs(est.region.support - expected).max() <= 5e-3
 
     def test_witnesses_inside_region(self, rng):
         r = random_instance(2, 2, rng)
-        est = orbit_region(r, M, CFG, n_haar=16)
+        est = orbit_region([r], M, CFG, n_haar=16)[0]
         assert est.region.contains(est.samples, slack=1e-6 * est.scale)
 
     def test_witness_hull_fills_region(self, rng):
         r = random_instance(2, 2, rng)
-        est = orbit_region(r, M, CFG, n_haar=16)
+        est = orbit_region([r], M, CFG, n_haar=16)[0]
         hull = hull_of_points(est.samples, M)
         assert hausdorff(hull, est.region) <= 1e-9 * est.scale
 
@@ -139,28 +139,60 @@ class TestOrbitRegion:
             np.stack([wh @ ai @ w for ai in r.a]),
             np.stack([wh @ bi @ w for bi in r.b]),
         )
-        est1 = orbit_region(r, M, CFG, n_haar=16)
-        est2 = orbit_region(conj, M, CFG, n_haar=16)
+        est1 = orbit_region([r], M, CFG, n_haar=16)[0]
+        est2 = orbit_region([conj], M, CFG, n_haar=16)[0]
         assert hausdorff(est1.region, est2.region) <= 2e-2 * est1.scale
 
     def test_translation_covariance(self, rng):
         r = random_instance(2, 2, rng)
         z = complex(rng.normal(), rng.normal())
-        est = orbit_region(r, M, CFG, n_haar=8)
-        est_z = orbit_region(r.translated(z), M, CFG, n_haar=8)
+        est = orbit_region([r], M, CFG, n_haar=8)[0]
+        est_z = orbit_region([r.translated(z)], M, CFG, n_haar=8)[0]
         shift = np.real(np.exp(-1j * directions(M)) * z)
         assert np.abs(est_z.region.support - (est.region.support + shift)).max() <= 1e-6 * est.scale
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
-            orbit_region(KTupleOperator.identity(2), 4, CFG)
+            orbit_region([KTupleOperator.identity(2)], 4, CFG)[0]
+
+    def test_rejects_mixed_or_empty_batch(self):
+        mixed = [KTupleOperator.identity(2), KTupleOperator.identity(3)]
+        with pytest.raises(ValueError, match="one M_n"):
+            orbit_region(mixed, M, CFG)
+        with pytest.raises(ValueError, match="empty"):
+            orbit_region([], M, CFG)
+        with pytest.raises(ValueError, match="one M_n"):
+            banach_region(mixed, M, CFG, scales=[2.0, 2.0])
+
+    def test_batch_matches_solo_runs(self, rng):
+        # Each estimate of a batch is the one its operator gets alone, at
+        # n = 3, where one GEMM over every row would change the bits.
+        ops = [random_instance(3, 2, rng) for _ in range(3)]
+        warm = [orbit_region([r], 8, CFG, n_haar=4)[0].maximizers for r in ops]
+        batch = (
+            orbit_region(ops, 8, CFG, n_haar=4),
+            banach_region(ops, 8, CFG, scales=[3.0, 5.0, 4.0], warm_starts=warm),
+        )
+        for i, r in enumerate(ops):
+            solo = (
+                orbit_region([r], 8, CFG, n_haar=4)[0],
+                banach_region([r], 8, CFG, scales=[[3.0, 5.0, 4.0][i]], warm_starts=[warm[i]])[0],
+            )
+            for one, many in zip(solo, (est[i] for est in batch)):
+                assert np.array_equal(one.region.support, many.region.support)
+                assert np.array_equal(np.stack(one.maximizers), np.stack(many.maximizers))
+                assert [rep.iterations for rep in one.reports] == [
+                    rep.iterations for rep in many.reports
+                ]
+                if one.g_schedules is not None:
+                    assert all(map(np.array_equal, one.g_schedules, many.g_schedules))
 
 
 class TestBanachRegion:
     def test_identity_point(self):
         # g(s) at direction theta carries an O(sin^2(theta)/s) ray excess,
         # bounded by the reported residual; at theta = 0 it is exact.
-        est = banach_region(KTupleOperator.identity(2), M, CFG)
+        est = banach_region([KTupleOperator.identity(2)], M, CFG)[0]
         err = np.abs(est.region.support - np.cos(directions(M)))
         assert err.max() <= 2 * est.max_residual + 1e-8
         assert err[0] <= 1e-10
@@ -176,7 +208,7 @@ class TestBanachRegion:
         ids=["default", "non-power", "early-stop"],
     )
     def test_derived_fields(self, r, smax_factor):
-        est = banach_region(r, M, CFG, smax_factor=smax_factor)
+        est = banach_region([r], M, CFG, smax_factor=smax_factor)[0]
         if r.k == 1:
             # The identity's ray at theta = 0 is exact, so it freezes early.
             assert len(est.g_schedules[0]) < len(est.s_schedule)
@@ -190,26 +222,26 @@ class TestBanachRegion:
             assert np.array_equal(u, rep.maximizer)
 
     def test_orbit_side_has_no_residuals(self):
-        est = orbit_region(KTupleOperator.identity(2), M, CFG, n_haar=4)
+        est = orbit_region([KTupleOperator.identity(2)], M, CFG, n_haar=4)[0]
         assert est.residuals is None and est.max_residual == 0.0
         for u, rep in zip(est.maximizers, est.reports):
             assert np.array_equal(u, rep.maximizer)
 
     def test_zero_operator_point(self):
         r = KTupleOperator(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
-        est = banach_region(r, M, CFG)
+        est = banach_region([r], M, CFG)[0]
         assert np.abs(est.region.support).max() <= 1e-8
 
     def test_derivation_rectangle_within_residual(self):
         delta = KTupleOperator.derivation(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]))
-        est = banach_region(delta, M, CFG)
+        est = banach_region([delta], M, CFG)[0]
         expected = np.array([rectangle_support(t) for t in directions(M)])
         bound = max(2e-2, 2 * est.max_residual)
         assert np.abs(est.region.support - expected).max() <= bound
 
     def test_ray_monotonicity_all_directions(self, rng):
         r = random_instance(2, 2, rng)
-        est = banach_region(r, M, CFG)
+        est = banach_region([r], M, CFG)[0]
         for g in est.g_schedules:
             assert np.all(np.diff(g) <= 1e-6 * est.scale)
 
@@ -221,10 +253,10 @@ class TestBanachRegion:
         z = complex(rng.normal(), rng.normal())
         rz = r.translated(z)
         scale = max(
-            russo_dye_norm(r, CFG).value, russo_dye_norm(rz, CFG).value
+            russo_dye_norm([r], CFG)[0].value, russo_dye_norm([rz], CFG)[0].value
         ) + 1.0
-        est = banach_region(r, M, CFG, scale=scale)
-        est_z = banach_region(rz, M, CFG, scale=scale)
+        est = banach_region([r], M, CFG, scales=[scale])[0]
+        est_z = banach_region([rz], M, CFG, scales=[scale])[0]
         shift = np.real(np.exp(-1j * directions(M)) * z)
         dev = np.abs(est_z.region.support - (est.region.support + shift)).max()
         assert dev <= 2 * (est.max_residual + est_z.max_residual) + 1e-6 * scale
@@ -232,8 +264,8 @@ class TestBanachRegion:
     def test_outer_bound_dominates_orbit(self, rng):
         # RHS <= LHS directionally, up to the ray residual and slack.
         r = random_instance(2, 2, rng)
-        orbit = orbit_region(r, M, CFG, n_haar=8)
-        ban = banach_region(r, M, CFG, warm_starts=orbit.maximizers)
+        orbit = orbit_region([r], M, CFG, n_haar=8)[0]
+        ban = banach_region([r], M, CFG, warm_starts=[orbit.maximizers])[0]
         slack = np.maximum(ban.residuals, 0.0)
         assert np.all(
             orbit.region.support

@@ -26,8 +26,8 @@ def random_objective(rng, n=2, k=2):
     r = random_instance(n, k, rng)
     if rng.uniform() < 0.5:
         z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 20)
-        return ShiftedNormObjective(r.a, r.b, z)
-    return OrbitSupportObjective(r.a, r.b, rng.uniform(0, 2 * np.pi))
+        return ShiftedNormObjective([(r.a, r.b)], z)
+    return OrbitSupportObjective([(r.a, r.b)], rng.uniform(0, 2 * np.pi))
 
 
 class TestGradients:
@@ -48,10 +48,10 @@ class TestGradients:
         for _ in range(5):
             r = random_instance(4, 3, rng)
             if kind == "orbit":
-                objective = OrbitSupportObjective(r.a, r.b, rng.uniform(0, 2 * np.pi))
+                objective = OrbitSupportObjective([(r.a, r.b)], rng.uniform(0, 2 * np.pi))
             else:
                 z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 20)
-                objective = ShiftedNormObjective(r.a, r.b, z)
+                objective = ShiftedNormObjective([(r.a, r.b)], z)
             u = haar_unitary(4, rng)
             k = random_skew(rng, 4)
             analytic = directional_derivative(objective, u, k)
@@ -79,7 +79,7 @@ def one_group(objective, cfg, starts=None):
 
 class TestMaximize:
     def test_constant_objective_converges_immediately(self):
-        obj = ShiftedNormObjective(np.eye(2)[None], np.eye(2)[None], 0.0)
+        obj = ShiftedNormObjective([(np.eye(2)[None], np.eye(2)[None])], 0.0)
         rep = one_group(obj, OptConfig(restarts=2, seed=1))
         assert rep.value == pytest.approx(1.0, abs=1e-12)
         assert rep.converged
@@ -87,19 +87,19 @@ class TestMaximize:
 
     def test_maximizer_is_unitary(self, rng):
         r = random_instance(2, 2, rng)
-        rep = one_group(ShiftedNormObjective(r.a, r.b, 0.0), OptConfig(restarts=4, seed=2))
+        rep = one_group(ShiftedNormObjective([(r.a, r.b)], 0.0), OptConfig(restarts=4, seed=2))
         assert is_unitary(rep.maximizer)
 
     def test_value_is_max_of_start_values(self, rng):
         r = random_instance(2, 2, rng)
-        rep = one_group(ShiftedNormObjective(r.a, r.b, 0.0), OptConfig(restarts=4, seed=2))
+        rep = one_group(ShiftedNormObjective([(r.a, r.b)], 0.0), OptConfig(restarts=4, seed=2))
         assert rep.value == np.max(rep.start_values)
         assert rep.restarts_used == 4 + 2
         assert rep.spread >= 0.0
 
     def test_extra_starts_only(self, rng):
         r = random_instance(2, 1, rng)
-        obj = ShiftedNormObjective(r.a, r.b, 0.0)
+        obj = ShiftedNormObjective([(r.a, r.b)], 0.0)
         u0 = haar_unitary(2, rng)
         rep = one_group(obj, OptConfig(restarts=1, seed=0), starts=[u0])
         assert rep.restarts_used == 1
@@ -107,7 +107,7 @@ class TestMaximize:
 
     def test_deterministic_given_config(self, rng):
         r = random_instance(3, 2, rng)
-        obj = OrbitSupportObjective(r.a, r.b, 0.3)
+        obj = OrbitSupportObjective([(r.a, r.b)], 0.3)
         cfg = OptConfig(restarts=3, seed=9)
         rep1 = one_group(obj, cfg)
         rep2 = one_group(obj, cfg)
@@ -131,20 +131,75 @@ class TestMaximizeGrouped:
         starts = np.stack(starts)
         groups = np.asarray(groups)
         grouped = maximize_grouped(
-            OrbitSupportObjective(r.a, r.b, thetas[groups]), groups, starts, cfg
+            OrbitSupportObjective([(r.a, r.b)], thetas[groups]), groups, starts, cfg
         )
         for j, theta in enumerate(thetas):
             solo = one_group(
-                OrbitSupportObjective(r.a, r.b, theta), cfg, starts=starts[groups == j]
+                OrbitSupportObjective([(r.a, r.b)], theta), cfg, starts=starts[groups == j]
             )
             assert grouped[j].value == pytest.approx(solo.value, abs=1e-7)
+            assert grouped[j].iterations == solo.iterations
+            assert np.array_equal(grouped[j].maximizer, solo.maximizer)
+
+    def test_leaves_starts_untouched(self, rng):
+        r = random_instance(2, 2, rng)
+        starts = np.stack(default_starts(2, 3, np.random.default_rng(4)))
+        before = starts.copy()
+        maximize_grouped(
+            ShiftedNormObjective([(r.a, r.b)], 0.0), np.zeros(len(starts), dtype=int),
+            starts, OptConfig(restarts=3, seed=4),
+        )
+        assert np.array_equal(starts, before)
+
+    @pytest.mark.parametrize("kind", ["orbit", "norm"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_instances_match_solo_runs(self, kind, n):
+        # Instances stacked in one call, each with its own operator, must get
+        # the bits of a call on that instance alone: one GEMM per instance
+        # on its own rows, and a fine-pass budget per instance.  The budget
+        # binds, and the instances' coarse passes use different counts.
+        rng = np.random.default_rng(12345)
+        ops = [random_instance(n, 2, rng) for _ in range(3)]
+        cfg = OptConfig(restarts=3, seed=6, max_iterations=120)
+        block = np.stack(default_starts(n, cfg.restarts, np.random.default_rng(6)))
+        thetas = np.array([0.4, 2.0])
+        params = np.array([1.5 - 0.5j, -2.0j])
+
+        def objective(tuples, g, offsets):
+            if kind == "orbit":
+                return OrbitSupportObjective(tuples, thetas[g % 2], offsets)
+            return ShiftedNormObjective(tuples, params[g % 2], offsets)
+
+        solo_groups = np.repeat([0, 1], len(block))
+        solo_starts = np.concatenate([block, block])
+        solo = [
+            maximize_grouped(objective([(r.a, r.b)], solo_groups, (0,)), solo_groups,
+                             solo_starts, cfg)
+            for r in ops
+        ]
+        groups = np.repeat(np.arange(6), len(block))
+        offsets = 2 * len(block) * np.arange(3)
+        batched = maximize_grouped(
+            objective([(r.a, r.b) for r in ops], groups, offsets), groups,
+            np.concatenate([solo_starts] * 3), cfg, offsets=offsets,
+        )
+        iterations = {rep.iterations for reps in solo for rep in reps}
+        assert len(iterations) > 1 and cfg.max_iterations in iterations
+        for i, reps in enumerate(solo):
+            for j, rep in enumerate(reps):
+                got = batched[2 * i + j]
+                assert got.value == rep.value
+                assert got.iterations == rep.iterations
+                assert got.converged == rep.converged
+                assert np.array_equal(got.maximizer, rep.maximizer)
+                assert np.array_equal(got.start_values, rep.start_values)
 
     def test_group_bookkeeping(self, rng):
         r = random_instance(2, 1, rng)
         starts = np.stack([np.eye(2, dtype=complex)] * 6)
         groups = np.array([0, 0, 1, 1, 2, 2])
         reports = maximize_grouped(
-            ShiftedNormObjective(r.a, r.b, 0.0), groups, starts, OptConfig(seed=0)
+            ShiftedNormObjective([(r.a, r.b)], 0.0), groups, starts, OptConfig(seed=0)
         )
         assert len(reports) == 3
         assert all(rep.restarts_used == 2 for rep in reports)
@@ -155,13 +210,13 @@ class TestMaximizeGrouped:
         r = random_instance(3, 2, rng)
         cfg = OptConfig(restarts=4, seed=3)
         z = np.array([2.0 + 1.0j, -3.0j])
-        solved = one_group(ShiftedNormObjective(r.a, r.b, z[0]), cfg)
+        solved = one_group(ShiftedNormObjective([(r.a, r.b)], z[0]), cfg)
         assert solved.converged
         hard = default_starts(3, 4, np.random.default_rng(8))
         starts = np.stack([solved.maximizer] * 2 + hard)
         groups = np.array([0, 0] + [1] * len(hard))
         easy, climb = maximize_grouped(
-            ShiftedNormObjective(r.a, r.b, z[groups]), groups, starts, cfg,
+            ShiftedNormObjective([(r.a, r.b)], z[groups]), groups, starts, cfg,
             coarse_first=False,
         )
         assert easy.iterations == 1

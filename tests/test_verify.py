@@ -57,7 +57,7 @@ class TestVerifyInclusion:
 
 class TestVerifyMain:
     def test_identity_operator(self):
-        rep = verify_main(KTupleOperator.identity(2), m=M, cfg=CFG)
+        rep = verify_main([KTupleOperator.identity(2)], m=M, cfg=CFG)[0]
         assert rep.passed
         main = rep.check("main_formula")
         resid = rep.diagnostics["ray_residual_max"]
@@ -68,7 +68,7 @@ class TestVerifyMain:
         r = KTupleOperator(
             (alpha * np.eye(2))[None], np.eye(2, dtype=complex)[None]
         )
-        rep = verify_main(r, m=M, cfg=CFG)
+        rep = verify_main([r], m=M, cfg=CFG)[0]
         lhs = rep.artifacts["lhs"].region
         rhs = rep.artifacts["rhs"].region
         expected = np.real(np.exp(-1j * directions(M)) * alpha)
@@ -79,7 +79,7 @@ class TestVerifyMain:
 
     def test_derivation_instance(self):
         delta = KTupleOperator.derivation(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]))
-        rep = verify_main(delta, m=M, cfg=CFG)
+        rep = verify_main([delta], m=M, cfg=CFG)[0]
         assert rep.passed
         expected = np.array([rectangle_support(t) for t in directions(M)])
         rhs = rep.artifacts["rhs"].region
@@ -87,30 +87,42 @@ class TestVerifyMain:
 
     def test_random_instance_passes(self, rng):
         r = random_instance(2, 2, rng)
-        rep = verify_main(r, m=M, cfg=CFG)
+        rep = verify_main([r], m=M, cfg=CFG)[0]
         assert rep.passed
         assert rep.check("ray_monotone").discrepancy <= rep.check("ray_monotone").tolerance
 
     def test_determinism(self):
         r = random_batch(1, 2, 2, seed=5)[0]
-        rep1 = verify_main(r, m=M, cfg=CFG)
-        rep2 = verify_main(r, m=M, cfg=CFG)
+        rep1 = verify_main([r], m=M, cfg=CFG)[0]
+        rep2 = verify_main([r], m=M, cfg=CFG)[0]
         assert rep1.to_dict() == rep2.to_dict()
 
     def test_tolerance_override(self):
-        rep = verify_main(KTupleOperator.identity(2), m=M, cfg=CFG, tol=1e-12)
+        rep = verify_main([KTupleOperator.identity(2)], m=M, cfg=CFG, tol=1e-12)[0]
         assert rep.check("main_formula").tolerance == 1e-12
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 8.0])
+    def test_rejects_bad_smax_factor_first(self, monkeypatch, factor):
+        # The ray schedule is built after the norm and the orbit sweep; a bad
+        # factor must be rejected before either runs.
+        def no_optimization(*args, **kwargs):
+            raise AssertionError("optimization ran")
+
+        monkeypatch.setattr(verify_mod, "russo_dye_norm", no_optimization)
+        monkeypatch.setattr(verify_mod, "orbit_region", no_optimization)
+        with pytest.raises(ValueError, match="smax_factor"):
+            verify_main([KTupleOperator.identity(2)], m=M, cfg=CFG, smax_factor=factor)
 
 
 class TestVerifyDerivation:
     def test_identity_pair_is_zero_region(self):
-        rep = verify_derivation(np.eye(2), np.eye(2), m=M, cfg=CFG)
+        rep = verify_derivation([(np.eye(2), np.eye(2))], m=M, cfg=CFG)[0]
         assert rep.passed
         rhs = rep.artifacts["rhs"].region
         assert np.abs(rhs.support).max() <= 1e-6
 
     def test_exact_rectangle(self):
-        rep = verify_derivation(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]), m=M, cfg=CFG)
+        rep = verify_derivation([(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]))], m=M, cfg=CFG)[0]
         assert rep.passed
         oracle = rep.artifacts["oracle"]
         expected = np.array([rectangle_support(t) for t in directions(M)])
@@ -118,7 +130,7 @@ class TestVerifyDerivation:
 
     def test_symmetric_segment(self):
         a = np.diag([0.0, 1.0])
-        rep = verify_derivation(a, a, m=M, cfg=CFG)
+        rep = verify_derivation([(a, a)], m=M, cfg=CFG)[0]
         assert rep.passed
         rhs = rep.artifacts["rhs"].region
         # W(A) - W(A) = [-1, 1]: real, symmetric, contains 0.
@@ -131,8 +143,8 @@ class TestVerifyDerivation:
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         w = haar_unitary(2, rng)
         wh = w.conj().T
-        rep1 = verify_derivation(a, b, m=M, cfg=CFG)
-        rep2 = verify_derivation(wh @ a @ w, wh @ b @ w, m=M, cfg=CFG)
+        rep1 = verify_derivation([(a, b)], m=M, cfg=CFG)[0]
+        rep2 = verify_derivation([(wh @ a @ w, wh @ b @ w)], m=M, cfg=CFG)[0]
         d1 = rep1.check("derivation_difference").discrepancy
         d2 = rep2.check("derivation_difference").discrepancy
         tol = rep1.check("derivation_difference").tolerance
@@ -142,7 +154,7 @@ class TestVerifyDerivation:
         for n in (2, 3):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            rep = verify_derivation(a, b, m=M, cfg=CFG)
+            rep = verify_derivation([(a, b)], m=M, cfg=CFG)[0]
             assert rep.passed
 
     def test_rejects_odd_directions(self, monkeypatch):
@@ -153,7 +165,7 @@ class TestVerifyDerivation:
 
         monkeypatch.setattr(verify_mod, "orbit_region", no_sweep)
         with pytest.raises(ValueError, match="even"):
-            verify_derivation(np.eye(2), np.eye(2), m=9, cfg=CFG)
+            verify_derivation([(np.eye(2), np.eye(2))], m=9, cfg=CFG)[0]
 
 
 class TestVerifyMultProjection:
