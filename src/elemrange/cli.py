@@ -7,9 +7,9 @@ Exit codes: 0 all checks passed, 1 a verification exceeded its tolerance,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,11 +44,6 @@ from .verify import (
 
 _WITNESS_CAP = 512
 
-# Cap on a chunk's first-pass stack, instances * m * (restarts + 3) * n^2
-# matrix entries: instances run one grouped ascent per phase in chunks, and
-# the cap bounds a chunk's peak memory (see CHANGES.md for the sizing).
-_CHUNK_ENTRIES = 12_288
-
 
 def _common_options(sub, directions: int, restarts: int):
     sub.add_argument("--directions", type=int, default=directions,
@@ -64,8 +59,6 @@ def _common_options(sub, directions: int, restarts: int):
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub.add_argument("--tol", type=float, default=None,
                      help="override the verification tolerance")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="instance-level worker threads (default 1)")
     sub.add_argument("--out", type=str, default=None, help="output file path")
     sub.add_argument("--format", choices=("json", "csv", "svg"), default="json",
                      help="output format (default json)")
@@ -291,29 +284,12 @@ def _cmd_range(args) -> int:
     return 0
 
 
-def _chunks(items, dims, args) -> list:
-    """Consecutive runs of items on one n, each under _CHUNK_ENTRIES."""
-    chunks = []
-    for item, n in zip(items, dims):
-        cost = args.directions * (args.restarts + 3) * n * n
-        last = chunks[-1] if chunks else None
-        fits = last is not None and (len(last[1]) + 1) * cost <= _CHUNK_ENTRIES
-        if fits and last[0] == n:
-            last[1].append(item)
-        else:
-            chunks.append((n, [item]))
-    return [chunk for _, chunk in chunks]
-
-
-def _run_batch(items, dims, worker, args) -> list:
-    """Map worker(chunk) -> one result per item over chunks; dims[i] is item i's n."""
-    chunks = _chunks(items, dims, args)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parts = list(pool.map(worker, chunks))
-    else:
-        parts = [worker(chunk) for chunk in chunks]
-    return [out for part in parts for out in part]
+def _run_batch(items, dims, worker) -> list:
+    """Map worker(run) -> one result per item over runs of items on one n."""
+    out = []
+    for _, run in itertools.groupby(zip(items, dims), key=lambda pair: pair[1]):
+        out.extend(worker([item for item, _ in run]))
+    return out
 
 
 def _cmd_verify(args) -> int:
@@ -323,9 +299,9 @@ def _cmd_verify(args) -> int:
     else:
         batch = random_batch(args.count, args.dim, args.tuples, args.seed)
 
-    def worker(chunk):
+    def worker(run):
         return verify_main(
-            chunk,
+            run,
             m=args.directions,
             cfg=cfg,
             n_haar=args.haar_samples,
@@ -333,7 +309,7 @@ def _cmd_verify(args) -> int:
             tol=args.tol,
         )
 
-    reports = _run_batch(batch, [r.n for r in batch], worker, args)
+    reports = _run_batch(batch, [r.n for r in batch], worker)
     result = _result_shell(args)
     for r, rep in zip(batch, reports):
         inst = {"label": r.label, "instance": instance_to_dict(r)}
@@ -376,13 +352,13 @@ def _cmd_derivation(args) -> int:
 
     kwargs = {} if args.tol is None else {"tol_rel": args.tol}
 
-    def worker(chunk):
+    def worker(run):
         return verify_derivation(
-            [(a, b) for a, b, _ in chunk], m=args.directions, cfg=cfg,
-            labels=[label for _, _, label in chunk], n_haar=args.haar_samples, **kwargs,
+            [(a, b) for a, b, _ in run], m=args.directions, cfg=cfg,
+            labels=[label for _, _, label in run], n_haar=args.haar_samples, **kwargs,
         )
 
-    reports = _run_batch(pairs, [a.shape[0] for a, _, _ in pairs], worker, args)
+    reports = _run_batch(pairs, [a.shape[0] for a, _, _ in pairs], worker)
     result = _result_shell(args)
     for (a, b, label), rep in zip(pairs, reports):
         inst = {"label": label}

@@ -15,8 +15,11 @@ quality signal.
 One batch may also hold the sweeps of several instances (operators).
 The objectives then apply each instance's operator to its own rows, one
 GEMM per instance, and the driver keeps every iteration budget per
-instance, so an instance's reports are bit-identical whether it runs
-alone or inside a batch; every other kernel runs once on the whole stack.
+instance.  Each iteration passes its active rows to the kernels in slabs
+of whole instances of at most _SLAB_ENTRIES matrix entries (or of one
+instance), which bounds a batch's peak memory.  Every per-row kernel is
+independent of the rows beside it, so an instance's reports are
+bit-identical whether it runs alone or in a batch, whatever the slabs.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from .linalg import haar_unitaries
 # start is still a contender for the maximum of its group.
 _COARSE_TOL = 1e-3
 _CONTENTION_MARGIN = 3e-3
+
+# Cap on a slab, rows * n^2 matrix entries: the row-sized temporaries of one
+# step, not its arithmetic, set a batch's peak memory (see CHANGES.md).
+_SLAB_ENTRIES = 12_288
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,7 @@ class OrbitSupportObjective:
         phase = _colify(self._phase_at(idx))
         vh = np.conj(v)[:, None, :]
         sv = np.einsum("bij,bj->bi", s, v)
-        # Row-sized temporaries set a chunk's peak memory; drop s first.
+        # Row-sized temporaries set a slab's peak memory; drop s first.
         del s
         uv = np.einsum("bij,bj->bi", u, v)
         grad = np.conj(phase) * self._r.adjoint(uv[:, :, None] * vh, idx)
@@ -186,15 +193,31 @@ def default_starts(n: int, restarts: int, rng: np.random.Generator):
     return starts
 
 
-class _Ascent:
-    """Shared batched ascent state over a fixed set of start points."""
+def _slabs(idx: np.ndarray, owner: np.ndarray, cap: int) -> list:
+    """Split the sorted rows idx into consecutive slabs of whole instances
+    (owner[i] is the instance of row i), each of at most cap rows unless it
+    holds one instance alone."""
+    if idx.size <= cap:
+        return [idx]
+    cuts, prev = [0], 0
+    for end in [*(np.flatnonzero(np.diff(owner[idx])) + 1), idx.size]:
+        if end - cuts[-1] > cap and prev > cuts[-1]:
+            cuts.append(prev)
+        prev = end
+    return np.split(idx, cuts[1:])
 
-    def __init__(self, objective, u: np.ndarray, cfg: OptConfig):
+
+class _Ascent:
+    """Shared batched ascent state over a fixed set of start points, of
+    which instance i owns those from offsets[i] on."""
+
+    def __init__(self, objective, u: np.ndarray, cfg: OptConfig, offsets=(0,)):
         self.objective = objective
         self.cfg = cfg
         self.u = u
         self.nb = u.shape[0]
-        self.fval = np.asarray(objective.value(u), dtype=float)
+        self.owner = np.searchsorted(offsets, np.arange(self.nb), side="right") - 1
+        self.fval = np.full(self.nb, np.nan)  # every row steps in the first run
         self.step = np.full(self.nb, cfg.initial_step)
         self.done = np.zeros(self.nb, dtype=bool)
         self.converged = np.zeros(self.nb, dtype=bool)
@@ -210,16 +233,18 @@ class _Ascent:
         done[active] = False
         self.converged[active] = False
         budget = np.broadcast_to(budget, (self.nb,))
+        cap = _SLAB_ENTRIES // self.u[0].size
         for it in range(int(budget.max(initial=0))):
             idx = np.flatnonzero(~done & (budget > it))
             if idx.size == 0:
                 break
             self.iterations[idx] += 1
-            self._step(idx, gtol)
+            for slab in _slabs(idx, self.owner, cap):
+                self._step(slab, gtol)
 
     # _gradient and _step are methods of their own so that their row-sized
-    # temporaries are freed before the next iteration allocates its own:
-    # those temporaries set the peak memory of a large batch.
+    # temporaries are freed before the next slab allocates its own: those
+    # temporaries set the peak memory of a large batch.
 
     def _gradient(self, idx):
         """Objective values and tangent ascent directions at the rows idx."""
@@ -301,7 +326,7 @@ def maximize_grouped(
     """
     groups = np.asarray(groups)
     ngroups = int(groups.max()) + 1
-    state = _Ascent(objective, np.array(starts, dtype=complex), cfg)
+    state = _Ascent(objective, np.array(starts, dtype=complex), cfg, offsets)
 
     # Coarse pass over every start, then full precision only for the starts
     # still in contention for the maximum of their group; dominated local
@@ -314,10 +339,9 @@ def maximize_grouped(
         np.maximum.at(gmax, groups, state.fval)
         margin = _CONTENTION_MARGIN * (1.0 + np.abs(gmax))
         contenders = np.flatnonzero(state.fval >= (gmax - margin)[groups])
-        owner = np.searchsorted(offsets, np.arange(state.nb), side="right") - 1
         used = np.zeros(len(offsets), dtype=int)
-        np.maximum.at(used, owner, state.iterations)
-        state.run(contenders, cfg.gradient_tolerance, cfg.max_iterations - used[owner])
+        np.maximum.at(used, state.owner, state.iterations)
+        state.run(contenders, cfg.gradient_tolerance, cfg.max_iterations - used[state.owner])
     else:
         state.run(np.arange(state.nb), cfg.gradient_tolerance, cfg.max_iterations)
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-import elemrange.cli as cli_mod
+from elemrange import unitary_opt
 from elemrange.cli import main
 from elemrange.elemop import KTupleOperator, random_instance
 from elemrange.io import (
@@ -233,11 +233,11 @@ class TestCommands:
         capsys.readouterr()
         assert code == 2
 
-    def test_threads_give_same_result(self, tmp_path, capsys, monkeypatch):
+    def test_slabs_give_same_result(self, tmp_path, capsys, monkeypatch):
         # Every instance's result fragment is the same whether it runs alone,
-        # inside a 20-instance batch (one chunk), in chunks of one instance,
-        # or in two chunks of ten on two threads.  n = 3 runs one GEMM per
-        # instance, where a GEMM over every row of a chunk would change bits.
+        # inside a 20-instance batch, or in that batch with one instance per
+        # slab.  n = 3 runs one GEMM per instance, where a GEMM over every
+        # row of a slab would change bits.
         for command, dim in (("verify", 2), ("verify", 3), ("derivation", 3)):
             args = [command, "--dim", str(dim), "--seed", "11", "--directions", "8",
                     "--restarts", "1", "--haar-samples", "4", "--smax-factor", "16"]
@@ -245,20 +245,14 @@ class TestCommands:
             def run(extra, name):
                 out = tmp_path / f"{command}{dim}-{name}.json"
                 assert main([*args, *extra, "--out", str(out)]) == 0
-                doc = json.loads(out.read_text())
-                return doc["config"], doc["instances"]
+                return json.loads(out.read_text())["instances"]
 
             batch = ["--count", "20"]
-            config, whole = run(batch, "whole")
-            monkeypatch.setattr(cli_mod, "_CHUNK_ENTRIES", 1)
-            assert run(batch, "ones")[1] == whole
-            monkeypatch.setattr(cli_mod, "_CHUNK_ENTRIES", 10 * 8 * (1 + 3) * dim * dim)
-            threaded_config, threaded = run([*batch, "--threads", "2"], "threads")
+            whole = run(batch, "whole")
+            monkeypatch.setattr(unitary_opt, "_SLAB_ENTRIES", 1)
+            ones = run(batch, "ones")
             monkeypatch.undo()
-            assert len(whole) == 20 and threaded == whole
-            assert threaded_config.pop("threads") == 2
-            config.pop("threads")
-            assert threaded_config == config
+            assert len(whole) == 20 and ones == whole
 
             for i in (0, 13):
                 path = tmp_path / f"{command}{dim}-alone{i}.json"
@@ -274,11 +268,11 @@ class TestCommands:
                     write_instance(
                         KTupleOperator.derivation(a, b, label=whole[i]["label"]), str(path)
                     )
-                assert run([str(path)], f"alone{i}")[1] == [whole[i]]
+                assert run([str(path)], f"alone{i}") == [whole[i]]
         capsys.readouterr()
 
     def test_verify_mixed_dimensions(self, identity_path, tmp_path, capsys):
-        # Chunks hold one n; a change of n between files starts a new chunk.
+        # A batch holds one n; a change of n between files starts a new batch.
         path3 = str(tmp_path / "identity3.json")
         write_instance(KTupleOperator.identity(3, label="identity3"), path3)
         out = tmp_path / "mixed.json"
@@ -333,7 +327,7 @@ class TestDeterminism:
         # n = 3 runs the LAPACK eigen/SVD branches, not the 2x2 closed forms.
         args = ["verify", "--count", "2", "--dim", "3", "--tuples", "2",
                 "--seed", "5", "--directions", "8", "--restarts", "2",
-                "--haar-samples", "4", "--threads", "1"]
+                "--haar-samples", "4"]
         for fmt in ("json", "csv"):
             blobs = []
             for name in ("a", "b"):

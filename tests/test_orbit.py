@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,22 @@ class TestOrbitRegion:
                 ]
                 if one.g_schedules is not None:
                     assert all(map(np.array_equal, one.g_schedules, many.g_schedules))
+
+    def test_batch_memory_is_bounded_by_slabs(self):
+        # The ascent steps a few instances at a time while many rows are
+        # active, so 20 instances peak at a few times 2 (3.5x without slabs).
+        ops = [random_instance(4, 2, np.random.default_rng([5, i])) for i in range(20)]
+        cfg = OptConfig(max_iterations=30)
+        orbit_region(ops[:1], 8, OptConfig(restarts=1, max_iterations=2), n_haar=4)
+        peaks = []
+        for batch in (ops[:2], ops):
+            tracemalloc.start()
+            try:
+                orbit_region(batch, M, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 3 * peaks[0]
 
 
 class TestBanachRegion:

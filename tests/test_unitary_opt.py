@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elemrange import unitary_opt
 from elemrange.elemop import random_instance
 from elemrange.linalg import haar_unitary, is_unitary
 from elemrange.unitary_opt import (
@@ -75,6 +78,53 @@ def one_group(objective, cfg, starts=None):
         starts = default_starts(objective.n, cfg.restarts, rng)
     starts = np.stack(starts)
     return maximize_grouped(objective, np.zeros(len(starts), dtype=int), starts, cfg)[0]
+
+
+def three_instances(kind, n):
+    """(solo, batched, cfg) for three instances of two groups each: solo
+    holds the six reports of the instances run alone, and batched() runs
+    them in one call.  The budget binds."""
+    rng = np.random.default_rng(12345)
+    ops = [random_instance(n, 2, rng) for _ in range(3)]
+    cfg = OptConfig(restarts=3, seed=6, max_iterations=120)
+    block = np.stack(default_starts(n, cfg.restarts, np.random.default_rng(6)))
+    thetas = np.array([0.4, 2.0])
+    params = np.array([1.5 - 0.5j, -2.0j])
+
+    def objective(tuples, g, offsets):
+        if kind == "orbit":
+            return OrbitSupportObjective(tuples, thetas[g % 2], offsets)
+        return ShiftedNormObjective(tuples, params[g % 2], offsets)
+
+    solo_groups = np.repeat([0, 1], len(block))
+    solo_starts = np.concatenate([block, block])
+    solo = [
+        rep
+        for r in ops
+        for rep in maximize_grouped(
+            objective([(r.a, r.b)], solo_groups, (0,)), solo_groups, solo_starts, cfg
+        )
+    ]
+    groups = np.repeat(np.arange(6), len(block))
+    offsets = 2 * len(block) * np.arange(3)
+
+    def batched():
+        return maximize_grouped(
+            objective([(r.a, r.b) for r in ops], groups, offsets), groups,
+            np.concatenate([solo_starts] * 3), cfg, offsets=offsets,
+        )
+
+    return solo, batched, cfg
+
+
+def assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.value == w.value
+        assert g.iterations == w.iterations
+        assert g.converged == w.converged
+        assert np.array_equal(g.maximizer, w.maximizer)
+        assert np.array_equal(g.start_values, w.start_values)
 
 
 class TestMaximize:
@@ -158,41 +208,42 @@ class TestMaximizeGrouped:
         # the bits of a call on that instance alone: one GEMM per instance
         # on its own rows, and a fine-pass budget per instance.  The budget
         # binds, and the instances' coarse passes use different counts.
-        rng = np.random.default_rng(12345)
-        ops = [random_instance(n, 2, rng) for _ in range(3)]
-        cfg = OptConfig(restarts=3, seed=6, max_iterations=120)
-        block = np.stack(default_starts(n, cfg.restarts, np.random.default_rng(6)))
-        thetas = np.array([0.4, 2.0])
-        params = np.array([1.5 - 0.5j, -2.0j])
-
-        def objective(tuples, g, offsets):
-            if kind == "orbit":
-                return OrbitSupportObjective(tuples, thetas[g % 2], offsets)
-            return ShiftedNormObjective(tuples, params[g % 2], offsets)
-
-        solo_groups = np.repeat([0, 1], len(block))
-        solo_starts = np.concatenate([block, block])
-        solo = [
-            maximize_grouped(objective([(r.a, r.b)], solo_groups, (0,)), solo_groups,
-                             solo_starts, cfg)
-            for r in ops
-        ]
-        groups = np.repeat(np.arange(6), len(block))
-        offsets = 2 * len(block) * np.arange(3)
-        batched = maximize_grouped(
-            objective([(r.a, r.b) for r in ops], groups, offsets), groups,
-            np.concatenate([solo_starts] * 3), cfg, offsets=offsets,
-        )
-        iterations = {rep.iterations for reps in solo for rep in reps}
+        solo, batched, cfg = three_instances(kind, n)
+        iterations = {rep.iterations for rep in solo}
         assert len(iterations) > 1 and cfg.max_iterations in iterations
-        for i, reps in enumerate(solo):
-            for j, rep in enumerate(reps):
-                got = batched[2 * i + j]
-                assert got.value == rep.value
-                assert got.iterations == rep.iterations
-                assert got.converged == rep.converged
-                assert np.array_equal(got.maximizer, rep.maximizer)
-                assert np.array_equal(got.start_values, rep.start_values)
+        assert_same_reports(batched(), solo)
+
+    @pytest.mark.parametrize("kind", ["orbit", "norm"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_slabs_match_solo_runs(self, kind, n, monkeypatch):
+        # The same bits with one instance per slab, and with slabs of two
+        # instances and then one; the default cap puts all three in one
+        # slab (test_instances_match_solo_runs).
+        solo, batched, cfg = three_instances(kind, n)
+        rows = 2 * (cfg.restarts + 2)
+        for cap in (1, 2 * rows * n * n):
+            monkeypatch.setattr(unitary_opt, "_SLAB_ENTRIES", cap)
+            assert_same_reports(batched(), solo)
+
+    def test_value_rows_are_the_trial_rows(self, rng, monkeypatch):
+        # value is called on line-search trials only, never on the starts.
+        r = random_instance(3, 2, rng)
+        obj = OrbitSupportObjective([(r.a, r.b)], 0.7)
+        rows = {"value": 0, "trials": 0}
+        value, retract = obj.value, unitary_opt._batched.apply_skew_exp
+
+        def counted_value(u, idx=None):
+            rows["value"] += len(u)
+            return value(u, idx)
+
+        def counted_retract(u, *args):
+            rows["trials"] += len(u)
+            return retract(u, *args)
+
+        monkeypatch.setattr(obj, "value", counted_value)
+        monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", counted_retract)
+        one_group(obj, OptConfig(restarts=4, seed=2))
+        assert rows["trials"] > 0 and rows["value"] == rows["trials"]
 
     def test_group_bookkeeping(self, rng):
         r = random_instance(2, 1, rng)
@@ -221,6 +272,25 @@ class TestMaximizeGrouped:
         )
         assert easy.iterations == 1
         assert climb.iterations > 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+    cap=st.integers(0, 20),
+    data=st.data(),
+)
+def test_slabs_partition_whole_instances(sizes, cap, data):
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    keep = data.draw(st.lists(st.booleans(), min_size=owner.size, max_size=owner.size))
+    idx = np.flatnonzero(np.asarray(keep, dtype=bool))
+    slabs = unitary_opt._slabs(idx, owner, cap)
+    assert np.array_equal(np.concatenate(slabs), idx)
+    assert all(slab.size for slab in slabs) or idx.size == 0
+    for prev, slab in zip(slabs, slabs[1:]):
+        assert owner[prev[-1]] != owner[slab[0]]
+    for slab in slabs:
+        assert slab.size <= cap or len(set(owner[slab])) == 1
 
 
 class TestHelpers:
