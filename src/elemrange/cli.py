@@ -386,7 +386,6 @@ def _cmd_projection(args) -> int:
         items.append((p, f"projection-n{args.dim}r{args.rank}"))
 
     result = _result_shell(args)
-    code = 0
     for p, label in items:
         rep = verify_mult_projection(
             p, m=args.directions, cfg=cfg, n_haar=args.haar_samples,
@@ -409,8 +408,7 @@ def _cmd_projection(args) -> int:
         }
         result["instances"].append(inst)
     _emit(result, args)
-    code = _print_checks(result)
-    return code
+    return _print_checks(result)
 
 
 _HANDLERS = {

@@ -147,7 +147,7 @@ def shifted_norm(
     groups = np.repeat(np.arange(len(rs)), len(block))
     offsets = len(block) * np.arange(len(rs))
     objective = ShiftedNormObjective([(r.a, r.b) for r in rs], z, offsets)
-    return maximize_grouped(objective, groups, starts, cfg, offsets=offsets)
+    return maximize_grouped(objective, groups, starts, cfg)
 
 
 def russo_dye_norm(

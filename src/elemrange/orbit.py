@@ -202,8 +202,7 @@ def _chain_polish(reports, make_objective, cfg: OptConfig, extra=None):
     starts, groups, offsets = _stack_blocks(blocks, extra)
     capped = replace(cfg, max_iterations=min(_CHAIN_BUDGET, cfg.max_iterations))
     polished = maximize_grouped(
-        make_objective(groups, offsets), groups, starts, capped,
-        coarse_first=False, offsets=offsets,
+        make_objective(groups, offsets), groups, starts, capped, coarse_first=False
     )
     return [
         [merge_reports(rep, pol) for rep, pol in zip(reps, pols)]
@@ -221,9 +220,7 @@ def _sweep(
     offsets) builds the objective for the stacked starts.
     """
     starts, groups, offsets = _sweep_starts(n, m, cfg, stream, count, extra)
-    reports = maximize_grouped(
-        make_objective(groups, offsets), groups, starts, cfg, offsets=offsets
-    )
+    reports = maximize_grouped(make_objective(groups, offsets), groups, starts, cfg)
     return _chain_polish(_by_instance(reports, m), make_objective, cfg, extra)
 
 
@@ -345,9 +342,7 @@ def banach_region(
         objective = ShiftedNormObjective(
             [tuples[i] for i in live], -shift[groups] * phases[dirs[groups]], offsets
         )
-        cont = iter(maximize_grouped(
-            objective, groups, starts, cfg, coarse_first=False, offsets=offsets
-        ))
+        cont = iter(maximize_grouped(objective, groups, starts, cfg, coarse_first=False))
         for i in live:
             still = []
             for j in active[i]:

@@ -4,18 +4,19 @@ A region is stored as support values h_j on the uniform direction grid
 theta_j = 2*pi*j/m together with the polygon obtained by intersecting the
 halfplanes {Re(e^{-i theta_j} z) <= h_j}.  Regions are kept canonical:
 each stored h_j equals the maximum of Re(e^{-i theta_j} v) over the
-polygon vertices.  Canonicalization, emptiness detection, and degenerate
-(point or segment) regions are all handled through one code path built on
-a Chebyshev-center linear program and a polar-dual convex hull.
+polygon vertices.  The grid sorts the halfplanes by angle, so one pass
+over them builds the polygon (Preparata & Shamos, *Computational
+Geometry*, 1985, sec. 7.2); point and segment regions, and samples
+inconsistent by less than _EMPTY_TOL, are intersected again slightly
+inflated and the polygon collapsed.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
 # Inscribed-ball radius below which (relative to the support scale) a
 # region is treated as a point or segment: thinner slivers would make the
@@ -89,10 +90,6 @@ class SupportRegion:
     def directions(self) -> np.ndarray:
         return directions(self.m)
 
-    @property
-    def vertices_complex(self) -> np.ndarray:
-        return self.vertices[:, 0] + 1j * self.vertices[:, 1]
-
     def diameter(self) -> float:
         """Largest width across the region: max_j (h_j + h_{j+m/2})."""
         h = self.support
@@ -106,69 +103,63 @@ class SupportRegion:
         return bool(np.all(vals <= self.support[:, None] + slack))
 
 
-def _chebyshev_center(d: np.ndarray, h: np.ndarray):
-    """Largest inscribed-ball radius and its center for {x : d x <= h}."""
-    m = d.shape[0]
-    a_ub = np.column_stack([d, np.ones(m)])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=h,
-        bounds=[(None, None)] * 3,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"halfplane feasibility LP failed: {res.message}")
-    return float(res.x[2]), np.array(res.x[:2])
+def _halfplane_polygon(c, s, h, slack):
+    """Vertices of {x : c_j x + s_j y <= h_j}, the grid's halfplanes in
+    angle order, or None when they bound no polygon with interior.
+
+    A deque keeps the lines that bound the intersection so far, and each
+    vertex is where two adjacent ones meet.  A line is dropped once a later
+    one leaves it an edge shorter than slack: lines that only touch a
+    corner would otherwise give spurious vertices where many lines meet.
+    """
+    m = len(h)
+
+    def turn(i, j):  # sine of the turn from line i to line j
+        return c[i] * s[j] - s[i] * c[j]
+
+    def corner(i, j):
+        det = turn(i, j)
+        return (h[i] * s[j] - s[i] * h[j]) / det, (c[i] * h[j] - h[i] * c[j]) / det
+
+    def short(p, k, sine):
+        # Is the edge from corner p to line k, along a line at a turn of
+        # the given sine from k, shorter than slack (or negative)?
+        return h[k] - c[k] * p[0] - s[k] * p[1] < slack * sine
+
+    lines, corners = deque(), deque()  # corners[i] joins lines[i], lines[i + 1]
+    for k in range(m):
+        while corners and short(corners[-1], k, turn(lines[-1], k)):
+            lines.pop()
+            corners.pop()
+        while corners and short(corners[0], k, turn(k, lines[0])):
+            lines.popleft()
+            corners.popleft()
+        if lines:
+            # Adjacent edge normals of a set with interior turn by less
+            # than half a circle, which also keeps corner's determinant
+            # at least sin(2 pi / m).
+            if 2 * (k - lines[-1]) >= m:
+                return None
+            corners.append(corner(lines[-1], k))
+        lines.append(k)
+    while len(corners) >= 2 and short(corners[-1], lines[0], turn(lines[-1], lines[0])):
+        lines.pop()
+        corners.pop()
+    while len(corners) >= 2 and short(corners[0], lines[-1], turn(lines[-1], lines[0])):
+        lines.popleft()
+        corners.popleft()
+    if len(lines) < 3 or 2 * (lines[0] + m - lines[-1]) >= m:
+        return None
+    return np.array([*corners, corner(lines[-1], lines[0])])
 
 
-def _extreme_point(d: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A maximizer of c.x over {x : d x <= h} (assumed nonempty, bounded)."""
-    res = linprog(
-        c=-c, A_ub=d, b_ub=h, bounds=[(None, None)] * 2, method="highs"
-    )
-    if not res.success:
-        raise RuntimeError(f"support LP failed: {res.message}")
-    return np.array(res.x)
+def _inside_by(d, h, verts) -> float:
+    """Least slack of the vertex mean in {x : d x <= h}, -inf for None: a
+    positive value bounds the inscribed-ball radius from below."""
+    return -np.inf if verts is None else float(np.min(h - d @ verts.mean(axis=0)))
 
 
-def _dedupe_ring(verts: np.ndarray, tol: float) -> np.ndarray:
-    if len(verts) <= 1:
-        return verts
-    keep = [0]
-    for i in range(1, len(verts)):
-        if np.max(np.abs(verts[i] - verts[keep[-1]])) > tol:
-            keep.append(i)
-    if len(keep) > 1 and np.max(np.abs(verts[keep[-1]] - verts[keep[0]])) <= tol:
-        keep.pop()
-    return verts[keep]
-
-
-def _polygon_from_interior(d, h, x0, tol):
-    # Polar dual: with x0 interior, constraint normals scaled by the slack
-    # h' = h - d.x0 > 0 dualize to points whose convex hull edges are the
-    # nonredundant adjacent constraint pairs; each edge maps back to a
-    # primal vertex.
-    hp = h - d @ x0
-    pts = d / hp[:, None]
-    hull = ConvexHull(pts)
-    idx = hull.vertices  # counterclockwise for 2-D
-    verts = []
-    for a, b in zip(idx, np.roll(idx, -1)):
-        mat = np.array([d[a], d[b]])
-        rhs = np.array([hp[a], hp[b]])
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        v = np.array(
-            [
-                (rhs[0] * mat[1, 1] - rhs[1] * mat[0, 1]) / det,
-                (mat[0, 0] * rhs[1] - mat[1, 0] * rhs[0]) / det,
-            ]
-        )
-        verts.append(v + x0)
-    return _dedupe_ring(np.array(verts), tol)
-
-
-def _canonicalize(samples: np.ndarray):
+def _canonicalize(samples):
     h = np.asarray(samples, dtype=float)
     m = h.shape[0]
     if h.ndim != 1 or m < 4:
@@ -176,32 +167,39 @@ def _canonicalize(samples: np.ndarray):
     if not np.all(np.isfinite(h)):
         raise ValueError("support samples must be finite")
     d = _direction_matrix(m)
+    c, s = d[:, 0].tolist(), d[:, 1].tolist()
     scale = 1.0 + float(np.abs(h).max())
-    radius, x0 = _chebyshev_center(d, h)
-    if radius < -_EMPTY_TOL * scale:
-        raise RegionEmptyError(
-            f"support samples bound an empty region (margin {radius:.3e})"
-        )
     tol = 1e-12 * scale
-    if radius > _DEGENERATE_TOL * scale:
-        verts = _polygon_from_interior(d, h, x0, tol)
-    else:
-        # Point or segment: inflate away any sub-tolerance infeasibility and
-        # read the endpoints off axis-aligned support LPs.
-        inflation = max(0.0, -radius) + tol
-        h_feas = h + inflation
-        ends = []
-        spans = []
-        for axis in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-            hi = _extreme_point(d, h_feas, axis)
-            lo = _extreme_point(d, h_feas, -axis)
-            ends.append((lo, hi))
-            spans.append(float(axis @ (hi - lo)))
-        if max(spans) <= 8 * inflation:
-            verts = np.array([x0])
+
+    def polygon(hh):
+        return _halfplane_polygon(c, s, hh.tolist(), tol)
+
+    verts = polygon(h)
+    # Proper region: an inscribed ball of radius above deg, found around the
+    # vertex mean of the polygon or of the polygon deflated by deg.
+    deg = _DEGENERATE_TOL * scale
+    if verts is None or (
+        _inside_by(d, h, verts) <= deg and _inside_by(d, h - deg, polygon(h - deg)) <= 0
+    ):
+        # Point or segment: inflate away zero width or sub-tolerance
+        # infeasibility until a polygon with interior appears, then keep its
+        # two farthest vertices, or the mean of all of them when those two
+        # lie within a few inflations of each other.
+        for inflation in (tol, _EMPTY_TOL * scale):
+            verts = polygon(h + inflation)
+            if _inside_by(d, h + inflation, verts) > 0:
+                break
         else:
-            lo, hi = ends[int(np.argmax(spans))]
-            verts = _dedupe_ring(np.array([lo, hi]), tol)
+            raise RegionEmptyError(
+                "support samples bound an empty region, "
+                f"even inflated by {_EMPTY_TOL:g} x scale"
+            )
+        dist = np.linalg.norm(verts[:, None] - verts[None], axis=-1)
+        i, j = np.unravel_index(np.argmax(dist), dist.shape)
+        if dist[i, j] <= 8 * inflation:
+            verts = verts.mean(axis=0, keepdims=True)
+        else:
+            verts = verts[sorted((i, j))]
     h_canon = np.max(d @ verts.T, axis=1)
     return np.minimum(h, h_canon), verts
 

@@ -102,14 +102,16 @@ class ShiftedNormObjective:
     """f(u) = sigma_max(sum_i a_i u b_i - z u); z scalar or per-element.
 
     ``tuples`` holds the (a, b) stacks of a batch of instances, whose rows
-    start at ``offsets`` (see ``_batched.ElementaryMatrix``).  value and
-    value_and_grad take the sorted element indices of the rows being
+    start at ``offsets`` (see ``_batched.ElementaryMatrix``); the objective
+    keeps them as ``offsets``, which is where the ascent reads them.  value
+    and value_and_grad take the sorted element indices of the rows being
     evaluated, which select each row's instance and, when z carries one
     value per element, its shift.
     """
 
     def __init__(self, tuples, z: complex | np.ndarray = 0.0, offsets=(0,)):
         self.z = np.asarray(z, dtype=complex)
+        self.offsets = np.asarray(offsets)
         self._r = _elementary(tuples, offsets)
         self.n = self._r.n
         self._shifted = bool(np.any(self.z != 0))
@@ -146,6 +148,7 @@ class OrbitSupportObjective:
 
     def __init__(self, tuples, theta: float | np.ndarray, offsets=(0,)):
         self.theta = np.asarray(theta, dtype=float)
+        self.offsets = np.asarray(offsets)
         self._r = _elementary(tuples, offsets)
         self.n = self._r.n
         self._phase = np.exp(-1j * self.theta)
@@ -209,13 +212,14 @@ def _slabs(idx: np.ndarray, owner: np.ndarray, cap: int) -> list:
 
 class _Ascent:
     """Shared batched ascent state over a fixed set of start points, of
-    which instance i owns those from offsets[i] on."""
+    which instance i owns those from objective.offsets[i] on."""
 
-    def __init__(self, objective, u: np.ndarray, cfg: OptConfig, offsets=(0,)):
+    def __init__(self, objective, u: np.ndarray, cfg: OptConfig):
         self.objective = objective
         self.cfg = cfg
         self.u = u
         self.nb = u.shape[0]
+        offsets = objective.offsets
         self.owner = np.searchsorted(offsets, np.arange(self.nb), side="right") - 1
         self.fval = np.full(self.nb, np.nan)  # every row steps in the first run
         self.step = np.full(self.nb, cfg.initial_step)
@@ -305,8 +309,6 @@ def maximize_grouped(
     starts: np.ndarray,
     cfg: OptConfig,
     coarse_first: bool = True,
-    *,
-    offsets=(0,),
 ) -> list[OptReport]:
     """One batched ascent for a family of subproblems sharing an objective form.
 
@@ -318,15 +320,15 @@ def maximize_grouped(
     ascended in place.
 
     The elements may belong to several instances: instance i owns the
-    contiguous elements from offsets[i] on (the offsets the objective was
-    built with), and no group spans two instances.  Every budget is per
-    instance, so each instance's reports are bit-identical to those of a
-    call on that instance alone: the fine pass of instance i gets
-    max_iterations minus the most coarse iterations of any of its starts.
+    contiguous elements from objective.offsets[i] on, and no group spans
+    two instances.  Every budget is per instance, so each instance's
+    reports are bit-identical to those of a call on that instance alone:
+    the fine pass of instance i gets max_iterations minus the most coarse
+    iterations of any of its starts.
     """
     groups = np.asarray(groups)
     ngroups = int(groups.max()) + 1
-    state = _Ascent(objective, np.array(starts, dtype=complex), cfg, offsets)
+    state = _Ascent(objective, np.array(starts, dtype=complex), cfg)
 
     # Coarse pass over every start, then full precision only for the starts
     # still in contention for the maximum of their group; dominated local
@@ -339,7 +341,7 @@ def maximize_grouped(
         np.maximum.at(gmax, groups, state.fval)
         margin = _CONTENTION_MARGIN * (1.0 + np.abs(gmax))
         contenders = np.flatnonzero(state.fval >= (gmax - margin)[groups])
-        used = np.zeros(len(offsets), dtype=int)
+        used = np.zeros(len(objective.offsets), dtype=int)
         np.maximum.at(used, state.owner, state.iterations)
         state.run(contenders, cfg.gradient_tolerance, cfg.max_iterations - used[state.owner])
     else:

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elemrange
 from elemrange import unitary_opt
 from elemrange.cli import main
 from elemrange.elemop import KTupleOperator, random_instance
@@ -347,6 +352,21 @@ class TestDeterminism:
                 blobs.append(open(out, "rb").read())
             capsys.readouterr()
             assert blobs[0] == blobs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    src = str(Path(elemrange.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, elemrange.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestResultSerialization:

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
 from elemrange.region import (
     DiskSpec,
@@ -84,6 +88,41 @@ class TestRegionFromSupports:
     def test_needs_at_least_four_samples(self):
         with pytest.raises(ValueError):
             region_from_supports([1.0, 1.0])
+
+    def test_rectangle_m64(self):
+        # [0,1] x [-1,0]: sixteen grid lines meet at each corner.
+        th = directions(64)
+        h = np.maximum(np.cos(th), 0.0) + np.maximum(-np.sin(th), 0.0)
+        reg = region_from_supports(h)
+        got = sorted(map(tuple, np.round(reg.vertices, 12) + 0.0))
+        assert got == [(0, -1), (0, 0), (1, -1), (1, 0)]
+        assert np.abs(reg.support - h).max() <= 1e-15
+
+    @pytest.mark.parametrize("width, proper", [(5e-8, True), (3e-8, False)])
+    def test_degenerate_threshold_is_the_inscribed_radius(self, width, proper):
+        # The rectangle [0,1] x [0,w] with a quarter disk of radius w on its
+        # top-left corner: the inscribed radius is w/2, against 1e-8 * scale
+        # = 2e-8, and the 180 arc vertices pull the vertex mean to within
+        # 0.37 w of the boundary.
+        arc = width * np.exp(1j * np.linspace(np.pi / 2, np.pi, 400))
+        h = cloud_supports([*arc, 0, 1, 1 + 1j * width], 720)
+        reg = region_from_supports(h)
+        if proper:
+            assert reg.vertices.shape[0] > 100
+            assert np.abs(reg.support - h).max() <= 1e-15
+        else:
+            assert reg.vertices.shape[0] == 2
+            assert np.abs(reg.support - h).max() <= 2 * width
+
+    @pytest.mark.parametrize("m", [64, 720])
+    def test_single_point_is_one_vertex(self, rng, m):
+        p = complex(rng.standard_normal(), rng.standard_normal())
+        h = cloud_supports([p], m)
+        reg = region_from_supports(h)
+        scale = 1.0 + np.abs(h).max()
+        assert reg.vertices.shape == (1, 2)
+        assert np.abs(reg.vertices[0] - [p.real, p.imag]).max() <= 1e-11 * scale
+        assert np.abs(reg.support - h).max() <= 1e-11 * scale
 
     def test_matches_grid_oracle_random(self, rng):
         for _ in range(5):
@@ -189,6 +228,16 @@ class TestIntersectDisks:
         # up to the degenerate-polygon inflation noise.
         assert reg.contains([0 + 0j], slack=1e-10)
 
+    def test_tangent_disks_keep_both_endpoints(self):
+        # The outer 64-gons of the two disks meet in the zero-width segment
+        # x = 0, |y| <= tan(pi/64).
+        reg = intersect_disks([DiskSpec(-1, 1), DiskSpec(1, 1)], 64)
+        assert reg.vertices.shape == (2, 2)
+        ys = sorted(reg.vertices[:, 1])
+        end = np.tan(np.pi / 64)
+        assert ys == pytest.approx([-end, end], abs=1e-10)
+        assert np.abs(reg.vertices[:, 0]).max() <= 1e-10
+
     def test_lens_keeps_common_point(self):
         m = 32
         reg = intersect_disks([DiskSpec(0, 1), DiskSpec(1, 1)], m)
@@ -265,3 +314,50 @@ class TestSupportRegionType:
         assert sq.contains([1 + 1j])
         assert not sq.contains([1.1 + 1j])
         assert sq.contains([1.1 + 1j], slack=0.2)
+
+
+def _interior_point(d, h, guess):
+    """guess if it lies strictly inside {x : d x <= h}, else the Chebyshev
+    center when its inscribed ball is not negligible, else None."""
+    scale = 1.0 + np.abs(h).max()
+    if np.min(h - d @ guess) > 1e-6 * scale:
+        return guess
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([d, np.ones(len(h))]), b_ub=h,
+                  bounds=[(None, None)] * 3, method="highs")
+    return res.x[:2] if res.x[2] > 1e-6 * scale else None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    m=st.sampled_from([4, 5, 8, 16, 64, 720]),
+    npts=st.one_of(st.sampled_from([1, 2]), st.integers(3, 12)),
+    seed=st.integers(0, 2**32 - 1),
+    loosen=st.booleans(),
+)
+def test_region_matches_halfspace_intersection(m, npts, seed, loosen):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal(npts) + 1j * rng.standard_normal(npts)
+    h = cloud_supports(pts, m)
+    if loosen:
+        # Raised samples leave redundant constraints or a larger polygon.
+        h = h + (rng.random(m) < 0.3) * rng.uniform(0.0, 2.0, m)
+    scale = 1.0 + np.abs(h).max()
+    d = np.column_stack([np.cos(directions(m)), np.sin(directions(m))])
+    reg = region_from_supports(h)
+
+    center = _interior_point(d, h, np.array([pts.real.mean(), pts.imag.mean()]))
+    if center is not None:
+        want = HalfspaceIntersection(np.column_stack([d, -h]), center).intersections
+    elif not loosen:
+        want = np.column_stack([pts.real, pts.imag])  # exact supports of a point or segment
+    else:
+        # A zero-width region between the cloud and the samples, collapsed
+        # from a polygon inflated by 1e-12 * scale and at most 8 times as wide.
+        assert reg.vertices.shape[0] <= 2
+        assert np.all(reg.support <= h)
+        assert np.all(reg.support >= cloud_supports(pts, m) - 1e-11 * scale)
+        return
+    assert np.abs(reg.support - np.max(d @ want.T, axis=1)).max() <= 1e-12 * scale
+    u = np.column_stack([np.cos(directions(1024)), np.sin(directions(1024))])
+    gap = np.max(u @ reg.vertices.T, axis=1) - np.max(u @ want.T, axis=1)
+    assert np.abs(gap).max() <= 1e-9 * scale

@@ -111,7 +111,7 @@ def three_instances(kind, n):
     def batched():
         return maximize_grouped(
             objective([(r.a, r.b) for r in ops], groups, offsets), groups,
-            np.concatenate([solo_starts] * 3), cfg, offsets=offsets,
+            np.concatenate([solo_starts] * 3), cfg,
         )
 
     return solo, batched, cfg
