@@ -7,8 +7,12 @@ are applied as one matrix product against the n^2 x n^2 matrix of R
 length k; a stack may hold the operands of several instances, each
 multiplied by its own matrix.  For n = 2 the eigen/singular problems have
 closed forms that are an order of magnitude faster than per-matrix LAPACK
-calls; larger n falls back to numpy.linalg.  All kernels are pure and
-deterministic.
+calls, and stacked products (``mm``) are broadcast multiply-adds, which
+avoid one BLAS call per matrix; larger n falls back to numpy.linalg and
+``@``.  The closed forms rescale rows of extreme magnitude by exact powers
+of two, so they hold over the whole floating-point range.  All kernels are
+pure and deterministic, and every kernel but ``ElementaryMatrix`` gives
+each row the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -64,6 +68,50 @@ class ElementaryMatrix:
         return self._gemm(y, self._mc, idx)
 
 
+def mm(a, b) -> np.ndarray:
+    """a @ b for stacks of square matrices.
+
+    At n = 2 the product is two broadcast multiply-adds over the whole
+    stack, where ``@`` would make one BLAS call per matrix; each row's bits
+    depend on that row alone.  Every other n returns exactly ``a @ b``.
+    """
+    if a.shape[-1] == 2:
+        out = a[..., :, 0, None] * b[..., None, 0, :]
+        out += a[..., :, 1, None] * b[..., None, 1, :]
+        return out
+    return a @ b
+
+
+# The n = 2 closed forms square a matrix's entries once (eigenvalues), or
+# twice (singular values, through the Gram matrix), so they can overflow, or
+# lose digits to underflow, on a row whose largest entry lies outside these
+# windows.  They run with those floating-point exceptions raised; when one
+# fires, the rows outside the window are computed again from their input
+# scaled by an exact power of two.  That scales every step of the arithmetic
+# exactly, so the result is the same as at unit scale, and every other row
+# keeps its bits.
+_EIG2_WINDOW = (2.0**-470, 2.0**500)
+_SVD2_WINDOW = (2.0**-235, 2.0**249)
+
+
+def _rescaled(form, x, window):
+    """form(x) = (values, *vectors) for a stack x of 2x2 matrices, where the
+    values scale with x and the vectors do not, safe at any scale."""
+    try:
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            return form(x)
+    except FloatingPointError:
+        pass
+    big = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=(-2, -1))
+    # frexp gives exponent 0 for zero, infinite and NaN rows: left as they are.
+    e = np.frexp(big)[1] * ((big < window[0]) | (big > window[1]))
+    scaled = np.empty(x.shape, dtype=complex)
+    scaled.real = np.ldexp(x.real, -e[..., None, None])
+    scaled.imag = np.ldexp(x.imag, -e[..., None, None])
+    values, *vectors = form(scaled)
+    return np.ldexp(values, e.reshape(e.shape + (1,) * (values.ndim - e.ndim))), *vectors
+
+
 def _eig2_parts(h):
     h00 = h[..., 0, 0].real
     h11 = h[..., 1, 1].real
@@ -90,19 +138,60 @@ def _top_vec2(half, disc, h01):
     return v
 
 
+def _eigvals_max2(h):
+    mid, _, disc, _ = _eig2_parts(h)
+    return (mid + disc,)
+
+
+def _top_eigh2(h):
+    mid, half, disc, h01 = _eig2_parts(h)
+    return mid + disc, _top_vec2(half, disc, h01)
+
+
+def _eigh_full2(h):
+    mid, half, disc, h01 = _eig2_parts(h)
+    vtop = _top_vec2(half, disc, h01)
+    lam = np.empty(mid.shape + (2,))
+    lam[..., 0] = mid - disc
+    lam[..., 1] = mid + disc
+    # The orthogonal complement of the top eigenvector is the bottom one.
+    vecs = np.empty(mid.shape + (2, 2), dtype=complex)
+    vecs[..., 0, 0] = -np.conj(vtop[..., 1])
+    vecs[..., 1, 0] = np.conj(vtop[..., 0])
+    vecs[..., :, 1] = vtop
+    return lam, vecs
+
+
+def _sigma_max2(g):
+    return (np.sqrt(np.maximum(eigvals_max(_gram2(g)), 0.0)),)
+
+
+def _top_svd2(g):
+    lam, v = top_eigh(_gram2(g))
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    w = np.einsum("...ij,...j->...i", g, v)
+    wn = np.sqrt(np.sum(w.real**2 + w.imag**2, axis=-1))
+    zero = wn == 0.0
+    safe = np.where(zero, 1.0, wn)
+    w = w / safe[..., None]
+    if np.any(zero):
+        e0 = np.zeros_like(w)
+        e0[..., 0] = 1.0
+        w = np.where(zero[..., None], e0, w)
+    return sigma, w, v
+
+
 def eigvals_max(h) -> np.ndarray:
     """Largest eigenvalue of each Hermitian matrix in the stack."""
     if h.shape[-1] == 2:
-        mid, _, disc, _ = _eig2_parts(h)
-        return mid + disc
+        return _rescaled(_eigvals_max2, h, _EIG2_WINDOW)[0]
     return np.linalg.eigvalsh(h)[..., -1]
 
 
 def top_eigh(h):
     """(lam_max, unit eigenvector) for each Hermitian matrix in the stack."""
     if h.shape[-1] == 2:
-        mid, half, disc, h01 = _eig2_parts(h)
-        return mid + disc, _top_vec2(half, disc, h01)
+        return _rescaled(_top_eigh2, h, _EIG2_WINDOW)
     w, v = np.linalg.eigh(h)
     return w[..., -1], v[..., :, -1]
 
@@ -110,24 +199,14 @@ def top_eigh(h):
 def eigh_full(h):
     """Full eigendecomposition (ascending) of each Hermitian matrix."""
     if h.shape[-1] == 2:
-        mid, half, disc, h01 = _eig2_parts(h)
-        vtop = _top_vec2(half, disc, h01)
-        lam = np.empty(mid.shape + (2,))
-        lam[..., 0] = mid - disc
-        lam[..., 1] = mid + disc
-        # The orthogonal complement of the top eigenvector is the bottom one.
-        vecs = np.empty(mid.shape + (2, 2), dtype=complex)
-        vecs[..., 0, 0] = -np.conj(vtop[..., 1])
-        vecs[..., 1, 0] = np.conj(vtop[..., 0])
-        vecs[..., :, 1] = vtop
-        return lam, vecs
+        return _rescaled(_eigh_full2, h, _EIG2_WINDOW)
     return np.linalg.eigh(h)
 
 
 def sigma_max(g) -> np.ndarray:
     """Largest singular value of each matrix in the stack."""
     if g.shape[-1] == 2:
-        return np.sqrt(np.maximum(eigvals_max(_gram2(g)), 0.0))
+        return _rescaled(_sigma_max2, g, _SVD2_WINDOW)[0]
     return np.linalg.svd(g, compute_uv=False)[..., 0]
 
 
@@ -145,18 +224,7 @@ def _gram2(g):
 def top_svd(g):
     """(sigma_max, left vector w, right vector v) with G v = sigma w."""
     if g.shape[-1] == 2:
-        lam, v = top_eigh(_gram2(g))
-        sigma = np.sqrt(np.maximum(lam, 0.0))
-        w = np.einsum("...ij,...j->...i", g, v)
-        wn = np.sqrt(np.sum(w.real**2 + w.imag**2, axis=-1))
-        zero = wn == 0.0
-        safe = np.where(zero, 1.0, wn)
-        w = w / safe[..., None]
-        if np.any(zero):
-            e0 = np.zeros_like(w)
-            e0[..., 0] = 1.0
-            w = np.where(zero[..., None], e0, w)
-        return sigma, w, v
+        return _rescaled(_top_svd2, g, _SVD2_WINDOW)
     u, s, vh = np.linalg.svd(g)
     return s[..., 0], u[..., :, 0], np.conj(vh[..., 0, :])
 
@@ -172,4 +240,4 @@ def skew_exp_factors(k):
 def apply_skew_exp(u, lam, v, t):
     """u @ exp(t*K) from the factors of ``skew_exp_factors``; t has shape (B,)."""
     phases = np.exp(-1j * t[:, None] * lam)
-    return u @ ((v * phases[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2)))
+    return mm(u, mm(v * phases[:, None, :], np.conj(np.swapaxes(v, -1, -2))))

@@ -35,6 +35,7 @@ from .elemop import KTupleOperator, _batch_dim, apply_batched, russo_dye_norm
 from .linalg import haar_unitaries
 from .region import SupportRegion, cloud_supports, directions, region_from_supports
 from .unitary_opt import (
+    _SLAB_ENTRIES,
     OptConfig,
     OrbitSupportObjective,
     ShiftedNormObjective,
@@ -116,22 +117,32 @@ def default_s_schedule(
 
 def _orbit_matrices(r: KTupleOperator, us: np.ndarray) -> np.ndarray:
     """sum_i u* a_i u b_i for a stack of unitaries."""
-    return np.conj(np.swapaxes(us, -1, -2)) @ apply_batched(r, us)
+    return _batched.mm(np.conj(np.swapaxes(us, -1, -2)), apply_batched(r, us))
 
 
 def _fov_witnesses(c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Boundary point of W(c_b) in direction theta_b, one per (c_b, theta_b) row."""
-    rc = np.exp(-1j * thetas)[:, None, None] * c
-    h = (rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0
-    _, v = _batched.top_eigh(h)
-    return np.einsum("bi,bij,bj->b", np.conj(v), c, v)
+    """Boundary points of W(c_j) in the directions thetas[j, :], row by row.
+
+    The rows (j, a) run in slabs of at most _SLAB_ENTRIES matrix entries
+    (or of one c_j), which bound the temporaries; every row's work is its
+    own, so the slabs do not change its bits.
+    """
+    count, width = thetas.shape
+    out = np.empty(count * width, dtype=complex)
+    step = max(1, _SLAB_ENTRIES // (width * c.shape[-1] ** 2))
+    for lo in range(0, count, step):
+        cs = np.repeat(c[lo : lo + step], width, axis=0)
+        rc = np.exp(-1j * thetas[lo : lo + step].ravel())[:, None, None] * cs
+        h = (rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0
+        _, v = _batched.top_eigh(h)
+        out[lo * width : lo * width + len(cs)] = np.einsum("bi,bij,bj->b", np.conj(v), cs, v)
+    return out
 
 
 def orbit_witnesses(r: KTupleOperator, us: np.ndarray, n_angles: int = WITNESS_ANGLES):
     """Boundary witness points of W(sum u*a_i u b_i) for each unitary."""
-    c = _orbit_matrices(r, us)
     th = directions(n_angles)
-    return _fov_witnesses(np.repeat(c, n_angles, axis=0), np.tile(th, len(c)))
+    return _fov_witnesses(_orbit_matrices(r, us), np.broadcast_to(th, (len(us), n_angles)))
 
 
 def _witnesses_at_own_angle(r: KTupleOperator, us: np.ndarray, thetas: np.ndarray):
@@ -140,7 +151,7 @@ def _witnesses_at_own_angle(r: KTupleOperator, us: np.ndarray, thetas: np.ndarra
     These points realize the optimized support values exactly, so the
     witness cloud's hull touches the orbit region in every grid direction.
     """
-    return _fov_witnesses(_orbit_matrices(r, us), thetas)
+    return _fov_witnesses(_orbit_matrices(r, us), thetas[:, None])
 
 
 def _stack_blocks(blocks, extra=None):

@@ -160,7 +160,7 @@ class OrbitSupportObjective:
 
     def _herm(self, u, s, idx):
         """Herm(e^{-i theta} u* s), with s = R(u)."""
-        rt = _colify(self._phase_at(idx)) * (np.conj(np.swapaxes(u, -1, -2)) @ s)
+        rt = _colify(self._phase_at(idx)) * _batched.mm(np.conj(np.swapaxes(u, -1, -2)), s)
         return (rt + np.conj(np.swapaxes(rt, -1, -2))) / 2.0
 
     def value(self, u, idx=None):
@@ -182,7 +182,7 @@ class OrbitSupportObjective:
 
 def tangent_project(u, e):
     """Skew part of u*E: the ascent direction in the Lie algebra at u."""
-    m = np.conj(np.swapaxes(u, -1, -2)) @ e
+    m = _batched.mm(np.conj(np.swapaxes(u, -1, -2)), e)
     return (m - np.conj(np.swapaxes(m, -1, -2))) / 2.0
 
 

@@ -134,7 +134,7 @@ def verify_inclusion(
     cfg = cfg or DEFAULT_CFG
     us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 31]))
     ru = apply_batched(r, us)
-    cu = np.conj(np.swapaxes(us, -1, -2)) @ ru
+    cu = _batched.mm(np.conj(np.swapaxes(us, -1, -2)), ru)
 
     srough = 1.0 + sum(
         spectral_norm(r.a[i]) * spectral_norm(r.b[i]) for i in range(r.k)
@@ -319,7 +319,7 @@ def hermitian_check(
     tolerance = tol if tol is not None else HERMITIAN_TOL_REL * est.scale
 
     us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 37]))
-    t = np.conj(np.swapaxes(us, -1, -2)) @ apply_batched(r, us)
+    t = _batched.mm(np.conj(np.swapaxes(us, -1, -2)), apply_batched(r, us))
     asym = float(np.max(_batched.sigma_max(t - np.conj(np.swapaxes(t, -1, -2)))))
 
     rep = VerificationReport(label=r.label or "hermitian-check")

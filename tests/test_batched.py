@@ -147,3 +147,114 @@ def test_elementary_matrix_matches_contraction(n, k, seed, a_scale, b_scale, x_s
     lhs = np.real(np.sum(rx * np.conj(y), axis=(1, 2)))
     rhs = np.real(np.sum(x * np.conj(ry), axis=(1, 2)))
     assert np.all(np.abs(lhs - rhs) <= tol * xn * yn)
+
+
+@pytest.mark.parametrize("a_scale,b_scale", [(1.0, 1.0), (0.0, 1.0), (1e150, 1e-150),
+                                             (1e150, 1.0), (1e-150, 1.0)])
+def test_mm_matches_matmul_at_n2(rng, a_scale, b_scale):
+    a = _stack(rng, (64, 2, 2), a_scale)
+    b = _stack(rng, (64, 2, 2), b_scale)
+    # Errors are measured relative to |a||b| before squaring, so that no
+    # norm underflows at 1e-150.
+    size = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
+    size = np.where(size == 0.0, 1.0, size)[:, None, None]
+    for left in (a, np.conj(np.swapaxes(a, -1, -2))):
+        err = np.linalg.norm((_batched.mm(left, b) - left @ b) / size, axis=(1, 2))
+        assert np.all(err <= 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+def test_mm_is_matmul_at_other_n(rng, n):
+    a = _stack(rng, (20, n, n), 1.0)
+    b = _stack(rng, (20, n, n), 1.0)
+    assert np.array_equal(_batched.mm(a, b), a @ b)
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    assert np.array_equal(_batched.mm(ah, b), ah @ b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-150, 1.0, 1e150]),
+    adjoint=st.booleans(),
+)
+def test_mm_row_bits_do_not_depend_on_the_stack(count, seed, scale, adjoint):
+    # The ascent's solo-equals-batch contract: a row's product is the same
+    # whether it is computed alone or inside any stack.
+    rng = np.random.default_rng(seed)
+    a = _stack(rng, (count, 2, 2), scale)
+    b = _stack(rng, (count, 2, 2), 1.0)
+    if adjoint:
+        a = np.conj(np.swapaxes(a, -1, -2))
+    full = _batched.mm(a, b)
+    for i in range(count):
+        assert np.array_equal(_batched.mm(a[i : i + 1], b[i : i + 1]), full[i : i + 1])
+    cut = count // 2
+    assert np.array_equal(_batched.mm(a[cut:], b[cut:]), full[cut:])
+
+
+def _rel_norm(x, size):
+    """Frobenius norm of each row of x over its size; no square overflows."""
+    return np.linalg.norm((x / size.reshape(-1, *([1] * (x.ndim - 1)))).reshape(len(x), -1), axis=1)
+
+
+def _check_n2_kernels(g, h):
+    """The n = 2 closed forms on g (general) and h (Hermitian) against LAPACK."""
+    sref = np.linalg.svd(g, compute_uv=False)[:, 0]
+    assert np.all(np.abs(_batched.sigma_max(g) - sref) <= 1e-12 * sref)
+    sigma, w, v = _batched.top_svd(g)
+    assert np.all(np.abs(sigma - sref) <= 1e-12 * sref)
+    resid = np.einsum("bij,bj->bi", g, v) - sigma[:, None] * w
+    assert np.all(_rel_norm(resid, sref) <= 1e-12)
+    for vec in (w, v):
+        assert np.abs(np.linalg.norm(vec, axis=1) - 1.0).max() <= 1e-12
+
+    lref = np.linalg.eigvalsh(h)
+    size = np.abs(lref).max(axis=1)
+    assert np.all(np.abs(_batched.eigvals_max(h) - lref[:, -1]) <= 1e-12 * size)
+    lam, vec = _batched.top_eigh(h)
+    assert np.all(np.abs(lam - lref[:, -1]) <= 1e-12 * size)
+    resid = np.einsum("bij,bj->bi", h, vec) - lam[:, None] * vec
+    assert np.all(_rel_norm(resid, size) <= 1e-12)
+    lam, vecs = _batched.eigh_full(h)
+    assert np.all(np.abs(lam - lref).max(axis=1) <= 1e-12 * size)
+    recon = (vecs * lam[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    assert np.all(_rel_norm(recon - h, size) <= 1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-100, 1e100, 1e150, 1e300])
+def test_n2_kernels_at_extreme_scale(rng, scale):
+    g = _stack(rng, (32, 2, 2), 1.0)
+    _check_n2_kernels(scale * g, scale * _random_hermitian(rng, 32, 2))
+
+
+def test_n2_kernels_on_the_zero_matrix():
+    z = np.zeros((3, 2, 2), dtype=complex)
+    assert np.all(_batched.sigma_max(z) == 0.0)
+    assert np.all(_batched.eigvals_max(z) == 0.0)
+    for lam in (_batched.top_svd(z)[0], _batched.top_eigh(z)[0], _batched.eigh_full(z)[0]):
+        assert np.all(lam == 0.0)
+    for vec in (*_batched.top_svd(z)[1:], _batched.top_eigh(z)[1]):
+        assert np.abs(np.linalg.norm(vec, axis=1) - 1.0).max() == 0.0
+
+
+def test_n2_kernels_rescale_only_the_rows_outside_the_window(rng):
+    # A unit-scale row keeps its bits beside rows that need rescaling.
+    g = _stack(rng, (8, 2, 2), 1.0)
+    h = _random_hermitian(rng, 8, 2)
+    mixed_g = np.concatenate([g, 1e300 * g, 1e-300 * g, np.zeros((1, 2, 2))])
+    mixed_h = np.concatenate([h, 1e300 * h, 1e-300 * h, np.zeros((1, 2, 2))])
+    for kernel, x, mixed in (
+        (_batched.sigma_max, g, mixed_g),
+        (_batched.top_svd, g, mixed_g),
+        (_batched.eigvals_max, h, mixed_h),
+        (_batched.top_eigh, h, mixed_h),
+        (_batched.eigh_full, h, mixed_h),
+    ):
+        alone, inside = kernel(x), kernel(mixed)
+        if not isinstance(alone, tuple):
+            alone, inside = (alone,), (inside,)
+        for one, many in zip(alone, inside):
+            assert np.array_equal(one, many[:8])
+    _check_n2_kernels(mixed_g[:-1], mixed_h[:-1])

@@ -10,6 +10,7 @@ from elemrange.orbit import (
     banach_region,
     default_s_schedule,
     orbit_region,
+    _fov_witnesses,
     orbit_witnesses,
 )
 from elemrange.region import directions, hausdorff, hull_of_points
@@ -205,6 +206,23 @@ class TestOrbitRegion:
                 tracemalloc.stop()
         assert peaks[1] <= 3 * peaks[0]
 
+    def test_witness_cloud_memory_is_bounded_by_slabs(self):
+        # The witness cloud runs its (unitary, angle) rows in slabs, so 64
+        # Haar samples peak like 4: the sweep sets both peaks (about 1.4 MB).
+        # Without slabs, 64 samples peaked at 3.3 MB.
+        ops = [random_instance(4, 2, np.random.default_rng([5, i])) for i in range(2)]
+        cfg = OptConfig(max_iterations=30)
+        orbit_region(ops[:1], 8, OptConfig(restarts=1, max_iterations=2), n_haar=4)
+        peaks = []
+        for n_haar in (4, 64):
+            tracemalloc.start()
+            try:
+                orbit_region(ops, M, cfg, n_haar=n_haar)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
 
 class TestBanachRegion:
     def test_identity_point(self):
@@ -316,3 +334,13 @@ class TestOrbitWitnesses:
         t = np.conj(np.swapaxes(us, -1, -2)) @ np.einsum("kij,bjl,klm->bim", r.a, us, r.b)
         bound = max(spectral_norm(t[i]) for i in range(4))
         assert np.abs(wit).max() <= bound + 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_slabs_keep_each_witness_bits(self, rng, n):
+        # 100 matrices x 32 angles span several slabs at n = 3 and one at
+        # n = 2; each matrix's witnesses are the ones it gets alone.
+        c = rng.standard_normal((100, n, n)) + 1j * rng.standard_normal((100, n, n))
+        thetas = np.broadcast_to(directions(32), (100, 32))
+        wit = _fov_witnesses(c, thetas)
+        alone = np.concatenate([_fov_witnesses(c[i : i + 1], thetas[:1]) for i in range(100)])
+        assert np.array_equal(wit, alone)
