@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .elemop import KTupleOperator, russo_dye_norm, shifted_norm
+from .elemop import KTupleOperator, shifted_norm
 from .fov import field_of_values
 from .io import (
     InstanceFormatError,
@@ -45,20 +45,35 @@ from .verify import (
 _WITNESS_CAP = 512
 
 
-def _common_options(sub, directions: int, restarts: int):
-    sub.add_argument("--directions", type=int, default=directions,
-                     help=f"support directions (default {directions})")
-    sub.add_argument("--restarts", type=int, default=restarts,
-                     help=f"Haar restarts per optimization (default {restarts})")
-    sub.add_argument("--haar-samples", type=int, default=DEFAULT_HAAR_SAMPLES,
-                     help="Haar samples for the witness cloud "
-                          f"(default {DEFAULT_HAAR_SAMPLES})")
-    sub.add_argument("--smax-factor", type=float, default=DEFAULT_SMAX_FACTOR,
-                     help="largest shift as a multiple of scale "
-                          f"(default {DEFAULT_SMAX_FACTOR:g})")
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="override the verification tolerance")
+# Flags shared by several subcommands, keyed by their dest; each subcommand
+# takes only the ones its handler reads (see _flags).
+_FLAGS = {
+    "directions": dict(type=int, default=DEFAULT_DIRECTIONS,
+                       help="support directions (default %(default)s)"),
+    "restarts": dict(type=int, default=DEFAULT_CFG.restarts,
+                     help="Haar restarts per optimization (default %(default)s)"),
+    "haar_samples": dict(type=int, default=DEFAULT_HAAR_SAMPLES,
+                         help="Haar samples for the witness cloud (default %(default)s)"),
+    "smax_factor": dict(type=float, default=DEFAULT_SMAX_FACTOR,
+                        help="largest shift as a multiple of scale (default %(default)g)"),
+    "seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
+    "tol": dict(type=float, default=None, help="override the verification tolerance"),
+    "dim": dict(type=int, default=2, help="matrix dimension (default %(default)s)"),
+}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _flags(sub, *names, **defaults) -> None:
+    """Add the named _FLAGS (defaults overridden by keyword), then --out and --format."""
+    for name in names:
+        spec = {**_FLAGS[name], "default": defaults.get(name, _FLAGS[name]["default"])}
+        sub.add_argument("--" + name.replace("_", "-"), **spec)
     sub.add_argument("--out", type=str, default=None, help="output file path")
     sub.add_argument("--format", choices=("json", "csv", "svg"), default="json",
                      help="output format (default json)")
@@ -74,42 +89,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fov", help="field of values of the instance's first a-matrix")
     p.add_argument("instance", help="instance file")
-    _common_options(p, 720, 16)
+    _flags(p, "directions", directions=720)
 
     p = subs.add_parser("norm", help="operator norm over the unitary group")
     p.add_argument("instance", help="instance file")
     p.add_argument("--z", type=str, default=None,
                    help="complex shift RE,IM: compute |R - z Id| instead")
-    _common_options(p, 720, 16)
+    _flags(p, "restarts", "seed")
 
     p = subs.add_parser("range", help="numerical-range regions of an instance")
     p.add_argument("instance", help="instance file")
     p.add_argument("--side", choices=("lhs", "rhs", "both"), default="both",
                    help="operator side (lhs), orbit side (rhs), or both")
-    _common_options(p, 720, 16)
+    _flags(p, "directions", "restarts", "haar_samples", "smax_factor", "seed",
+           directions=720)
 
     p = subs.add_parser("verify", help="verify the orbit formula on a batch")
     p.add_argument("instances", nargs="*", help="instance files (default: random batch)")
-    p.add_argument("--count", type=int, default=20, help="random instances (default 20)")
-    p.add_argument("--dim", type=int, default=2, help="matrix dimension (default 2)")
+    p.add_argument("--count", type=_positive_int, default=20,
+                   help="random instances (default 20)")
     p.add_argument("--tuples", type=int, default=2, help="tuple length k (default 2)")
-    _common_options(p, DEFAULT_DIRECTIONS, DEFAULT_CFG.restarts)
+    _flags(p, "dim", "directions", "restarts", "haar_samples", "smax_factor", "seed", "tol")
 
     p = subs.add_parser("derivation",
                         help="check x -> Ax - xB against W(A) - W(B)")
     p.add_argument("instances", nargs="*",
                    help="instance files encoding a derivation (default: random batch)")
-    p.add_argument("--count", type=int, default=10, help="random pairs (default 10)")
-    p.add_argument("--dim", type=int, default=2, help="matrix dimension (default 2)")
-    _common_options(p, DEFAULT_DIRECTIONS, DEFAULT_CFG.restarts)
+    p.add_argument("--count", type=_positive_int, default=10,
+                   help="random pairs (default 10)")
+    _flags(p, "dim", "directions", "restarts", "haar_samples", "seed", "tol")
 
     p = subs.add_parser("projection",
                         help="two-sided multiplication by an orthogonal projection")
     p.add_argument("instances", nargs="*",
                    help="instance files with a_1 = b_1 = p (default: diag projection)")
-    p.add_argument("--dim", type=int, default=2, help="matrix dimension (default 2)")
     p.add_argument("--rank", type=int, default=1, help="projection rank (default 1)")
-    _common_options(p, DEFAULT_DIRECTIONS, DEFAULT_CFG.restarts)
+    _flags(p, "dim", "directions", "restarts", "haar_samples", "smax_factor", "seed", "tol")
 
     return parser
 
@@ -234,16 +249,20 @@ def _cmd_fov(args) -> int:
     return 0
 
 
+def _shift(text: str | None) -> complex:
+    """The --z value RE[,IM] as a finite complex number; 0 when absent."""
+    if text is None:
+        return 0j
+    parts = [float(x) for x in text.split(",")]
+    if len(parts) > 2 or not np.all(np.isfinite(parts)):
+        raise ValueError(f"--z takes RE or RE,IM with finite parts, got {text!r}")
+    return complex(*parts)
+
+
 def _cmd_norm(args) -> int:
     r = _labelled(args.instance)
-    cfg = _config(args)
-    if args.z is not None:
-        parts = [float(x) for x in args.z.split(",")]
-        z = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
-        rep = shifted_norm([r], z, cfg)[0]
-    else:
-        z = 0.0
-        rep = russo_dye_norm([r], cfg)[0]
+    z = _shift(args.z)
+    rep = shifted_norm([r], z, _config(args))[0]
     result = _result_shell(args)
     result["instances"].append(
         {
@@ -251,7 +270,7 @@ def _cmd_norm(args) -> int:
             "instance": instance_to_dict(r),
             "diagnostics": {
                 "value": rep.value,
-                "z": [z.real, z.imag] if isinstance(z, complex) else [z, 0.0],
+                "z": [z.real, z.imag],
                 "iterations": rep.iterations,
                 "converged": rep.converged,
                 "restart_spread": rep.spread,

@@ -31,10 +31,20 @@ import numpy as np
 from . import _batched
 from .linalg import haar_unitaries
 
-# Coarse first-pass gradient tolerance and the value margin within which a
-# start is still a contender for the maximum of its group.
+# Gradient tolerance of the final pass, relative to 1 + |f|; the coarse
+# first-pass tolerance; and the value margin within which a start is still
+# a contender for the maximum of its group.
+_GRADIENT_TOL = 1e-8
 _COARSE_TOL = 1e-3
 _CONTENTION_MARGIN = 3e-3
+
+# Armijo line search: first step, backtracking factor, sufficient-increase
+# constant, most trials per gradient, and the step below which a row stalls.
+_INITIAL_STEP = 0.5
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 40
+_MIN_STEP = 1e-13
 
 # Cap on a slab, rows * n^2 matrix entries: the row-sized temporaries of one
 # step, not its arithmetic, set a batch's peak memory (see CHANGES.md).
@@ -43,21 +53,18 @@ _SLAB_ENTRIES = 12_288
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Knobs for the multistart ascent.
+    """The settable values of the multistart ascent.
 
     restarts counts the Haar-random starts; the identity and the flip
-    permutation are always added as deterministic starts.  The gradient
-    tolerance is relative to 1 + |f|.
+    permutation are always added as deterministic starts.  max_iterations
+    caps the gradient evaluations of any one start, per instance, over both
+    passes.  seed seeds the Haar starts and every sampled check.  The
+    gradient tolerances and the Armijo line-search constants are fixed
+    module constants.
     """
 
     restarts: int = 16
     max_iterations: int = 200
-    gradient_tolerance: float = 1e-8
-    initial_step: float = 0.5
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 40
-    min_step: float = 1e-13
     seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +72,6 @@ class OptConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
 
 
 @dataclass
@@ -214,15 +219,14 @@ class _Ascent:
     """Shared batched ascent state over a fixed set of start points, of
     which instance i owns those from objective.offsets[i] on."""
 
-    def __init__(self, objective, u: np.ndarray, cfg: OptConfig):
+    def __init__(self, objective, u: np.ndarray):
         self.objective = objective
-        self.cfg = cfg
         self.u = u
         self.nb = u.shape[0]
         offsets = objective.offsets
         self.owner = np.searchsorted(offsets, np.arange(self.nb), side="right") - 1
         self.fval = np.full(self.nb, np.nan)  # every row steps in the first run
-        self.step = np.full(self.nb, cfg.initial_step)
+        self.step = np.full(self.nb, _INITIAL_STEP)
         self.done = np.zeros(self.nb, dtype=bool)
         self.converged = np.zeros(self.nb, dtype=bool)
         self.iterations = np.zeros(self.nb, dtype=int)
@@ -258,7 +262,6 @@ class _Ascent:
 
     def _step(self, idx, gtol: float) -> None:
         """One gradient evaluation and Armijo line search for the rows idx."""
-        cfg = self.cfg
         u, fval, step, done = self.u, self.fval, self.step, self.done
         fa, k = self._gradient(idx)
         fval[idx] = fa
@@ -278,28 +281,22 @@ class _Ascent:
         t = np.minimum(step[live], tmax)
         # live and its per-row arrays shrink to the rows still backtracking;
         # those rows have not moved, so u holds their start.
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = _batched.apply_skew_exp(u[live], lam, vv, t)
             ft = np.asarray(self.objective.value(trial, live), dtype=float)
-            ok = ft >= fval[live] + cfg.armijo * t * gn2
+            ok = ft >= fval[live] + _ARMIJO * t * gn2
             acc = live[ok]
             if acc.size:
                 u[acc] = trial[ok]
                 fval[acc] = ft[ok]
                 step[acc] = 2.0 * t[ok]
-            rest = ~ok
+            t *= _BACKTRACK
+            stalled = ~ok & (t < _MIN_STEP)
+            done[live[stalled]] = True
+            rest = ~ok & ~stalled
             if not rest.any():
                 return
-            live, lam, vv, gn2 = live[rest], lam[rest], vv[rest], gn2[rest]
-            t = t[rest] * cfg.backtrack
-            collapsed = t < cfg.min_step
-            if collapsed.any():
-                done[live[collapsed]] = True
-                rest = ~collapsed
-                if not rest.any():
-                    return
-                live, lam, vv = live[rest], lam[rest], vv[rest]
-                gn2, t = gn2[rest], t[rest]
+            live, lam, vv, gn2, t = live[rest], lam[rest], vv[rest], gn2[rest], t[rest]
         done[live] = True  # backtracking budget exhausted: stall
 
 
@@ -328,24 +325,23 @@ def maximize_grouped(
     """
     groups = np.asarray(groups)
     ngroups = int(groups.max()) + 1
-    state = _Ascent(objective, np.array(starts, dtype=complex), cfg)
+    state = _Ascent(objective, np.array(starts, dtype=complex))
 
     # Coarse pass over every start, then full precision only for the starts
     # still in contention for the maximum of their group; dominated local
     # maxima are not polished (the aggregate is a max, so their final values
     # don't matter).
-    coarse = max(cfg.gradient_tolerance, _COARSE_TOL)
-    if coarse_first and coarse > cfg.gradient_tolerance:
-        state.run(np.arange(state.nb), coarse, cfg.max_iterations)
+    if coarse_first:
+        state.run(np.arange(state.nb), _COARSE_TOL, cfg.max_iterations)
         gmax = np.full(ngroups, -np.inf)
         np.maximum.at(gmax, groups, state.fval)
         margin = _CONTENTION_MARGIN * (1.0 + np.abs(gmax))
         contenders = np.flatnonzero(state.fval >= (gmax - margin)[groups])
         used = np.zeros(len(objective.offsets), dtype=int)
         np.maximum.at(used, state.owner, state.iterations)
-        state.run(contenders, cfg.gradient_tolerance, cfg.max_iterations - used[state.owner])
+        state.run(contenders, _GRADIENT_TOL, cfg.max_iterations - used[state.owner])
     else:
-        state.run(np.arange(state.nb), cfg.gradient_tolerance, cfg.max_iterations)
+        state.run(np.arange(state.nb), _GRADIENT_TOL, cfg.max_iterations)
 
     order = np.argsort(groups, kind="stable")
     cuts = np.searchsorted(groups[order], np.arange(ngroups + 1))

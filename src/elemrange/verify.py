@@ -22,7 +22,7 @@ from .elemop import (
 from .fov import field_of_values
 from .linalg import haar_unitaries, spectral_norm
 from .orbit import DEFAULT_HAAR_SAMPLES, DEFAULT_SMAX_FACTOR, RangeEstimate
-from .orbit import banach_region, check_smax_factor, orbit_region
+from .orbit import _orbit_matrices, banach_region, check_smax_factor, orbit_region
 from .region import directions, hausdorff, hull_of_points, minkowski_sum, negate
 from .unitary_opt import OptConfig
 
@@ -32,6 +32,8 @@ DEFAULT_DIRECTIONS = 64
 DEFAULT_CFG = OptConfig()
 
 INCLUSION_TOL = 1e-10
+INCLUSION_S_FACTORS = (8.0, 16.0, 32.0, 64.0)
+HERMITIAN_SAMPLES = 32
 MAIN_TOL_REL = 2e-2
 DERIVATION_TOL_REL = 1e-2
 MONOTONE_TOL_REL = 1e-6
@@ -121,15 +123,14 @@ def verify_inclusion(
     n_samples: int = 50,
     cfg: OptConfig | None = None,
     m: int = 24,
-    s_factors=(8.0, 16.0, 32.0, 64.0),
-    tol: float = INCLUSION_TOL,
 ) -> VerificationReport:
     """Exact per-unitary directional inequality, checked on random unitaries.
 
-    For every sampled u, grid direction theta, and shift s the matrix
-    inequality lambda_max(Herm(e^{-i theta} sum u*a_i u b_i)) <=
-    |R(u) + s e^{i theta} u| - s holds exactly; the discrepancy is the
-    worst violation observed, independent of any optimization.
+    For every sampled u, grid direction theta, and shift s in
+    INCLUSION_S_FACTORS times a norm bound, the matrix inequality
+    lambda_max(Herm(e^{-i theta} sum u*a_i u b_i)) <= |R(u) + s e^{i theta} u| - s
+    holds exactly; the discrepancy is the worst violation observed,
+    independent of any optimization, against INCLUSION_TOL.
     """
     cfg = cfg or DEFAULT_CFG
     us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 31]))
@@ -139,7 +140,7 @@ def verify_inclusion(
     srough = 1.0 + sum(
         spectral_norm(r.a[i]) * spectral_norm(r.b[i]) for i in range(r.k)
     )
-    svals = srough * np.asarray(s_factors, dtype=float)
+    svals = srough * np.asarray(INCLUSION_S_FACTORS)
     th = directions(m)
     ph = np.exp(-1j * th)
 
@@ -152,7 +153,7 @@ def verify_inclusion(
 
     violation = float(np.max(lhs[:, :, None] - rhs))
     rep = VerificationReport(label=r.label or "inclusion")
-    rep.checks.append(CheckResult("per_unitary_inclusion", violation, tol))
+    rep.checks.append(CheckResult("per_unitary_inclusion", violation, INCLUSION_TOL))
     rep.diagnostics = {
         "n_samples": n_samples,
         "directions": m,
@@ -301,25 +302,24 @@ def hermitian_check(
     r: KTupleOperator,
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
-    tol: float | None = None,
-    n_samples: int = 32,
     orbit: RangeEstimate | None = None,
 ) -> VerificationReport:
     """Classify R as hermitian (real numerical range) or not.
 
-    The discrepancy is the imaginary extent of the computed orbit region;
-    the report also carries the sampled asymmetry criterion
-    max_u |T(u) - T(u)*| over Haar unitaries, with T(u) = sum u*a_i u b_i.
+    The discrepancy is the imaginary extent of the computed orbit region,
+    against HERMITIAN_TOL_REL times its scale; the report also carries the
+    sampled asymmetry criterion max_u |T(u) - T(u)*| over HERMITIAN_SAMPLES
+    Haar unitaries, with T(u) = sum u*a_i u b_i.
     orbit, when given, is an ``orbit_region(r, m, cfg)`` estimate already
     computed, which is then used instead of a second sweep.
     """
     cfg = cfg or DEFAULT_CFG
     est = orbit if orbit is not None else orbit_region([r], m, cfg)[0]
     extent = float(np.max(np.abs(est.region.vertices[:, 1])))
-    tolerance = tol if tol is not None else HERMITIAN_TOL_REL * est.scale
+    tolerance = HERMITIAN_TOL_REL * est.scale
 
-    us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 37]))
-    t = _batched.mm(np.conj(np.swapaxes(us, -1, -2)), apply_batched(r, us))
+    us = haar_unitaries(r.n, HERMITIAN_SAMPLES, np.random.default_rng([cfg.seed, 37]))
+    t = _orbit_matrices(r, us)
     asym = float(np.max(_batched.sigma_max(t - np.conj(np.swapaxes(t, -1, -2)))))
 
     rep = VerificationReport(label=r.label or "hermitian-check")

@@ -113,6 +113,34 @@ class TestExitCodes:
         assert code == 2
         assert "smax_factor" in err
 
+    @pytest.mark.parametrize("z", ["1,2,3", "nan,0", "0,nan", "inf", "1,-inf"])
+    def test_bad_shift_is_2(self, identity_path, z, capsys):
+        code = main(["norm", identity_path, "--restarts", "1", "--z", z])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "--z" in err and "norm value" not in out
+
+    @pytest.mark.parametrize("command", ["verify", "derivation"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_empty_batch_is_2(self, command, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--count", count])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("fov", "--seed"), ("fov", "--restarts"), ("fov", "--tol"),
+         ("norm", "--directions"), ("norm", "--haar-samples"), ("range", "--tol"),
+         ("derivation", "--smax-factor")],
+    )
+    def test_flag_the_handler_does_not_read_is_2(self, identity_path, command, flag, capsys):
+        instance = [] if command == "derivation" else [identity_path]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *instance, flag, "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["projection", "derivation"])
     def test_odd_directions_is_2(self, command, capsys):
         code = main([command, "--directions", "9", "--restarts", "2"])
@@ -245,7 +273,8 @@ class TestCommands:
         # row of a slab would change bits.
         for command, dim in (("verify", 2), ("verify", 3), ("derivation", 3)):
             args = [command, "--dim", str(dim), "--seed", "11", "--directions", "8",
-                    "--restarts", "1", "--haar-samples", "4", "--smax-factor", "16"]
+                    "--restarts", "1", "--haar-samples", "4",
+                    *(["--smax-factor", "16"] if command == "verify" else [])]
 
             def run(extra, name):
                 out = tmp_path / f"{command}{dim}-{name}.json"
@@ -314,6 +343,27 @@ class TestCommands:
             residuals.append(json.loads(out.read_text())["instances"][0]["residuals"])
         capsys.readouterr()
         assert residuals[0] != residuals[1]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["fov", "--directions", "16"], {"directions"}),
+        (["norm", "--restarts", "2", "--z", "0.5,0"], {"restarts", "seed", "z"}),
+        (["range", *fast_args()],
+         {"side", "directions", "restarts", "haar_samples", "smax_factor", "seed"}),
+        (["derivation", "--count", "1", "--tol", "1", *fast_args()],
+         {"count", "dim", "directions", "restarts", "haar_samples", "seed", "tol"}),
+    ],
+)
+def test_config_echoes_exactly_the_options_read(identity_path, tmp_path, argv, keys, capsys):
+    command, *rest = argv
+    instance = [] if command == "derivation" else [identity_path]
+    out = tmp_path / "result.json"
+    assert main([command, *instance, *rest, "--out", str(out)]) == 0
+    capsys.readouterr()
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == keys | {"command", "format"}
 
 
 class TestDeterminism:
