@@ -133,14 +133,22 @@ def _config(args) -> OptConfig:
     return OptConfig(restarts=args.restarts, seed=args.seed)
 
 
+# Flags read only to draw the default batch, which instance files replace.
+_BATCH_FLAGS = {
+    "verify": ("count", "dim", "tuples"),
+    "derivation": ("count", "dim"),
+    "projection": ("dim", "rank"),
+}
+
+
 def _config_echo(args) -> dict:
     # The output path is not part of the computation configuration; leaving
-    # it out keeps result files for identical runs byte-identical.
-    echo = {
-        key: val
-        for key, val in vars(args).items()
-        if key not in ("command", "instance", "instances", "out") and val is not None
-    }
+    # it out keeps result files for identical runs byte-identical.  Neither
+    # are the batch flags when instance files are given.
+    skip = {"command", "instance", "instances", "out"}
+    if getattr(args, "instances", None):
+        skip.update(_BATCH_FLAGS[args.command])
+    echo = {key: val for key, val in vars(args).items() if key not in skip and val is not None}
     echo["command"] = args.command
     return echo
 

@@ -8,9 +8,12 @@ to the tangent direction K = skew(u*E), the retraction is the exact
 matrix exponential u <- u exp(tK), and t is chosen by Armijo backtracking.
 Objectives may carry per-element parameters (direction angles, shifts) so
 a whole sweep of related subproblems runs as one batch; the grouped
-driver then aggregates per subproblem.  Values found are always certified
-lower bounds on the supremum; restart agreement is the (empirical)
-quality signal.
+driver then aggregates per subproblem.  Every start first ascends to a
+coarse gradient tolerance; only the two best starts of each subproblem
+then ascend to full precision, since the aggregate is their maximum.
+Values found are always certified lower bounds on the supremum; restart
+agreement is the (empirical) quality signal, and the restart spread
+compares those two polished values with the other starts' coarse ones.
 
 One batch may also hold the sweeps of several instances (operators).
 The objectives then apply each instance's operator to its own rows, one
@@ -32,11 +35,11 @@ from . import _batched
 from .linalg import haar_unitaries
 
 # Gradient tolerance of the final pass, relative to 1 + |f|; the coarse
-# first-pass tolerance; and the value margin within which a start is still
-# a contender for the maximum of its group.
+# first-pass tolerance; and how many of each group's best coarse starts the
+# final pass polishes.
 _GRADIENT_TOL = 1e-8
 _COARSE_TOL = 1e-3
-_CONTENTION_MARGIN = 3e-3
+_POLISHED = 2
 
 # Armijo line search: first step, backtracking factor, sufficient-increase
 # constant, most trials per gradient, and the step below which a row stalls.
@@ -316,6 +319,12 @@ def maximize_grouped(
     call.  starts, a stack or a sequence of unitaries, is copied, never
     ascended in place.
 
+    With coarse_first, every start ascends to _COARSE_TOL, and then only
+    the _POLISHED best of each group, ties going to the earlier row,
+    ascend on to _GRADIENT_TOL; the reports' start_values hold the coarse
+    values of the others.  Without it, every start ascends to
+    _GRADIENT_TOL at once.
+
     The elements may belong to several instances: instance i owns the
     contiguous elements from objective.offsets[i] on, and no group spans
     two instances.  Every budget is per instance, so each instance's
@@ -327,19 +336,18 @@ def maximize_grouped(
     ngroups = int(groups.max()) + 1
     state = _Ascent(objective, np.array(starts, dtype=complex))
 
-    # Coarse pass over every start, then full precision only for the starts
-    # still in contention for the maximum of their group; dominated local
-    # maxima are not polished (the aggregate is a max, so their final values
-    # don't matter).
+    # The aggregate is a max, so only the best start's final value matters:
+    # rank each group's starts by coarse value (the sort is stable, so ties
+    # keep row order) and polish the top.
     if coarse_first:
         state.run(np.arange(state.nb), _COARSE_TOL, cfg.max_iterations)
-        gmax = np.full(ngroups, -np.inf)
-        np.maximum.at(gmax, groups, state.fval)
-        margin = _CONTENTION_MARGIN * (1.0 + np.abs(gmax))
-        contenders = np.flatnonzero(state.fval >= (gmax - margin)[groups])
+        by_value = np.lexsort((-state.fval, groups))
+        ranked = groups[by_value]
+        rank = np.arange(state.nb) - np.searchsorted(ranked, ranked)
+        polished = by_value[rank < _POLISHED]
         used = np.zeros(len(objective.offsets), dtype=int)
         np.maximum.at(used, state.owner, state.iterations)
-        state.run(contenders, _GRADIENT_TOL, cfg.max_iterations - used[state.owner])
+        state.run(polished, _GRADIENT_TOL, cfg.max_iterations - used[state.owner])
     else:
         state.run(np.arange(state.nb), _GRADIENT_TOL, cfg.max_iterations)
 

@@ -345,22 +345,43 @@ class TestCommands:
         assert residuals[0] != residuals[1]
 
 
+@pytest.fixture
+def derivation_path(tmp_path):
+    path = tmp_path / "delta.json"
+    write_instance(KTupleOperator.derivation(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j])), path)
+    return str(path)
+
+
+# Stand-ins for the instance files in argv below.
+IDENTITY, DERIVATION = "<identity>", "<derivation>"
+
+
 @pytest.mark.parametrize(
     "argv, keys",
     [
-        (["fov", "--directions", "16"], {"directions"}),
-        (["norm", "--restarts", "2", "--z", "0.5,0"], {"restarts", "seed", "z"}),
-        (["range", *fast_args()],
+        (["fov", IDENTITY, "--directions", "16"], {"directions"}),
+        (["norm", IDENTITY, "--restarts", "2", "--z", "0.5,0"], {"restarts", "seed", "z"}),
+        (["range", IDENTITY, *fast_args()],
          {"side", "directions", "restarts", "haar_samples", "smax_factor", "seed"}),
         (["derivation", "--count", "1", "--tol", "1", *fast_args()],
          {"count", "dim", "directions", "restarts", "haar_samples", "seed", "tol"}),
+        # Instance files replace the random batch, so its flags are not read.
+        (["verify", IDENTITY, "--count", "5", "--dim", "4", "--tuples", "7", *fast_args()],
+         {"directions", "restarts", "haar_samples", "smax_factor", "seed"}),
+        (["derivation", DERIVATION, "--count", "3", "--dim", "4", *fast_args()],
+         {"directions", "restarts", "haar_samples", "seed"}),
+        (["projection", IDENTITY, "--dim", "4", "--rank", "2", *fast_args()],
+         {"directions", "restarts", "haar_samples", "smax_factor", "seed"}),
+        (["projection", "--dim", "2", "--rank", "1", *fast_args()],
+         {"dim", "rank", "directions", "restarts", "haar_samples", "smax_factor", "seed"}),
     ],
 )
-def test_config_echoes_exactly_the_options_read(identity_path, tmp_path, argv, keys, capsys):
-    command, *rest = argv
-    instance = [] if command == "derivation" else [identity_path]
+def test_config_echoes_exactly_the_options_read(
+    identity_path, derivation_path, tmp_path, argv, keys, capsys
+):
+    files = {IDENTITY: identity_path, DERIVATION: derivation_path}
     out = tmp_path / "result.json"
-    assert main([command, *instance, *rest, "--out", str(out)]) == 0
+    assert main([files.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 0
     capsys.readouterr()
     config = json.loads(out.read_text())["config"]
     assert set(config) == keys | {"command", "format"}

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elemrange.elemop import KTupleOperator, apply, random_instance, russo_dye_norm
 from elemrange.linalg import haar_unitary, hermitian_part, spectral_norm, top_eigenpair
@@ -344,3 +346,53 @@ class TestOrbitWitnesses:
         wit = _fov_witnesses(c, thetas)
         alone = np.concatenate([_fov_witnesses(c[i : i + 1], thetas[:1]) for i in range(100)])
         assert np.array_equal(wit, alone)
+
+
+def _normal(rng, n):
+    """A random normal matrix q diag(lam) q* and its eigenvalues lam."""
+    lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q = haar_unitary(n, rng)
+    return (q * lam) @ q.conj().T, lam
+
+
+@st.composite
+def edge_instances(draw):
+    """(operator, exact supports on the M-grid) of an edge input: an n=1
+    tuple, the zero tuple, c*Id, or a derivation by two normal matrices."""
+    kind = draw(st.sampled_from(["n1", "zero", "scalar", "normal_derivation"]))
+    n = 1 if kind == "n1" else draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phase = np.exp(-1j * directions(M))
+    if kind == "normal_derivation":
+        (a, lam), (b, mu) = _normal(rng, n), _normal(rng, n)
+        h = np.max((phase[:, None] * lam).real, axis=1) - np.min((phase[:, None] * mu).real, axis=1)
+        return KTupleOperator.derivation(a, b), h
+    if kind == "n1":
+        a = rng.standard_normal((k, 1, 1)) + 1j * rng.standard_normal((k, 1, 1))
+        b = rng.standard_normal((k, 1, 1)) + 1j * rng.standard_normal((k, 1, 1))
+        c = complex(np.sum(a * b))
+        r = KTupleOperator(a, b)
+    elif kind == "zero":
+        c = 0j
+        r = KTupleOperator(np.zeros((k, n, n)), np.zeros((k, n, n)))
+    else:
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        r = KTupleOperator.multiplication(c * np.eye(n), np.eye(n))
+    return r, (phase * c).real
+
+
+EDGE_CFG = OptConfig(restarts=4, seed=0, max_iterations=2000)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(edge_instances())
+def test_edge_inputs_reach_their_exact_supports(case):
+    # Every start ties on the point regions (n=1, zero, c*Id), whose orbit
+    # objective is constant; a normal derivation's region is
+    # conv(spec A) - conv(spec B), a maximum the ascent must reach.  Its
+    # ascent converges slowly: within the default 200 iterations, 3 of 20
+    # seeded n=3 and 2 of 20 n=4 derivations stop up to 3.6e-5 short.
+    r, h = case
+    est = orbit_region([r], M, EDGE_CFG, n_haar=4)[0]
+    assert np.abs(est.region.support - h).max() <= 1e-9 * (1.0 + np.abs(h).max())

@@ -88,8 +88,8 @@ def three_instances(kind, n):
     them in one call.  The budget binds."""
     rng = np.random.default_rng(12345)
     ops = [random_instance(n, 2, rng) for _ in range(3)]
-    cfg = OptConfig(restarts=3, seed=6, max_iterations=120)
-    block = np.stack(default_starts(n, cfg.restarts, np.random.default_rng(6)))
+    cfg = OptConfig(restarts=3, seed=5, max_iterations=120)
+    block = np.stack(default_starts(n, cfg.restarts, np.random.default_rng(5)))
     thetas = np.array([0.4, 2.0])
     params = np.array([1.5 - 0.5j, -2.0j])
 
@@ -246,6 +246,44 @@ class TestMaximizeGrouped:
         monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", counted_retract)
         one_group(obj, OptConfig(restarts=4, seed=2))
         assert rows["trials"] > 0 and rows["value"] == rows["trials"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fine_pass_polishes_the_best_coarse_starts(self, n, monkeypatch):
+        # The fine pass ascends exactly the _POLISHED best coarse starts of
+        # each group.  Group 1 holds five copies of one start, which tie, so
+        # its first two rows win; group 2 has a single start.  Every report
+        # still counts and lists all of its starts.
+        r = random_instance(n, 2, np.random.default_rng(31))
+        haar = default_starts(n, 6, np.random.default_rng(7))
+        starts = np.stack([*haar, *[haar[3]] * 5, haar[1]])
+        groups = np.repeat([0, 1, 2], [len(haar), 5, 1])
+        thetas = np.array([0.3, 1.9, 4.0])
+        calls = []
+        run = unitary_opt._Ascent.run
+
+        def spy(self, active, gtol, budget):
+            calls.append((np.sort(active), self.fval.copy()))
+            return run(self, active, gtol, budget)
+
+        monkeypatch.setattr(unitary_opt._Ascent, "run", spy)
+        reports = maximize_grouped(
+            OrbitSupportObjective([(r.a, r.b)], thetas[groups]), groups, starts,
+            OptConfig(restarts=6, seed=7),
+        )
+        assert len(calls) == 2 and calls[0][0].size == len(starts)
+        fine, coarse = calls[1]
+        tied = coarse[groups == 1]
+        assert np.all(tied == tied[0])
+        want = []
+        for g in range(3):
+            rows = np.flatnonzero(groups == g)
+            want.extend(sorted(rows, key=lambda i: (-coarse[i], i))[:unitary_opt._POLISHED])
+        assert unitary_opt._POLISHED == 2
+        assert np.array_equal(fine, np.sort(want))
+        assert np.array_equal(fine[2:4], np.flatnonzero(groups == 1)[:2])
+        for g, rep in enumerate(reports):
+            count = int(np.sum(groups == g))
+            assert rep.restarts_used == count and rep.start_values.shape == (count,)
 
     def test_group_bookkeeping(self, rng):
         r = random_instance(2, 1, rng)
