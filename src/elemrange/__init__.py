@@ -1,9 +1,10 @@
 """Numerical range of elementary operators on matrix algebras.
 
 Computes the numerical range of x -> sum_i a_i x b_i on M_n two
-independent ways — the disk/support characterization of the range of the
-operator acting on the algebra, and the closed union of fields of values
-over the unitary orbit — and verifies numerically that they agree.
+independent ways — the ray limit of shifted operator norms of the operator
+acting on the algebra, and the closed union of fields of values
+W(sum_i u*a_i u b_i) over unitaries u, whose support in each direction is
+maximized over U(n) — and verifies numerically that they agree.
 """
 
 from .elemop import (
@@ -14,7 +15,7 @@ from .elemop import (
     russo_dye_norm,
     shifted_norm,
 )
-from .fov import FovBoundarySample, field_of_values, fov_support
+from .fov import field_of_values
 from .linalg import (
     EigenPair,
     haar_unitaries,
@@ -30,12 +31,10 @@ from .orbit import (
     orbit_region,
 )
 from .region import (
-    DiskSpec,
     RegionEmptyError,
     SupportRegion,
     hausdorff,
     hull_of_points,
-    intersect_disks,
     minkowski_sum,
     negate,
     region_from_supports,
@@ -56,9 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult",
-    "DiskSpec",
     "EigenPair",
-    "FovBoundarySample",
     "KTupleOperator",
     "OptConfig",
     "OptReport",
@@ -70,14 +67,12 @@ __all__ = [
     "banach_region",
     "default_s_schedule",
     "field_of_values",
-    "fov_support",
     "haar_unitaries",
     "haar_unitary",
     "hausdorff",
     "hermitian_check",
     "hermitian_part",
     "hull_of_points",
-    "intersect_disks",
     "matricize",
     "minkowski_sum",
     "negate",

@@ -33,7 +33,6 @@ from .unitary_opt import OptConfig
 from .verify import (
     DEFAULT_CFG,
     DEFAULT_DIRECTIONS,
-    DEFAULT_HAAR_SAMPLES,
     DEFAULT_SMAX_FACTOR,
     random_batch,
     verify_derivation,
@@ -45,6 +44,20 @@ from .verify import (
 _WITNESS_CAP = 512
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 # Flags shared by several subcommands, keyed by their dest; each subcommand
 # takes only the ones its handler reads (see _flags).
 _FLAGS = {
@@ -52,21 +65,12 @@ _FLAGS = {
                        help="support directions (default %(default)s)"),
     "restarts": dict(type=int, default=DEFAULT_CFG.restarts,
                      help="Haar restarts per optimization (default %(default)s)"),
-    "haar_samples": dict(type=int, default=DEFAULT_HAAR_SAMPLES,
-                         help="Haar samples for the witness cloud (default %(default)s)"),
     "smax_factor": dict(type=float, default=DEFAULT_SMAX_FACTOR,
                         help="largest shift as a multiple of scale (default %(default)g)"),
     "seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
-    "tol": dict(type=float, default=None, help="override the verification tolerance"),
+    "tol": dict(type=_tolerance, default=None, help="override the verification tolerance"),
     "dim": dict(type=int, default=2, help="matrix dimension (default %(default)s)"),
 }
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _flags(sub, *names, **defaults) -> None:
@@ -101,15 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file")
     p.add_argument("--side", choices=("lhs", "rhs", "both"), default="both",
                    help="operator side (lhs), orbit side (rhs), or both")
-    _flags(p, "directions", "restarts", "haar_samples", "smax_factor", "seed",
-           directions=720)
+    _flags(p, "directions", "restarts", "smax_factor", "seed", directions=720)
 
     p = subs.add_parser("verify", help="verify the orbit formula on a batch")
     p.add_argument("instances", nargs="*", help="instance files (default: random batch)")
     p.add_argument("--count", type=_positive_int, default=20,
                    help="random instances (default 20)")
     p.add_argument("--tuples", type=int, default=2, help="tuple length k (default 2)")
-    _flags(p, "dim", "directions", "restarts", "haar_samples", "smax_factor", "seed", "tol")
+    _flags(p, "dim", "directions", "restarts", "smax_factor", "seed", "tol")
 
     p = subs.add_parser("derivation",
                         help="check x -> Ax - xB against W(A) - W(B)")
@@ -117,14 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instance files encoding a derivation (default: random batch)")
     p.add_argument("--count", type=_positive_int, default=10,
                    help="random pairs (default 10)")
-    _flags(p, "dim", "directions", "restarts", "haar_samples", "seed", "tol")
+    _flags(p, "dim", "directions", "restarts", "seed", "tol")
 
     p = subs.add_parser("projection",
                         help="two-sided multiplication by an orthogonal projection")
     p.add_argument("instances", nargs="*",
                    help="instance files with a_1 = b_1 = p (default: diag projection)")
     p.add_argument("--rank", type=int, default=1, help="projection rank (default 1)")
-    _flags(p, "dim", "directions", "restarts", "haar_samples", "smax_factor", "seed", "tol")
+    _flags(p, "dim", "directions", "restarts", "smax_factor", "seed", "tol")
 
     return parser
 
@@ -297,7 +300,7 @@ def _cmd_range(args) -> int:
     inst: dict = {"label": r.label, "instance": instance_to_dict(r)}
     rhs = None
     if args.side in ("rhs", "both"):
-        rhs = orbit_region([r], args.directions, cfg, n_haar=args.haar_samples)[0]
+        rhs = orbit_region([r], args.directions, cfg)[0]
         _estimate_fragment(inst, "rhs", rhs)
     if args.side in ("lhs", "both"):
         warm = [rhs.maximizers] if rhs is not None else None
@@ -328,12 +331,7 @@ def _cmd_verify(args) -> int:
 
     def worker(run):
         return verify_main(
-            run,
-            m=args.directions,
-            cfg=cfg,
-            n_haar=args.haar_samples,
-            smax_factor=args.smax_factor,
-            tol=args.tol,
+            run, m=args.directions, cfg=cfg, smax_factor=args.smax_factor, tol=args.tol
         )
 
     reports = _run_batch(batch, [r.n for r in batch], worker)
@@ -382,7 +380,7 @@ def _cmd_derivation(args) -> int:
     def worker(run):
         return verify_derivation(
             [(a, b) for a, b, _ in run], m=args.directions, cfg=cfg,
-            labels=[label for _, _, label in run], n_haar=args.haar_samples, **kwargs,
+            labels=[label for _, _, label in run], **kwargs,
         )
 
     reports = _run_batch(pairs, [a.shape[0] for a, _, _ in pairs], worker)
@@ -407,16 +405,17 @@ def _cmd_projection(args) -> int:
                 )
             items.append((r.a[0], r.label))
     else:
+        if not 0 <= args.rank <= args.dim:
+            raise ValueError(f"--rank must be in 0..{args.dim}, got {args.rank}")
         p = np.zeros((args.dim, args.dim), dtype=complex)
-        for i in range(min(args.rank, args.dim)):
+        for i in range(args.rank):
             p[i, i] = 1.0
         items.append((p, f"projection-n{args.dim}r{args.rank}"))
 
     result = _result_shell(args)
     for p, label in items:
         rep = verify_mult_projection(
-            p, m=args.directions, cfg=cfg, n_haar=args.haar_samples,
-            smax_factor=args.smax_factor, tol=args.tol,
+            p, m=args.directions, cfg=cfg, smax_factor=args.smax_factor, tol=args.tol
         )
         rep.label = label
         herm = hermitian_check(

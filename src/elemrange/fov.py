@@ -1,37 +1,16 @@
 """Field of values (classical numerical range) of a single matrix.
 
 Support values of W(c) = {v*cv : |v| = 1} are computed by the rotated
-Hermitian eigenvalue method: h(theta) = lambda_max(Herm(e^{-i theta} c)),
-with the top eigenvector supplying a boundary witness point v*cv.
+Hermitian eigenvalue method: h(theta) = lambda_max(Herm(e^{-i theta} c)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _batched
-from .linalg import as_square_matrix, hermitian_part, top_eigenpair
+from .linalg import as_square_matrix
 from .region import SupportRegion, _trusted_region, directions
-
-
-@dataclass(frozen=True)
-class FovBoundarySample:
-    """Support value at one direction plus the witness point realizing it."""
-
-    theta: float
-    support: float
-    witness: complex
-
-
-def fov_support(c, theta: float) -> FovBoundarySample:
-    """Support of W(c) at angle theta and the boundary witness v*cv."""
-    c = as_square_matrix(c)
-    pair = top_eigenpair(hermitian_part(c, theta))
-    v = pair.vector
-    witness = complex(np.vdot(v, c @ v))
-    return FovBoundarySample(float(theta), pair.value, witness)
 
 
 def fov_supports(c, thetas) -> np.ndarray:

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import _batched
 from .elemop import KTupleOperator, _batch_dim, apply_batched, russo_dye_norm
-from .linalg import haar_unitaries
 from .region import SupportRegion, cloud_supports, directions, region_from_supports
 from .unitary_opt import (
     _SLAB_ENTRIES,
@@ -46,14 +45,12 @@ from .unitary_opt import (
 
 WITNESS_ANGLES = 32
 EARLY_STOP_REL = 1e-4
-DEFAULT_HAAR_SAMPLES = 64
 DEFAULT_SMAX_FACTOR = 64.0
 
 # Fixed stream tags so every derived random stream is a pure function of
 # the configured seed.
 _STREAM_ORBIT = 11
 _STREAM_BANACH = 13
-_STREAM_CLOUD = 17
 
 
 @dataclass
@@ -61,7 +58,8 @@ class RangeEstimate:
     """A computed region plus the diagnostics that qualify it.
 
     g_schedules and s_schedule are present for the operator (ray-limit)
-    side; samples is the witness point cloud of the orbit side.
+    side; samples is the witness cloud of the orbit side, boundary points
+    of W(sum u*a_i u b_i) at the per-direction maximizers u.
     """
 
     region: SupportRegion
@@ -235,12 +233,12 @@ def _sweep(
     return _chain_polish(_by_instance(reports, m), make_objective, cfg, extra)
 
 
-def _orbit_estimate(r: KTupleOperator, reports, haar: np.ndarray, thetas: np.ndarray):
+def _orbit_estimate(r: KTupleOperator, reports, thetas: np.ndarray):
     """One instance's orbit region from its sweep reports and the witness cloud."""
     maximizers = np.stack([rep.maximizer for rep in reports])
     h_opt = np.array([rep.value for rep in reports])
     witnesses = np.concatenate([
-        orbit_witnesses(r, np.concatenate([haar, maximizers])),
+        orbit_witnesses(r, maximizers),
         _witnesses_at_own_angle(r, maximizers, thetas),
     ])
     h = np.maximum(h_opt, cloud_supports(witnesses, len(thetas)))
@@ -251,20 +249,18 @@ def _orbit_estimate(r: KTupleOperator, reports, haar: np.ndarray, thetas: np.nda
 
 
 def orbit_region(
-    rs: list[KTupleOperator],
-    m: int = 64,
-    cfg: OptConfig | None = None,
-    n_haar: int = DEFAULT_HAAR_SAMPLES,
+    rs: list[KTupleOperator], m: int = 64, cfg: OptConfig | None = None
 ) -> list[RangeEstimate]:
     """Orbit-side region of each operator: per-direction optimized supports
     plus witness cloud.
 
     The witness cloud collects boundary points of W(sum u*a_i u b_i) for
-    n_haar Haar samples and for every per-direction maximizer.  Witness
-    points are certified members of the orbit union, so the region support
-    in each direction is the larger of the optimized value and the cloud's
-    own support there.  The operators act on one M_n; their sweeps run as
-    one grouped ascent, and each estimate is the one its operator gets alone.
+    every per-direction maximizer u, on the WITNESS_ANGLES grid and at u's
+    own direction.  Witness points are certified members of the orbit
+    union, so the region support in each direction is the larger of the
+    optimized value and the cloud's own support there.  The operators act
+    on one M_n; their sweeps run as one grouped ascent, and each estimate
+    is the one its operator gets alone.
     """
     if m < 8:
         raise ValueError("orbit_region needs at least 8 directions")
@@ -277,8 +273,7 @@ def orbit_region(
         n, len(rs), m, cfg, _STREAM_ORBIT,
         lambda g, off: OrbitSupportObjective(tuples, thetas[g % m], off),
     )
-    haar = haar_unitaries(n, n_haar, np.random.default_rng([cfg.seed, _STREAM_CLOUD]))
-    return [_orbit_estimate(r, reps, haar, thetas) for r, reps in zip(rs, reports)]
+    return [_orbit_estimate(r, reps, thetas) for r, reps in zip(rs, reports)]
 
 
 def banach_region(

@@ -32,20 +32,6 @@ class RegionEmptyError(ValueError):
     """The halfplane family has empty intersection (inconsistent samples)."""
 
 
-@dataclass(frozen=True)
-class DiskSpec:
-    """Closed disk {z : |z - center| <= radius}."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.center) or not np.isfinite(self.radius):
-            raise ValueError("disk parameters must be finite")
-        if self.radius < 0:
-            raise ValueError("disk radius must be nonnegative")
-
-
 def as_point_cloud(points) -> np.ndarray:
     """Validate a nonempty cloud of finite complex points."""
     p = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
@@ -252,26 +238,6 @@ def negate(a: SupportRegion) -> SupportRegion:
         raise ValueError("negate requires an even number of directions")
     h = np.roll(a.support, -(a.m // 2))
     return SupportRegion(h, -a.vertices[::-1])
-
-
-def intersect_disks(disks, m: int) -> SupportRegion:
-    """Outer polygon of the intersection of closed disks.
-
-    Each disk is replaced by its circumscribed m-gon (tangent halfplanes at
-    the grid directions), so the result contains the true intersection; the
-    overshoot is at most (sec(pi/m) - 1) times the largest radius.
-    """
-    disks = list(disks)
-    if not disks:
-        raise ValueError("need at least one disk")
-    th = directions(m)
-    h = np.full(m, np.inf)
-    for disk in disks:
-        if not isinstance(disk, DiskSpec):
-            disk = DiskSpec(complex(disk[0]), float(disk[1]))
-        z, r = complex(disk.center), float(disk.radius)
-        h = np.minimum(h, z.real * np.cos(th) + z.imag * np.sin(th) + r)
-    return region_from_supports(h)
 
 
 def hull_of_points(points, m: int) -> SupportRegion:

@@ -21,7 +21,7 @@ from .elemop import (
 )
 from .fov import field_of_values
 from .linalg import haar_unitaries, spectral_norm
-from .orbit import DEFAULT_HAAR_SAMPLES, DEFAULT_SMAX_FACTOR, RangeEstimate
+from .orbit import DEFAULT_SMAX_FACTOR, RangeEstimate
 from .orbit import _orbit_matrices, banach_region, check_smax_factor, orbit_region
 from .region import directions, hausdorff, hull_of_points, minkowski_sum, negate
 from .unitary_opt import OptConfig
@@ -166,7 +166,6 @@ def verify_main(
     rs: list[KTupleOperator],
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
-    n_haar: int = DEFAULT_HAAR_SAMPLES,
     smax_factor: float = DEFAULT_SMAX_FACTOR,
     tol: float | None = None,
 ) -> list[VerificationReport]:
@@ -174,15 +173,16 @@ def verify_main(
 
     Checks: the Hausdorff gap between the two regions (tolerance budgets
     the ray residual), monotonicity of every ray schedule, and that the
-    witness cloud's hull fills the orbit region.  The operators act on one
-    M_n and run as one batch per phase; each report is the one its
+    hull of the witness cloud, the boundary points at the orbit side's
+    per-direction maximizers, fills the orbit region.  The operators act
+    on one M_n and run as one batch per phase; each report is the one its
     operator gets alone.
     """
     check_smax_factor(smax_factor)
     cfg = cfg or DEFAULT_CFG
     norms = russo_dye_norm(rs, cfg)
     scales = [nrm.value + 1.0 for nrm in norms]
-    rhs = orbit_region(rs, m, cfg, n_haar=n_haar)
+    rhs = orbit_region(rs, m, cfg)
     lhs = banach_region(
         rs, m, cfg, scales=scales, smax_factor=smax_factor,
         warm_starts=[est.maximizers for est in rhs],
@@ -225,7 +225,6 @@ def verify_derivation(
     cfg: OptConfig | None = None,
     tol_rel: float = DERIVATION_TOL_REL,
     labels=None,
-    n_haar: int = DEFAULT_HAAR_SAMPLES,
 ) -> list[VerificationReport]:
     """Orbit region of x -> a x - x b against the difference of fields of
     values, for each (a, b) in pairs.
@@ -244,7 +243,7 @@ def verify_derivation(
         KTupleOperator.derivation(a, b, label=label)
         for (a, b), label in zip(pairs, labels)
     ]
-    estimates = orbit_region(deltas, m, cfg, n_haar=n_haar)
+    estimates = orbit_region(deltas, m, cfg)
     reports = []
     for (a, b), label, est in zip(pairs, labels, estimates):
         oracle = minkowski_sum(field_of_values(a, m), negate(field_of_values(b, m)))
@@ -262,7 +261,6 @@ def verify_mult_projection(
     p,
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
-    n_haar: int = DEFAULT_HAAR_SAMPLES,
     smax_factor: float = DEFAULT_SMAX_FACTOR,
     tol: float | None = None,
 ) -> VerificationReport:
@@ -270,7 +268,7 @@ def verify_mult_projection(
 
     Rejects inputs that are not orthogonal projections; reports the region
     gap plus the support values at angles 0 and pi; pi is a grid direction
-    only for even m.  n_haar, smax_factor and tol are those of verify_main.
+    only for even m.  smax_factor and tol are those of verify_main.
     """
     _require_even(m)
     p = np.asarray(p, dtype=complex)
@@ -281,9 +279,7 @@ def verify_mult_projection(
         raise ValueError("input is not an orthogonal projection (p = p* = p^2)")
     cfg = cfg or DEFAULT_CFG
     r = KTupleOperator.multiplication(p, p, label="projection-mult")
-    rep = verify_main(
-        [r], m=m, cfg=cfg, n_haar=n_haar, smax_factor=smax_factor, tol=tol
-    )[0]
+    rep = verify_main([r], m=m, cfg=cfg, smax_factor=smax_factor, tol=tol)[0]
     rep.label = "projection-mult"
     rhs_h = rep.artifacts["rhs"].region.support
     lhs_h = rep.artifacts["lhs"].region.support

@@ -246,7 +246,7 @@ def test_criterion_09_gradient_correctness():
 
 def test_criterion_10_determinism(tmp_path):
     args = ["verify", "--count", "3", "--dim", "2", "--tuples", "2", "--seed", "42",
-            "--directions", "16", "--restarts", "2", "--haar-samples", "8"]
+            "--directions", "16", "--restarts", "2"]
     blobs = {}
     for fmt in ("json", "csv"):
         pair = []

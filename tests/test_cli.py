@@ -39,7 +39,7 @@ def identity_path(tmp_path):
 
 
 def fast_args(extra=()):
-    return ["--directions", "16", "--restarts", "2", "--haar-samples", "4", *extra]
+    return ["--directions", "16", "--restarts", "2", *extra]
 
 
 class TestInstanceFormat:
@@ -132,7 +132,9 @@ class TestExitCodes:
         "command, flag",
         [("fov", "--seed"), ("fov", "--restarts"), ("fov", "--tol"),
          ("norm", "--directions"), ("norm", "--haar-samples"), ("range", "--tol"),
-         ("derivation", "--smax-factor")],
+         ("derivation", "--smax-factor"), ("range", "--haar-samples"),
+         ("verify", "--haar-samples"), ("derivation", "--haar-samples"),
+         ("projection", "--haar-samples")],
     )
     def test_flag_the_handler_does_not_read_is_2(self, identity_path, command, flag, capsys):
         instance = [] if command == "derivation" else [identity_path]
@@ -140,6 +142,30 @@ class TestExitCodes:
             main([command, *instance, flag, "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "--tol", tol]
+         for command in ("verify", "derivation", "projection") for tol in ("nan", "-1", "inf")]
+        + [["projection", "--dim", "2", "--rank", rank] for rank in ("3", "5", "-1")],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_value_out_of_range_is_2(self, argv, capsys):
+        # Exit 1 means a check exceeded its tolerance, so a tolerance no
+        # discrepancy can be measured against is a usage error; so is a
+        # projection rank the dimension cannot hold.
+        try:
+            code = main([*argv, "--directions", "8"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert argv[-2] in err and "PASS" not in out
+
+    def test_zero_tolerance_is_checked(self, identity_path, capsys):
+        code = main(["verify", identity_path, "--tol", "0", *fast_args()])
+        capsys.readouterr()
+        assert code == 1
 
     @pytest.mark.parametrize("command", ["projection", "derivation"])
     def test_odd_directions_is_2(self, command, capsys):
@@ -273,7 +299,7 @@ class TestCommands:
         # row of a slab would change bits.
         for command, dim in (("verify", 2), ("verify", 3), ("derivation", 3)):
             args = [command, "--dim", str(dim), "--seed", "11", "--directions", "8",
-                    "--restarts", "1", "--haar-samples", "4",
+                    "--restarts", "1",
                     *(["--smax-factor", "16"] if command == "verify" else [])]
 
             def run(extra, name):
@@ -317,24 +343,8 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert [inst["instance"]["n"] for inst in doc["instances"]] == [2, 3, 2]
 
-    def test_haar_samples_reach_the_witness_cloud(self, tmp_path, capsys):
-        # derivation and projection pass --haar-samples to the orbit side.
-        for command in ("derivation", "projection"):
-            witnesses = []
-            for samples in ("4", "9"):
-                out = tmp_path / f"{command}-{samples}.json"
-                code = main([command, "--count", "1", "--directions", "8",
-                             "--restarts", "2", "--haar-samples", samples,
-                             "--out", str(out)] if command == "derivation" else
-                            [command, "--directions", "8", "--restarts", "2",
-                             "--haar-samples", samples, "--out", str(out)])
-                assert code == 0
-                witnesses.append(json.loads(out.read_text())["instances"][0]["witnesses"])
-            assert witnesses[0] != witnesses[1]
-        capsys.readouterr()
-
     def test_projection_honours_tol_and_smax_factor(self, tmp_path, capsys):
-        args = ["projection", "--directions", "8", "--restarts", "2", "--haar-samples", "4"]
+        args = ["projection", "--directions", "8", "--restarts", "2"]
         assert main([*args, "--tol", "1e-15"]) == 1
         residuals = []
         for factor in ("16", "64"):
@@ -362,18 +372,18 @@ IDENTITY, DERIVATION = "<identity>", "<derivation>"
         (["fov", IDENTITY, "--directions", "16"], {"directions"}),
         (["norm", IDENTITY, "--restarts", "2", "--z", "0.5,0"], {"restarts", "seed", "z"}),
         (["range", IDENTITY, *fast_args()],
-         {"side", "directions", "restarts", "haar_samples", "smax_factor", "seed"}),
+         {"side", "directions", "restarts", "smax_factor", "seed"}),
         (["derivation", "--count", "1", "--tol", "1", *fast_args()],
-         {"count", "dim", "directions", "restarts", "haar_samples", "seed", "tol"}),
+         {"count", "dim", "directions", "restarts", "seed", "tol"}),
         # Instance files replace the random batch, so its flags are not read.
         (["verify", IDENTITY, "--count", "5", "--dim", "4", "--tuples", "7", *fast_args()],
-         {"directions", "restarts", "haar_samples", "smax_factor", "seed"}),
+         {"directions", "restarts", "smax_factor", "seed"}),
         (["derivation", DERIVATION, "--count", "3", "--dim", "4", *fast_args()],
-         {"directions", "restarts", "haar_samples", "seed"}),
+         {"directions", "restarts", "seed"}),
         (["projection", IDENTITY, "--dim", "4", "--rank", "2", *fast_args()],
-         {"directions", "restarts", "haar_samples", "smax_factor", "seed"}),
+         {"directions", "restarts", "smax_factor", "seed"}),
         (["projection", "--dim", "2", "--rank", "1", *fast_args()],
-         {"dim", "rank", "directions", "restarts", "haar_samples", "smax_factor", "seed"}),
+         {"dim", "rank", "directions", "restarts", "smax_factor", "seed"}),
     ],
 )
 def test_config_echoes_exactly_the_options_read(
@@ -402,8 +412,7 @@ class TestDeterminism:
     def test_identical_result_files_n3(self, tmp_path, capsys):
         # n = 3 runs the LAPACK eigen/SVD branches, not the 2x2 closed forms.
         args = ["verify", "--count", "2", "--dim", "3", "--tuples", "2",
-                "--seed", "5", "--directions", "8", "--restarts", "2",
-                "--haar-samples", "4"]
+                "--seed", "5", "--directions", "8", "--restarts", "2"]
         for fmt in ("json", "csv"):
             blobs = []
             for name in ("a", "b"):

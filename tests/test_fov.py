@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from elemrange.fov import field_of_values, fov_support, fov_supports
-from elemrange.linalg import haar_unitary, spectral_norm
+from elemrange.fov import field_of_values, fov_supports
+from elemrange.linalg import haar_unitary, hermitian_part, spectral_norm, top_eigenpair
+from elemrange.orbit import _fov_witnesses
 from elemrange.region import cloud_supports, directions, hausdorff
 
 from oracles import sphere_fov_support
@@ -10,34 +11,39 @@ from oracles import sphere_fov_support
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
+def _witness(c, theta: float) -> complex:
+    """The boundary point v*cv of W(c) at theta that the orbit side records."""
+    return _fov_witnesses(np.asarray(c, dtype=complex)[None], np.array([[theta]]))[0]
+
+
 class TestFovSupport:
     def test_normal_diag(self):
-        sample = fov_support(np.diag([0.0, 1.0]), 0.0)
-        assert sample.support == pytest.approx(1.0)
-        assert sample.witness == pytest.approx(1.0)
+        c = np.diag([0.0, 1.0])
+        assert fov_supports(c, [0.0])[0] == pytest.approx(1.0)
+        assert _witness(c, 0.0) == pytest.approx(1.0)
 
     def test_identity(self, rng):
-        for theta in rng.uniform(0, 2 * np.pi, 4):
-            sample = fov_support(np.eye(2), theta)
-            assert sample.support == pytest.approx(np.cos(theta), abs=1e-12)
-            assert sample.witness == pytest.approx(1.0)
+        thetas = rng.uniform(0, 2 * np.pi, 4)
+        assert fov_supports(np.eye(2), thetas) == pytest.approx(np.cos(thetas), abs=1e-12)
+        for theta in thetas:
+            assert _witness(np.eye(2), theta) == pytest.approx(1.0)
 
     def test_jordan_block_constant_half(self, rng):
         # Sphere-sampling oracle: the support is 1/2 in every direction.
-        for theta in rng.uniform(0, 2 * np.pi, 6):
-            sample = fov_support(JORDAN, theta)
-            assert sample.support == pytest.approx(0.5, abs=1e-12)
+        thetas = rng.uniform(0, 2 * np.pi, 6)
+        for theta, support in zip(thetas, fov_supports(JORDAN, thetas)):
+            assert support == pytest.approx(0.5, abs=1e-12)
             lower = sphere_fov_support(JORDAN, theta)
-            assert lower <= sample.support + 1e-9
-            assert lower >= sample.support - 2e-3
+            assert lower <= support + 1e-9
+            assert lower >= support - 2e-3
 
     def test_witness_realizes_support(self, rng):
         for _ in range(10):
             c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             theta = rng.uniform(0, 2 * np.pi)
-            sample = fov_support(c, theta)
-            realized = np.real(np.exp(-1j * theta) * sample.witness)
-            assert abs(realized - sample.support) <= 1e-9 * spectral_norm(c)
+            support = fov_supports(c, [theta])[0]
+            realized = np.real(np.exp(-1j * theta) * _witness(c, theta))
+            assert abs(realized - support) <= 1e-9 * spectral_norm(c)
 
 
 class TestFieldOfValues:
@@ -92,7 +98,7 @@ class TestFieldOfValues:
         c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         th = directions(12)
         batch = fov_supports(c, th)
-        single = [fov_support(c, t).support for t in th]
+        single = [top_eigenpair(hermitian_part(c, t)).value for t in th]
         assert np.abs(batch - np.array(single)).max() <= 1e-12
 
     def test_rejects_tiny_grid(self):

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elemrange.elemop import KTupleOperator, apply, random_instance, russo_dye_norm
-from elemrange.linalg import haar_unitary, hermitian_part, spectral_norm, top_eigenpair
+from elemrange.linalg import (
+    haar_unitaries,
+    haar_unitary,
+    hermitian_part,
+    spectral_norm,
+    top_eigenpair,
+)
 from elemrange.orbit import (
     EARLY_STOP_REL,
+    WITNESS_ANGLES,
     banach_region,
     default_s_schedule,
     orbit_region,
@@ -31,23 +38,23 @@ class TestOrbitSupport:
     # Single-direction supports, read off the grouped sweep: direction j of
     # the M-grid is theta = 2 pi j / M, so j = 0 is theta = 0 and j = 8 is pi.
     def test_identity_operator(self):
-        est = orbit_region([KTupleOperator.identity(2)], M, CFG, n_haar=4)[0]
+        est = orbit_region([KTupleOperator.identity(2)], M, CFG)[0]
         assert est.reports[0].value == pytest.approx(1.0, abs=1e-10)
 
     def test_projection_mult_theta0(self):
-        value = orbit_region([MPP], M, CFG, n_haar=4)[0].reports[0].value
+        value = orbit_region([MPP], M, CFG)[0].reports[0].value
         assert value == pytest.approx(1.0, abs=1e-6)
         assert value == pytest.approx(projection_mult_support(0.0), abs=1e-6)
 
     def test_projection_mult_theta_pi(self):
-        value = orbit_region([MPP], M, CFG, n_haar=4)[0].reports[8].value
+        value = orbit_region([MPP], M, CFG)[0].reports[8].value
         assert value == pytest.approx(0.125, abs=1e-6)
         assert value == pytest.approx(projection_mult_support(np.pi), abs=1e-6)
 
     def test_beats_su2_grid(self, rng):
         grid = su2_grid(17, 16)
         r = random_instance(2, 2, rng)
-        est = orbit_region([r], M, CFG, n_haar=4)[0]
+        est = orbit_region([r], M, CFG)[0]
         for rep, theta in zip(est.reports, directions(M)):
             assert rep.value >= grid_orbit_support(r.a, r.b, theta, grid) - 1e-9
 
@@ -109,30 +116,30 @@ class TestDefaultSchedule:
 
 class TestOrbitRegion:
     def test_identity_point(self):
-        est = orbit_region([KTupleOperator.identity(2)], M, CFG, n_haar=8)[0]
+        est = orbit_region([KTupleOperator.identity(2)], M, CFG)[0]
         assert np.abs(est.region.support - np.cos(directions(M))).max() <= 1e-8
 
     def test_scalar_multiplication_point(self):
         r = KTupleOperator.multiplication(np.eye(2), np.eye(2))
-        est = orbit_region([r], M, CFG, n_haar=4)[0]
+        est = orbit_region([r], M, CFG)[0]
         assert np.abs(est.region.support - np.cos(directions(M))).max() <= 1e-8
 
     def test_derivation_rectangle(self):
         # x -> Ax - xB with A = diag(0,1), B = diag(0,i): the orbit union
         # is W(A) - W(B) = [0,1] x [-1,0].
         delta = KTupleOperator.derivation(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]))
-        est = orbit_region([delta], M, CFG, n_haar=16)[0]
+        est = orbit_region([delta], M, CFG)[0]
         expected = np.array([rectangle_support(t) for t in directions(M)])
         assert np.abs(est.region.support - expected).max() <= 5e-3
 
     def test_witnesses_inside_region(self, rng):
         r = random_instance(2, 2, rng)
-        est = orbit_region([r], M, CFG, n_haar=16)[0]
+        est = orbit_region([r], M, CFG)[0]
         assert est.region.contains(est.samples, slack=1e-6 * est.scale)
 
     def test_witness_hull_fills_region(self, rng):
         r = random_instance(2, 2, rng)
-        est = orbit_region([r], M, CFG, n_haar=16)[0]
+        est = orbit_region([r], M, CFG)[0]
         hull = hull_of_points(est.samples, M)
         assert hausdorff(hull, est.region) <= 1e-9 * est.scale
 
@@ -144,15 +151,15 @@ class TestOrbitRegion:
             np.stack([wh @ ai @ w for ai in r.a]),
             np.stack([wh @ bi @ w for bi in r.b]),
         )
-        est1 = orbit_region([r], M, CFG, n_haar=16)[0]
-        est2 = orbit_region([conj], M, CFG, n_haar=16)[0]
+        est1 = orbit_region([r], M, CFG)[0]
+        est2 = orbit_region([conj], M, CFG)[0]
         assert hausdorff(est1.region, est2.region) <= 2e-2 * est1.scale
 
     def test_translation_covariance(self, rng):
         r = random_instance(2, 2, rng)
         z = complex(rng.normal(), rng.normal())
-        est = orbit_region([r], M, CFG, n_haar=8)[0]
-        est_z = orbit_region([r.translated(z)], M, CFG, n_haar=8)[0]
+        est = orbit_region([r], M, CFG)[0]
+        est_z = orbit_region([r.translated(z)], M, CFG)[0]
         shift = np.real(np.exp(-1j * directions(M)) * z)
         assert np.abs(est_z.region.support - (est.region.support + shift)).max() <= 1e-6 * est.scale
 
@@ -173,14 +180,14 @@ class TestOrbitRegion:
         # Each estimate of a batch is the one its operator gets alone, at
         # n = 3, where one GEMM over every row would change the bits.
         ops = [random_instance(3, 2, rng) for _ in range(3)]
-        warm = [orbit_region([r], 8, CFG, n_haar=4)[0].maximizers for r in ops]
+        warm = [orbit_region([r], 8, CFG)[0].maximizers for r in ops]
         batch = (
-            orbit_region(ops, 8, CFG, n_haar=4),
+            orbit_region(ops, 8, CFG),
             banach_region(ops, 8, CFG, scales=[3.0, 5.0, 4.0], warm_starts=warm),
         )
         for i, r in enumerate(ops):
             solo = (
-                orbit_region([r], 8, CFG, n_haar=4)[0],
+                orbit_region([r], 8, CFG)[0],
                 banach_region([r], 8, CFG, scales=[[3.0, 5.0, 4.0][i]], warm_starts=[warm[i]])[0],
             )
             for one, many in zip(solo, (est[i] for est in batch)):
@@ -197,7 +204,7 @@ class TestOrbitRegion:
         # active, so 20 instances peak at a few times 2 (3.5x without slabs).
         ops = [random_instance(4, 2, np.random.default_rng([5, i])) for i in range(20)]
         cfg = OptConfig(max_iterations=30)
-        orbit_region(ops[:1], 8, OptConfig(restarts=1, max_iterations=2), n_haar=4)
+        orbit_region(ops[:1], 8, OptConfig(restarts=1, max_iterations=2))
         peaks = []
         for batch in (ops[:2], ops):
             tracemalloc.start()
@@ -208,22 +215,24 @@ class TestOrbitRegion:
                 tracemalloc.stop()
         assert peaks[1] <= 3 * peaks[0]
 
-    def test_witness_cloud_memory_is_bounded_by_slabs(self):
-        # The witness cloud runs its (unitary, angle) rows in slabs, so 64
-        # Haar samples peak like 4: the sweep sets both peaks (about 1.4 MB).
-        # Without slabs, 64 samples peaked at 3.3 MB.
-        ops = [random_instance(4, 2, np.random.default_rng([5, i])) for i in range(2)]
-        cfg = OptConfig(max_iterations=30)
-        orbit_region(ops[:1], 8, OptConfig(restarts=1, max_iterations=2), n_haar=4)
+    def test_witness_cloud_memory_is_bounded_by_slabs(self, monkeypatch):
+        # The witness cloud runs its (unitary, angle) rows in slabs; with one
+        # slab holding the rows of 4 unitaries, 64 unitaries peak like 4
+        # plus their own orbit matrices and witness points (+31% at n = 4).
+        # Without slabs, 64 unitaries peaked at 12 times 4.
+        r = random_instance(4, 2, np.random.default_rng([5, 0]))
+        us = haar_unitaries(4, 64, np.random.default_rng(1))
+        monkeypatch.setattr("elemrange.orbit._SLAB_ENTRIES", 4 * WITNESS_ANGLES * 4 * 4)
+        orbit_witnesses(r, us[:4])
         peaks = []
-        for n_haar in (4, 64):
+        for count in (4, 64):
             tracemalloc.start()
             try:
-                orbit_region(ops, M, cfg, n_haar=n_haar)
+                orbit_witnesses(r, us[:count])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestBanachRegion:
@@ -260,7 +269,7 @@ class TestBanachRegion:
             assert np.array_equal(u, rep.maximizer)
 
     def test_orbit_side_has_no_residuals(self):
-        est = orbit_region([KTupleOperator.identity(2)], M, CFG, n_haar=4)[0]
+        est = orbit_region([KTupleOperator.identity(2)], M, CFG)[0]
         assert est.residuals is None and est.max_residual == 0.0
         for u, rep in zip(est.maximizers, est.reports):
             assert np.array_equal(u, rep.maximizer)
@@ -302,7 +311,7 @@ class TestBanachRegion:
     def test_outer_bound_dominates_orbit(self, rng):
         # RHS <= LHS directionally, up to the ray residual and slack.
         r = random_instance(2, 2, rng)
-        orbit = orbit_region([r], M, CFG, n_haar=8)[0]
+        orbit = orbit_region([r], M, CFG)[0]
         ban = banach_region([r], M, CFG, warm_starts=[orbit.maximizers])[0]
         slack = np.maximum(ban.residuals, 0.0)
         assert np.all(
@@ -394,5 +403,5 @@ def test_edge_inputs_reach_their_exact_supports(case):
     # ascent converges slowly: within the default 200 iterations, 3 of 20
     # seeded n=3 and 2 of 20 n=4 derivations stop up to 3.6e-5 short.
     r, h = case
-    est = orbit_region([r], M, EDGE_CFG, n_haar=4)[0]
+    est = orbit_region([r], M, EDGE_CFG)[0]
     assert np.abs(est.region.support - h).max() <= 1e-9 * (1.0 + np.abs(h).max())

@@ -6,14 +6,12 @@ from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
 from elemrange.region import (
-    DiskSpec,
     RegionEmptyError,
     SupportRegion,
     cloud_supports,
     directions,
     hausdorff,
     hull_of_points,
-    intersect_disks,
     minkowski_sum,
     negate,
     region_from_supports,
@@ -32,8 +30,16 @@ def segment_region(a: complex, b: complex, m=8):
     return hull_of_points([a, b], m)
 
 
+def disks_region(disks, m: int):
+    """region_from_supports fed min_d (Re(z_d e^{-i theta}) + r_d): the
+    outer m-gon of the intersection of the disks |w - z_d| <= r_d."""
+    th = directions(m)
+    h = np.min([z.real * np.cos(th) + z.imag * np.sin(th) + r for z, r in disks], axis=0)
+    return region_from_supports(h)
+
+
 def disk_region(z: complex, r: float, m=8):
-    return intersect_disks([DiskSpec(z, r)], m)
+    return disks_region([(z, r)], m)
 
 
 class TestRegionFromSupports:
@@ -215,13 +221,15 @@ class TestNegate:
 
 
 class TestIntersectDisks:
+    # Intersections of disks exercise region_from_supports's degenerate
+    # paths: a zero-width segment, a lens, an empty family of halfplanes.
     def test_single_disk_supports(self):
         reg = disk_region(0, 1, m=16)
         assert np.allclose(reg.support, 1.0, atol=1e-12)
 
     def test_tangent_disks_shrink_to_origin(self):
         m = 64
-        reg = intersect_disks([DiskSpec(-1, 1), DiskSpec(1, 1)], m)
+        reg = disks_region([(-1, 1), (1, 1)], m)
         overshoot = 1.0 / np.cos(np.pi / m) - 1.0
         assert reg.support[0] <= overshoot + 1e-12
         # 0 lies in the true intersection; the outer approximation keeps it
@@ -231,7 +239,7 @@ class TestIntersectDisks:
     def test_tangent_disks_keep_both_endpoints(self):
         # The outer 64-gons of the two disks meet in the zero-width segment
         # x = 0, |y| <= tan(pi/64).
-        reg = intersect_disks([DiskSpec(-1, 1), DiskSpec(1, 1)], 64)
+        reg = disks_region([(-1, 1), (1, 1)], 64)
         assert reg.vertices.shape == (2, 2)
         ys = sorted(reg.vertices[:, 1])
         end = np.tan(np.pi / 64)
@@ -240,31 +248,23 @@ class TestIntersectDisks:
 
     def test_lens_keeps_common_point(self):
         m = 32
-        reg = intersect_disks([DiskSpec(0, 1), DiskSpec(1, 1)], m)
+        reg = disks_region([(0, 1), (1, 1)], m)
         assert reg.support[0] == pytest.approx(1.0, abs=1e-12)
         assert reg.contains([1 + 0j], slack=1e-9)
 
     def test_monotone_in_family(self, rng):
         m = 16
-        disks = [DiskSpec(complex(rng.normal(), rng.normal()), 2.0 + rng.uniform(0, 1))
+        disks = [(complex(rng.normal(), rng.normal()), 2.0 + rng.uniform(0, 1))
                  for _ in range(4)]
-        prev = intersect_disks(disks[:1], m)
+        prev = disks_region(disks[:1], m)
         for j in range(2, 5):
-            cur = intersect_disks(disks[:j], m)
+            cur = disks_region(disks[:j], m)
             assert np.all(cur.support <= prev.support + 1e-12)
             prev = cur
 
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            intersect_disks([], 8)
-
     def test_disjoint_disks_empty(self):
         with pytest.raises(RegionEmptyError):
-            intersect_disks([DiskSpec(-5, 1), DiskSpec(5, 1)], 16)
-
-    def test_disk_spec_validation(self):
-        with pytest.raises(ValueError):
-            DiskSpec(0, -1.0)
+            disks_region([(-5, 1), (5, 1)], 16)
 
 
 class TestHullOfPoints:
