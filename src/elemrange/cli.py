@@ -69,7 +69,7 @@ _FLAGS = {
                         help="largest shift as a multiple of scale (default %(default)g)"),
     "seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
     "tol": dict(type=_tolerance, default=None, help="override the verification tolerance"),
-    "dim": dict(type=int, default=2, help="matrix dimension (default %(default)s)"),
+    "dim": dict(type=_positive_int, default=2, help="matrix dimension (default %(default)s)"),
 }
 
 

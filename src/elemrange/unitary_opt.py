@@ -4,8 +4,15 @@ Both computations this package runs — operator norms over unitaries and
 directional suprema of unitary-orbit fields of values — are nonconvex
 maximizations of the form max f(u), u in U(n).  The engine below runs all
 starts as one batched ascent: the Euclidean gradient E of f is projected
-to the tangent direction K = skew(u*E), the retraction is the exact
-matrix exponential u <- u exp(tK), and t is chosen by Armijo backtracking.
+to the left-trivialized direction K = skew(u*E), and each step is L-BFGS
+in the Lie algebra.  Vector transport is then the identity (Huang,
+Gallivan & Absil, SIAM J. Optim. 2015), so every start keeps its last
+_MEMORY pairs (s, y) as skew matrices and the two-loop recursion maps K
+to a direction D under the inner product Re tr(X*Y).  The retraction is
+the exact matrix exponential u <- u exp(tD), and t is chosen by Armijo
+backtracking from t = 1; a start whose D is not an ascent direction steps
+along K instead.  A start with no pair yet steps along K from a step size
+that doubles after each accepted step.
 Objectives may carry per-element parameters (direction angles, shifts) so
 a whole sweep of related subproblems runs as one batch; the grouped
 driver then aggregates per subproblem.  Every start first ascends to a
@@ -18,11 +25,13 @@ compares those two polished values with the other starts' coarse ones.
 One batch may also hold the sweeps of several instances (operators).
 The objectives then apply each instance's operator to its own rows, one
 GEMM per instance, and the driver keeps every iteration budget per
-instance.  Each iteration passes its active rows to the kernels in slabs
-of whole instances of at most _SLAB_ENTRIES matrix entries (or of one
-instance), which bounds a batch's peak memory.  Every per-row kernel is
-independent of the rows beside it, so an instance's reports are
-bit-identical whether it runs alone or in a batch, whatever the slabs.
+instance.  The rows are split once into slabs of whole instances of at
+most _SLAB_ENTRIES matrix entries (or of one instance), and each slab runs
+all its iterations, with an L-BFGS history of its own, before the next
+one starts; that bounds a batch's peak memory.  Every per-row kernel and
+every inner product is independent of the rows beside it, so an
+instance's reports are bit-identical whether it runs alone or in a batch,
+whatever the slabs.
 """
 
 from __future__ import annotations
@@ -41,8 +50,16 @@ _GRADIENT_TOL = 1e-8
 _COARSE_TOL = 1e-3
 _POLISHED = 2
 
-# Armijo line search: first step, backtracking factor, sufficient-increase
-# constant, most trials per gradient, and the step below which a row stalls.
+# L-BFGS: pairs kept per row; a pair is skipped unless <s, y> exceeds
+# _CURVATURE |s||y|, and a direction D falls back to K unless <K, D> exceeds
+# _ASCENT |K||D|.
+_MEMORY = 4
+_CURVATURE = 1e-12
+_ASCENT = 1e-10
+
+# Armijo line search: first step of a row with no stored pair (doubled after
+# each accepted step), backtracking factor, sufficient-increase constant,
+# most trials per gradient, and the step below which a row stalls.
 _INITIAL_STEP = 0.5
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
@@ -50,8 +67,9 @@ _MAX_BACKTRACKS = 40
 _MIN_STEP = 1e-13
 
 # Cap on a slab, rows * n^2 matrix entries: the row-sized temporaries of one
-# step, not its arithmetic, set a batch's peak memory (see CHANGES.md).
-_SLAB_ENTRIES = 12_288
+# step and the slab's L-BFGS history, not its arithmetic, set a batch's peak
+# memory (see CHANGES.md).
+_SLAB_ENTRIES = 6_144
 
 
 @dataclass(frozen=True)
@@ -62,8 +80,8 @@ class OptConfig:
     permutation are always added as deterministic starts.  max_iterations
     caps the gradient evaluations of any one start, per instance, over both
     passes.  seed seeds the Haar starts and every sampled check.  The
-    gradient tolerances and the Armijo line-search constants are fixed
-    module constants.
+    gradient tolerances, the L-BFGS memory and the Armijo line-search
+    constants are fixed module constants.
     """
 
     restarts: int = 16
@@ -218,9 +236,86 @@ def _slabs(idx: np.ndarray, owner: np.ndarray, cap: int) -> list:
     return np.split(idx, cuts[1:])
 
 
+def _dot(x, y) -> np.ndarray:
+    """Re tr(X*Y) for each row of two C-contiguous (B, n, n) stacks."""
+    rows = len(x)
+    return np.einsum(
+        "bi,bi->b", x.view(float).reshape(rows, -1), y.view(float).reshape(rows, -1)
+    )
+
+
+class _History:
+    """The L-BFGS memory of one slab's rows, indexed by position in the slab.
+
+    Each row keeps its last _MEMORY pairs (s, y) in a ring whose newest slot
+    is head; slot j of row i is entry j * rows + i of s, y and rho.  A slot
+    with no pair holds zeros and rho = 0, which the two-loop recursion
+    passes through unchanged.  gamma > 0 marks the rows with a stored pair.
+    d_prev and t_prev are the direction and step of each row's last
+    iteration, k_prev its K there, and moved marks the rows whose step was
+    accepted.
+    """
+
+    def __init__(self, rows: int, n: int):
+        self.rows = rows
+        self.s = np.zeros((_MEMORY * rows, n, n), dtype=complex)
+        self.y = np.zeros_like(self.s)
+        self.rho = np.zeros(_MEMORY * rows)
+        self.head = np.zeros(rows, dtype=int)
+        self.gamma = np.zeros(rows)
+        self.k_prev = np.zeros((rows, n, n), dtype=complex)
+        self.d_prev = np.zeros_like(self.k_prev)
+        self.t_prev = np.zeros(rows)
+        self.moved = np.zeros(rows, dtype=bool)
+
+    def update(self, loc, k) -> None:
+        """Store the pair of the rows loc, which moved and now ascend along k.
+
+        s = t_prev d_prev is the step in the Lie algebra and y = K_prev - K
+        the gradient change of -f; a pair without positive curvature is
+        skipped.
+        """
+        s = self.t_prev[loc][:, None, None] * self.d_prev[loc]
+        y = self.k_prev[loc] - k
+        sy = _dot(s, y)
+        yy = _dot(y, y)
+        keep = sy > _CURVATURE * np.sqrt(_dot(s, s) * yy)
+        rows = loc[keep]
+        self.head[rows] = (self.head[rows] + 1) % _MEMORY
+        slot = self.head[rows] * self.rows + rows
+        self.s[slot] = s[keep]
+        self.y[slot] = y[keep]
+        self.rho[slot] = 1.0 / sy[keep]
+        self.gamma[rows] = sy[keep] / yy[keep]
+
+    def direction(self, loc, k) -> np.ndarray:
+        """The two-loop recursion: the inverse-BFGS image of k at rows loc."""
+        newest_first = (self.head[loc] - np.arange(_MEMORY)[:, None]) % _MEMORY
+        slot = (newest_first * self.rows + loc).ravel()
+        s = self.s[slot].reshape(_MEMORY, *k.shape)
+        y = self.y[slot].reshape(_MEMORY, *k.shape)
+        rho = self.rho[slot].reshape(_MEMORY, -1)
+        q = k.copy()
+        alpha = np.empty_like(rho)
+        for j in range(_MEMORY):
+            alpha[j] = rho[j] * _dot(s[j], q)
+            q -= alpha[j][:, None, None] * y[j]
+        q *= self.gamma[loc][:, None, None]
+        for j in reversed(range(_MEMORY)):
+            beta = rho[j] * _dot(y[j], q)
+            q += (alpha[j] - beta)[:, None, None] * s[j]
+        return q
+
+
 class _Ascent:
     """Shared batched ascent state over a fixed set of start points, of
-    which instance i owns those from objective.offsets[i] on."""
+    which instance i owns those from objective.offsets[i] on.
+
+    Each step is L-BFGS on the left-trivialized directions K = skew(u*E):
+    vector transport is then the identity, so the pairs (s, y) live in the
+    Lie algebra and the two-loop recursion runs on K with the inner product
+    Re tr(X*Y).  Rows with no stored pair ascend along K.
+    """
 
     def __init__(self, objective, u: np.ndarray):
         self.objective = objective
@@ -238,20 +333,26 @@ class _Ascent:
         """Ascend the given elements until gradient tolerance or budget.
 
         budget is one iteration count for every element or one per element;
-        an element takes part in the first budget[i] iterations only.
+        an element takes part in the first budget[i] iterations only.  The
+        elements run in slabs of whole instances, one slab after another,
+        each with an L-BFGS history of its own that is freed after it.
         """
+        active = np.sort(active)
         done = self.done
         done[active] = False
         self.converged[active] = False
         budget = np.broadcast_to(budget, (self.nb,))
         cap = _SLAB_ENTRIES // self.u[0].size
-        for it in range(int(budget.max(initial=0))):
-            idx = np.flatnonzero(~done & (budget > it))
-            if idx.size == 0:
-                break
-            self.iterations[idx] += 1
-            for slab in _slabs(idx, self.owner, cap):
-                self._step(slab, gtol)
+        for slab in _slabs(active, self.owner, cap):
+            history = _History(slab.size, self.u.shape[-1])
+            own = budget[slab]
+            for it in range(int(own.max(initial=0))):
+                loc = np.flatnonzero(~done[slab] & (own > it))
+                if loc.size == 0:
+                    break
+                self.iterations[slab[loc]] += 1
+                self._step(slab[loc], loc, gtol, history)
+            del history  # freed before the next slab allocates its own
 
     # _gradient and _step are methods of their own so that their row-sized
     # temporaries are freed before the next slab allocates its own: those
@@ -263,43 +364,64 @@ class _Ascent:
         fa, ea = self.objective.value_and_grad(ua, idx)
         return fa, tangent_project(ua, ea)
 
-    def _step(self, idx, gtol: float) -> None:
-        """One gradient evaluation and Armijo line search for the rows idx."""
+    def _step(self, idx, loc, gtol: float, history: _History) -> None:
+        """One gradient evaluation, L-BFGS direction and Armijo line search
+        for the rows idx, at positions loc of the slab that owns history."""
         u, fval, step, done = self.u, self.fval, self.step, self.done
         fa, k = self._gradient(idx)
         fval[idx] = fa
-        gn2 = np.sum(k.real**2 + k.imag**2, axis=(1, 2))
-        gn = np.sqrt(gn2)
-        hit = gn <= gtol * (1.0 + np.abs(fa))
+        moved = history.moved[loc]
+        if moved.any():
+            history.update(loc[moved], k[moved])
+        gn2 = _dot(k, k)
+        hit = np.sqrt(gn2) <= gtol * (1.0 + np.abs(fa))
         done[idx[hit]] = True
         self.converged[idx[hit]] = True
-        live = idx[~hit]
+        live, loc = idx[~hit], loc[~hit]
         if live.size == 0:
             return
-        gn2 = gn2[~hit]
-        lam, vv = _batched.skew_exp_factors(k[~hit])
-        del k  # freed before the line search allocates its temporaries
+        k, gn2 = k[~hit], gn2[~hit]
+        # Rows with a stored pair take the two-loop direction D with a first
+        # trial of t = 1, unless D is not an ascent direction, when they fall
+        # back to D = K; rows with none ascend along K from their own step.
+        d, slope, t = k.copy(), gn2, step[live]
+        qn = np.flatnonzero(history.gamma[loc] > 0)
+        if qn.size:
+            dq = history.direction(loc[qn], k[qn])
+            sq = _dot(k[qn], dq)
+            ascent = sq > _ASCENT * np.sqrt(gn2[qn] * _dot(dq, dq))
+            d[qn[ascent]] = dq[ascent]
+            slope[qn[ascent]] = sq[ascent]
+            t[qn] = 1.0
+        history.k_prev[loc] = k
+        history.d_prev[loc] = d
+        history.moved[loc] = False
+        lam, vv = _batched.skew_exp_factors(d)
+        del k, d  # freed before the line search allocates its temporaries
         # Cap the step so one retraction never rotates past half a turn.
         tmax = np.pi / (np.max(np.abs(lam), axis=1) + 1e-300)
-        t = np.minimum(step[live], tmax)
+        t = np.minimum(t, tmax)
         # live and its per-row arrays shrink to the rows still backtracking;
         # those rows have not moved, so u holds their start.
         for _ in range(_MAX_BACKTRACKS):
             trial = _batched.apply_skew_exp(u[live], lam, vv, t)
             ft = np.asarray(self.objective.value(trial, live), dtype=float)
-            ok = ft >= fval[live] + _ARMIJO * t * gn2
+            ok = ft >= fval[live] + _ARMIJO * t * slope
             acc = live[ok]
             if acc.size:
                 u[acc] = trial[ok]
                 fval[acc] = ft[ok]
                 step[acc] = 2.0 * t[ok]
+                history.t_prev[loc[ok]] = t[ok]
+                history.moved[loc[ok]] = True
             t *= _BACKTRACK
             stalled = ~ok & (t < _MIN_STEP)
             done[live[stalled]] = True
             rest = ~ok & ~stalled
             if not rest.any():
                 return
-            live, lam, vv, gn2, t = live[rest], lam[rest], vv[rest], gn2[rest], t[rest]
+            live, loc, lam, vv = live[rest], loc[rest], lam[rest], vv[rest]
+            slope, t = slope[rest], t[rest]
         done[live] = True  # backtracking budget exhausted: stall
 
 

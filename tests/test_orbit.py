@@ -391,7 +391,7 @@ def edge_instances(draw):
     return r, (phase * c).real
 
 
-EDGE_CFG = OptConfig(restarts=4, seed=0, max_iterations=2000)
+EDGE_CFG = OptConfig(restarts=4, seed=0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -399,9 +399,8 @@ EDGE_CFG = OptConfig(restarts=4, seed=0, max_iterations=2000)
 def test_edge_inputs_reach_their_exact_supports(case):
     # Every start ties on the point regions (n=1, zero, c*Id), whose orbit
     # objective is constant; a normal derivation's region is
-    # conv(spec A) - conv(spec B), a maximum the ascent must reach.  Its
-    # ascent converges slowly: within the default 200 iterations, 3 of 20
-    # seeded n=3 and 2 of 20 n=4 derivations stop up to 3.6e-5 short.
+    # conv(spec A) - conv(spec B), a maximum the ascent must reach within
+    # the default budget.
     r, h = case
     est = orbit_region([r], M, EDGE_CFG)[0]
     assert np.abs(est.region.support - h).max() <= 1e-9 * (1.0 + np.abs(h).max())

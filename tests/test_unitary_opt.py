@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,10 +86,10 @@ def one_group(objective, cfg, starts=None):
 def three_instances(kind, n):
     """(solo, batched, cfg) for three instances of two groups each: solo
     holds the six reports of the instances run alone, and batched() runs
-    them in one call.  The budget binds."""
+    them in one call.  The budget, set per n, binds."""
     rng = np.random.default_rng(12345)
     ops = [random_instance(n, 2, rng) for _ in range(3)]
-    cfg = OptConfig(restarts=3, seed=5, max_iterations=120)
+    cfg = OptConfig(restarts=3, seed=5, max_iterations={2: 16, 4: 30}[n])
     block = np.stack(default_starts(n, cfg.restarts, np.random.default_rng(5)))
     thetas = np.array([0.4, 2.0])
     params = np.array([1.5 - 0.5j, -2.0j])
@@ -312,6 +313,159 @@ class TestMaximizeGrouped:
         )
         assert easy.iterations == 1
         assert climb.iterations > 1
+
+
+def skew_basis(n):
+    """An orthonormal basis of the skew-Hermitian n x n matrices under
+    Re tr(X*Y): the real n^2 coordinates of the Lie algebra u(n)."""
+    basis = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1j
+        basis.append(e)
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j], e[j, i] = 1, -1
+            basis.append(e / np.sqrt(2))
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = e[j, i] = 1j
+            basis.append(e / np.sqrt(2))
+    return np.stack(basis)
+
+
+def coords(basis, x):
+    return np.array([np.sum(b.real * x.real + b.imag * x.imag) for b in basis])
+
+
+def inverse_bfgs(pairs, dim):
+    """Dense inverse-BFGS matrix of the pairs (s, y), oldest first, with
+    the initial scaling <s, y>/<y, y> of the newest pair."""
+    s, y = pairs[-1]
+    h = (s @ y) / (y @ y) * np.eye(dim)
+    for s, y in pairs:
+        rho = 1.0 / (s @ y)
+        left = np.eye(dim) - rho * np.outer(s, y)
+        h = left @ h @ left.T + rho * np.outer(s, s)
+    return h
+
+
+def store_pair(history, loc, s, y):
+    """Feed the pair (s, y) of the rows loc through history.update."""
+    k = np.stack([random_skew(np.random.default_rng(len(loc)), s.shape[-1])] * len(loc))
+    history.d_prev[loc] = s
+    history.t_prev[loc] = 1.0
+    history.k_prev[loc] = y + k
+    history.update(loc, k)
+
+
+class TestLbfgsStep:
+    def test_two_loop_matches_dense_inverse_bfgs(self, rng):
+        # Row 0 holds two pairs, row 1 six, of which the newest _MEMORY count.
+        n = 3
+        basis = skew_basis(n)
+        history = unitary_opt._History(2, n)
+        spd = rng.standard_normal((n * n, n * n))
+        spd = spd @ spd.T + np.eye(n * n)
+        pairs = [[], []]
+        for count in range(6):
+            rows = np.array([0, 1]) if count < 2 else np.array([1])
+            s = np.stack([random_skew(rng, n) for _ in rows])
+            y = np.stack([np.einsum("a,aij->ij", spd @ coords(basis, x), basis) for x in s])
+            store_pair(history, rows, s, y)
+            for row, si, yi in zip(rows, s, y):
+                pairs[row].append((coords(basis, si), coords(basis, yi)))
+        k = np.stack([random_skew(rng, n) for _ in range(2)])
+        d = history.direction(np.array([0, 1]), k)
+        assert np.abs(d + np.conj(np.swapaxes(d, 1, 2))).max() <= 1e-12
+        for row, kept in ((0, pairs[0]), (1, pairs[1][-unitary_opt._MEMORY:])):
+            want = inverse_bfgs(kept, n * n) @ coords(basis, k[row])
+            assert np.allclose(coords(basis, d[row]), want, rtol=1e-10, atol=1e-12)
+
+    def test_pair_without_positive_curvature_is_skipped(self, rng):
+        # Row 0's new y is -s and row 1's is orthogonal to s, so both keep
+        # their first pair alone; row 2's y = 2s is stored as its newest.
+        n = 2
+        history = unitary_opt._History(3, n)
+        s = np.stack([random_skew(rng, n) for _ in range(3)])
+        store_pair(history, np.arange(3), s, s)
+        ring = (history.s, history.y, history.rho, history.head, history.gamma)
+        before = [x.copy() for x in ring]
+        other = random_skew(rng, n)
+        ortho = other - np.sum(np.conj(s[1]) * other).real * s[1]
+        store_pair(history, np.arange(3), s, np.stack([-s[0], ortho, 2 * s[2]]))
+        slots = np.arange(unitary_opt._MEMORY)[:, None] * 3 + np.arange(3)
+        for x, old in zip(ring, before):
+            rows = slots[:, :2] if x.shape[0] == slots.size else np.arange(2)
+            assert np.array_equal(x[rows], old[rows])
+        newest = history.head[2] * 3 + 2
+        assert np.array_equal(history.s[newest], s[2])
+        assert np.allclose(history.y[newest], 2 * s[2], rtol=0, atol=1e-15)
+        assert history.rho[newest] == pytest.approx(0.5)
+        assert np.sort(history.rho[slots[:, 2]]) == pytest.approx([0.0, 0.0, 0.5, 1.0])
+        assert history.gamma[2] == pytest.approx(0.5)
+
+    def test_non_ascent_direction_falls_back_to_k(self, rng, monkeypatch):
+        # Both rows hold a pair; row 0's two-loop direction is -K, which is
+        # not an ascent direction, so it retracts along K; row 1 keeps its
+        # direction 2K.  Both take a first trial of t = 1.
+        n = 3
+        r = random_instance(n, 2, rng)
+        obj = OrbitSupportObjective([(r.a, r.b)], 0.9)
+        state = unitary_opt._Ascent(obj, np.stack(default_starts(n, 0, rng)))
+        idx = np.arange(2)
+        _, k = state._gradient(idx)
+        history = unitary_opt._History(2, n)
+        s = np.stack([random_skew(rng, n) for _ in idx])
+        store_pair(history, idx, s, s)
+        monkeypatch.setattr(history, "direction", lambda loc, k: np.stack([-k[0], 2 * k[1]]))
+        seen = []
+        factors, retract = unitary_opt._batched.skew_exp_factors, unitary_opt._batched.apply_skew_exp
+
+        def spy_factors(d):
+            seen.append(d.copy())
+            return factors(d)
+
+        def spy_retract(u, lam, v, t):
+            seen.append(t.copy())
+            return retract(u, lam, v, t)
+
+        monkeypatch.setattr(unitary_opt._batched, "skew_exp_factors", spy_factors)
+        monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", spy_retract)
+        state._step(idx, idx, 0.0, history)
+        assert np.array_equal(seen[0], np.stack([k[0], 2 * k[1]]))
+        lam = np.linalg.eigvalsh(1j * seen[0])
+        tmax = np.pi / np.abs(lam).max(axis=1)
+        assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
+
+    def test_history_memory_is_bounded_by_slabs(self, monkeypatch):
+        # Each slab of instances runs all its iterations with an L-BFGS
+        # history of its own, freed before the next slab starts.  With one
+        # slab holding 2 instances, 8 instances peak like 2 plus their own
+        # starts (+13-17% at n = 4); with one history for every row they
+        # peaked at 2.2 times 2.
+        n = 4
+        block = np.stack(default_starts(n, 4, np.random.default_rng(9)))
+        rows = 2 * len(block)
+        ops = [random_instance(n, 2, np.random.default_rng([9, i])) for i in range(8)]
+        thetas = np.array([0.4, 2.0])
+        cfg = OptConfig(restarts=4, seed=9, max_iterations=40)
+        monkeypatch.setattr(unitary_opt, "_SLAB_ENTRIES", 2 * rows * n * n)
+
+        def peak(count):
+            groups = np.repeat(np.arange(2 * count), len(block))
+            obj = OrbitSupportObjective(
+                [(r.a, r.b) for r in ops[:count]], thetas[groups % 2], rows * np.arange(count)
+            )
+            starts = np.concatenate([block] * (2 * count))
+            tracemalloc.start()
+            try:
+                maximize_grouped(obj, groups, starts, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)
+        assert peak(8) <= 1.5 * peak(2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
