@@ -63,12 +63,15 @@ def _tolerance(text: str) -> float:
 _FLAGS = {
     "directions": dict(type=int, default=DEFAULT_DIRECTIONS,
                        help="support directions (default %(default)s)"),
-    "restarts": dict(type=int, default=DEFAULT_CFG.restarts,
+    "restarts": dict(type=_positive_int, default=DEFAULT_CFG.restarts,
                      help="Haar restarts per optimization (default %(default)s)"),
     "smax_factor": dict(type=float, default=DEFAULT_SMAX_FACTOR,
                         help="largest shift as a multiple of scale (default %(default)g)"),
     "seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
-    "tol": dict(type=_tolerance, default=None, help="override the verification tolerance"),
+    "tol": dict(type=_tolerance, default=None,
+                help="override the verification tolerance: the absolute main_formula "
+                     "tolerance for verify and projection, a multiple of the oracle's "
+                     "diameter for derivation"),
     "dim": dict(type=_positive_int, default=2, help="matrix dimension (default %(default)s)"),
 }
 
@@ -111,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instances", nargs="*", help="instance files (default: random batch)")
     p.add_argument("--count", type=_positive_int, default=20,
                    help="random instances (default 20)")
-    p.add_argument("--tuples", type=int, default=2, help="tuple length k (default 2)")
+    p.add_argument("--tuples", type=_positive_int, default=2, help="tuple length k (default 2)")
     _flags(p, "dim", "directions", "restarts", "smax_factor", "seed", "tol")
 
     p = subs.add_parser("derivation",

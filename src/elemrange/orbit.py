@@ -12,8 +12,8 @@ last decrement of the schedule is reported as the residual bias bound.
 
 Both sides run the same sweep (``_sweep``): every direction's multistart
 as one grouped batch, then a second grouped pass that re-ascends each
-direction from its neighbor's maximizer.  The operator side's schedule of
-shifts is decided here alone, from the operator's scale.
+direction from its predecessor's maximizer on the circle.  The operator
+side's schedule of shifts is decided here alone, from the operator's scale.
 
 Both regions take a list of operators on one M_n and return one estimate
 per operator.  Each phase runs one grouped ascent for all of them: the
@@ -195,20 +195,17 @@ def _sweep_starts(n: int, m: int, cfg: OptConfig, stream: int, count: int, extra
 _CHAIN_BUDGET = 30
 
 
-def _chain_polish(reports, make_objective, cfg: OptConfig, extra=None):
+def _chain_polish(reports, make_objective, cfg: OptConfig):
     """Grouped warm-continuation pass implementing direction chaining.
 
-    Every direction of every instance re-ascends from its own maximizer,
-    its predecessor's, and any extra warm point, all in one batch; results
-    merge in by max.
+    Direction j of every instance re-ascends from one start, the maximizer
+    of direction j - 1 on the circle (direction 0 from direction m - 1),
+    all in one batch; results merge in by max.  A direction's own maximizer
+    and any warm point were already starts of the sweep, under the same
+    objective, so they are not ascended again.
     """
-    blocks = []
-    for reps in reports:
-        inst_blocks = [[rep.maximizer] for rep in reps]
-        for block, prev in zip(inst_blocks[1:], reps):
-            block.append(prev.maximizer)
-        blocks.append(inst_blocks)
-    starts, groups, offsets = _stack_blocks(blocks, extra)
+    blocks = [[[reps[j - 1].maximizer] for j in range(len(reps))] for reps in reports]
+    starts, groups, offsets = _stack_blocks(blocks)
     capped = replace(cfg, max_iterations=min(_CHAIN_BUDGET, cfg.max_iterations))
     polished = maximize_grouped(
         make_objective(groups, offsets), groups, starts, capped, coarse_first=False
@@ -230,7 +227,7 @@ def _sweep(
     """
     starts, groups, offsets = _sweep_starts(n, m, cfg, stream, count, extra)
     reports = maximize_grouped(make_objective(groups, offsets), groups, starts, cfg)
-    return _chain_polish(_by_instance(reports, m), make_objective, cfg, extra)
+    return _chain_polish(_by_instance(reports, m), make_objective, cfg)
 
 
 def _orbit_estimate(r: KTupleOperator, reports, thetas: np.ndarray):

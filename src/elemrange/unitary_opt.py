@@ -11,8 +11,9 @@ _MEMORY pairs (s, y) as skew matrices and the two-loop recursion maps K
 to a direction D under the inner product Re tr(X*Y).  The retraction is
 the exact matrix exponential u <- u exp(tD), and t is chosen by Armijo
 backtracking from t = 1; a start whose D is not an ascent direction steps
-along K instead.  A start with no pair yet steps along K from a step size
-that doubles after each accepted step.
+along K instead.  The recursion's initial inverse Hessian is gamma I, with
+gamma = _INITIAL_STEP until a start stores its first pair, so a start with
+no pair yet takes D = _INITIAL_STEP K through the same path.
 Objectives may carry per-element parameters (direction angles, shifts) so
 a whole sweep of related subproblems runs as one batch; the grouped
 driver then aggregates per subproblem.  Every start first ascends to a
@@ -57,9 +58,10 @@ _MEMORY = 4
 _CURVATURE = 1e-12
 _ASCENT = 1e-10
 
-# Armijo line search: first step of a row with no stored pair (doubled after
-# each accepted step), backtracking factor, sufficient-increase constant,
-# most trials per gradient, and the step below which a row stalls.
+# The initial gamma of the L-BFGS scaling gamma I, which makes the first
+# step of a row with no stored pair _INITIAL_STEP K; then the Armijo line
+# search: backtracking factor, sufficient-increase constant, most trials per
+# gradient, and the step below which a row stalls.
 _INITIAL_STEP = 0.5
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
@@ -250,10 +252,11 @@ class _History:
     Each row keeps its last _MEMORY pairs (s, y) in a ring whose newest slot
     is head; slot j of row i is entry j * rows + i of s, y and rho.  A slot
     with no pair holds zeros and rho = 0, which the two-loop recursion
-    passes through unchanged.  gamma > 0 marks the rows with a stored pair.
-    d_prev and t_prev are the direction and step of each row's last
-    iteration, k_prev its K there, and moved marks the rows whose step was
-    accepted.
+    passes through unchanged, so a row with none gets gamma K; gamma starts
+    at _INITIAL_STEP.  s_prev is the step t D of each row's last iteration
+    in the Lie algebra and k_prev its K there.  A row steps again only after
+    an accepted step (any other row is done), so s_prev is always that step;
+    before a row's first step it is 0, and the curvature test skips the pair.
     """
 
     def __init__(self, rows: int, n: int):
@@ -262,20 +265,17 @@ class _History:
         self.y = np.zeros_like(self.s)
         self.rho = np.zeros(_MEMORY * rows)
         self.head = np.zeros(rows, dtype=int)
-        self.gamma = np.zeros(rows)
+        self.gamma = np.full(rows, _INITIAL_STEP)
         self.k_prev = np.zeros((rows, n, n), dtype=complex)
-        self.d_prev = np.zeros_like(self.k_prev)
-        self.t_prev = np.zeros(rows)
-        self.moved = np.zeros(rows, dtype=bool)
+        self.s_prev = np.zeros_like(self.k_prev)
 
     def update(self, loc, k) -> None:
-        """Store the pair of the rows loc, which moved and now ascend along k.
+        """Store the pair of the rows loc, which now ascend along k.
 
-        s = t_prev d_prev is the step in the Lie algebra and y = K_prev - K
-        the gradient change of -f; a pair without positive curvature is
-        skipped.
+        s = s_prev is the step in the Lie algebra and y = K_prev - K the
+        gradient change of -f; a pair without positive curvature is skipped.
         """
-        s = self.t_prev[loc][:, None, None] * self.d_prev[loc]
+        s = self.s_prev[loc]
         y = self.k_prev[loc] - k
         sy = _dot(s, y)
         yy = _dot(y, y)
@@ -314,7 +314,7 @@ class _Ascent:
     Each step is L-BFGS on the left-trivialized directions K = skew(u*E):
     vector transport is then the identity, so the pairs (s, y) live in the
     Lie algebra and the two-loop recursion runs on K with the inner product
-    Re tr(X*Y).  Rows with no stored pair ascend along K.
+    Re tr(X*Y).  Rows with no stored pair ascend along gamma K.
     """
 
     def __init__(self, objective, u: np.ndarray):
@@ -324,7 +324,6 @@ class _Ascent:
         offsets = objective.offsets
         self.owner = np.searchsorted(offsets, np.arange(self.nb), side="right") - 1
         self.fval = np.full(self.nb, np.nan)  # every row steps in the first run
-        self.step = np.full(self.nb, _INITIAL_STEP)
         self.done = np.zeros(self.nb, dtype=bool)
         self.converged = np.zeros(self.nb, dtype=bool)
         self.iterations = np.zeros(self.nb, dtype=int)
@@ -367,12 +366,10 @@ class _Ascent:
     def _step(self, idx, loc, gtol: float, history: _History) -> None:
         """One gradient evaluation, L-BFGS direction and Armijo line search
         for the rows idx, at positions loc of the slab that owns history."""
-        u, fval, step, done = self.u, self.fval, self.step, self.done
+        u, fval, done = self.u, self.fval, self.done
         fa, k = self._gradient(idx)
         fval[idx] = fa
-        moved = history.moved[loc]
-        if moved.any():
-            history.update(loc[moved], k[moved])
+        history.update(loc, k)
         gn2 = _dot(k, k)
         hit = np.sqrt(gn2) <= gtol * (1.0 + np.abs(fa))
         done[idx[hit]] = True
@@ -381,26 +378,20 @@ class _Ascent:
         if live.size == 0:
             return
         k, gn2 = k[~hit], gn2[~hit]
-        # Rows with a stored pair take the two-loop direction D with a first
-        # trial of t = 1, unless D is not an ascent direction, when they fall
-        # back to D = K; rows with none ascend along K from their own step.
-        d, slope, t = k.copy(), gn2, step[live]
-        qn = np.flatnonzero(history.gamma[loc] > 0)
-        if qn.size:
-            dq = history.direction(loc[qn], k[qn])
-            sq = _dot(k[qn], dq)
-            ascent = sq > _ASCENT * np.sqrt(gn2[qn] * _dot(dq, dq))
-            d[qn[ascent]] = dq[ascent]
-            slope[qn[ascent]] = sq[ascent]
-            t[qn] = 1.0
+        # Every row takes the two-loop direction D (gamma K for a row with no
+        # stored pair) with a first trial of t = 1, unless D is not an ascent
+        # direction, when it falls back to D = K.
+        d = history.direction(loc, k)
+        slope = _dot(k, d)
+        fallback = ~(slope > _ASCENT * np.sqrt(gn2 * _dot(d, d)))
+        d[fallback] = k[fallback]
+        slope[fallback] = gn2[fallback]
         history.k_prev[loc] = k
-        history.d_prev[loc] = d
-        history.moved[loc] = False
+        history.s_prev[loc] = d  # scaled by t on acceptance
         lam, vv = _batched.skew_exp_factors(d)
         del k, d  # freed before the line search allocates its temporaries
         # Cap the step so one retraction never rotates past half a turn.
-        tmax = np.pi / (np.max(np.abs(lam), axis=1) + 1e-300)
-        t = np.minimum(t, tmax)
+        t = np.minimum(1.0, np.pi / (np.max(np.abs(lam), axis=1) + 1e-300))
         # live and its per-row arrays shrink to the rows still backtracking;
         # those rows have not moved, so u holds their start.
         for _ in range(_MAX_BACKTRACKS):
@@ -411,9 +402,7 @@ class _Ascent:
             if acc.size:
                 u[acc] = trial[ok]
                 fval[acc] = ft[ok]
-                step[acc] = 2.0 * t[ok]
-                history.t_prev[loc[ok]] = t[ok]
-                history.moved[loc[ok]] = True
+                history.s_prev[loc[ok]] *= t[ok][:, None, None]
             t *= _BACKTRACK
             stalled = ~ok & (t < _MIN_STEP)
             done[live[stalled]] = True

@@ -149,13 +149,16 @@ class TestExitCodes:
          for command in ("verify", "derivation", "projection") for tol in ("nan", "-1", "inf")]
         + [["projection", "--dim", "2", "--rank", rank] for rank in ("3", "5", "-1")]
         + [[command, "--dim", dim]
-           for command in ("verify", "derivation", "projection") for dim in ("0", "-1")],
+           for command in ("verify", "derivation", "projection") for dim in ("0", "-1")]
+        + [["verify", "--tuples", tuples] for tuples in ("0", "-1")]
+        + [[command, "--restarts", "0"] for command in ("verify", "derivation", "projection")],
         ids=lambda argv: "-".join(argv),
     )
     def test_value_out_of_range_is_2(self, argv, capsys):
         # Exit 1 means a check exceeded its tolerance, so a tolerance no
         # discrepancy can be measured against is a usage error; so are a
-        # projection rank the dimension cannot hold and a dimension below 1.
+        # projection rank the dimension cannot hold, and a dimension, tuple
+        # length or restart count below 1.
         try:
             code = main([*argv, "--directions", "8"])
         except SystemExit as exc:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elemrange import orbit
 from elemrange.elemop import KTupleOperator, apply, random_instance, russo_dye_norm
 from elemrange.linalg import (
     haar_unitaries,
@@ -318,6 +319,42 @@ class TestBanachRegion:
             orbit.region.support
             <= ban.region.support + slack + 1e-6 * ban.scale
         )
+
+
+class TestChainPolish:
+    def test_one_start_per_direction_from_its_predecessor(self, monkeypatch):
+        # The chained polish re-ascends direction j of each instance from the
+        # maximizer of direction j - 1 mod m alone: the direction's own
+        # maximizer and the Banach warm start were starts of the sweep.
+        ops = [random_instance(2, 2, np.random.default_rng([17, i])) for i in range(2)]
+        warm = [list(haar_unitaries(2, 8, np.random.default_rng([18, i]))) for i in range(2)]
+        chain, grouped = orbit._chain_polish, orbit.maximize_grouped
+        inside, polishes = [], []  # polishes: (maximizers in, groups, starts)
+
+        def spy_chain(reports, *args):
+            inside.append([[rep.maximizer.copy() for rep in reps] for reps in reports])
+            try:
+                return chain(reports, *args)
+            finally:
+                inside.pop()
+
+        def spy_grouped(objective, groups, starts, *args, **kwargs):
+            if inside:
+                polishes.append((inside[-1], np.asarray(groups), np.stack(starts)))
+            return grouped(objective, groups, starts, *args, **kwargs)
+
+        monkeypatch.setattr(orbit, "_chain_polish", spy_chain)
+        monkeypatch.setattr(orbit, "maximize_grouped", spy_grouped)
+        orbit_region(ops, 8, CFG)
+        banach_region(ops, 8, CFG, scales=[3.0, 4.0], warm_starts=warm)
+        assert len(polishes) == 2
+        for maximizers, groups, starts in polishes:
+            assert np.array_equal(groups, np.arange(2 * 8))
+            for i, inst in enumerate(maximizers):
+                for j in range(8):
+                    assert np.array_equal(starts[8 * i + j], inst[j - 1])
+            flat = [w for inst in warm for w in inst]
+            assert not any(np.array_equal(start, w) for start in starts for w in flat)
 
 
 class TestPerUnitaryInclusion:

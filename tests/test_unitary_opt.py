@@ -352,10 +352,37 @@ def inverse_bfgs(pairs, dim):
 def store_pair(history, loc, s, y):
     """Feed the pair (s, y) of the rows loc through history.update."""
     k = np.stack([random_skew(np.random.default_rng(len(loc)), s.shape[-1])] * len(loc))
-    history.d_prev[loc] = s
-    history.t_prev[loc] = 1.0
+    history.s_prev[loc] = s
     history.k_prev[loc] = y + k
     history.update(loc, k)
+
+
+def spy_retraction(monkeypatch):
+    """The list of each direction stack the ascent factors and each step
+    vector it retracts by, in call order."""
+    seen = []
+    factors, retract = unitary_opt._batched.skew_exp_factors, unitary_opt._batched.apply_skew_exp
+
+    def spy_factors(d):
+        seen.append(d.copy())
+        return factors(d)
+
+    def spy_retract(u, lam, v, t):
+        seen.append(t.copy())
+        return retract(u, lam, v, t)
+
+    monkeypatch.setattr(unitary_opt._batched, "skew_exp_factors", spy_factors)
+    monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", spy_retract)
+    return seen
+
+
+def fresh_ascent(rng, n=3, restarts=4):
+    """An ascent of one orbit objective from the default starts, its rows,
+    and a fresh L-BFGS history for them."""
+    r = random_instance(n, 2, rng)
+    obj = OrbitSupportObjective([(r.a, r.b)], 0.9)
+    state = unitary_opt._Ascent(obj, np.stack(default_starts(n, restarts, rng)))
+    return state, np.arange(state.nb), unitary_opt._History(state.nb, n)
 
 
 class TestLbfgsStep:
@@ -418,24 +445,39 @@ class TestLbfgsStep:
         s = np.stack([random_skew(rng, n) for _ in idx])
         store_pair(history, idx, s, s)
         monkeypatch.setattr(history, "direction", lambda loc, k: np.stack([-k[0], 2 * k[1]]))
-        seen = []
-        factors, retract = unitary_opt._batched.skew_exp_factors, unitary_opt._batched.apply_skew_exp
-
-        def spy_factors(d):
-            seen.append(d.copy())
-            return factors(d)
-
-        def spy_retract(u, lam, v, t):
-            seen.append(t.copy())
-            return retract(u, lam, v, t)
-
-        monkeypatch.setattr(unitary_opt._batched, "skew_exp_factors", spy_factors)
-        monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", spy_retract)
+        seen = spy_retraction(monkeypatch)
         state._step(idx, idx, 0.0, history)
         assert np.array_equal(seen[0], np.stack([k[0], 2 * k[1]]))
         lam = np.linalg.eigvalsh(1j * seen[0])
         tmax = np.pi / np.abs(lam).max(axis=1)
         assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
+
+    def test_first_step_is_initial_step_along_k(self, rng, monkeypatch):
+        # A fresh history holds no pair, so the two-loop recursion returns
+        # gamma K with gamma = _INITIAL_STEP, tried first at t = min(1, tmax):
+        # a steepest-ascent step of _INITIAL_STEP along K.
+        state, idx, history = fresh_ascent(rng)
+        _, k = state._gradient(idx)
+        seen = spy_retraction(monkeypatch)
+        state._step(idx, idx, 0.0, history)
+        assert np.array_equal(seen[0], unitary_opt._INITIAL_STEP * k)
+        lam = np.linalg.eigvalsh(1j * seen[0])
+        tmax = np.pi / np.abs(lam).max(axis=1)
+        assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
+
+    def test_first_pair_is_stored_at_the_second_step(self, rng):
+        # Before a row's first step its s_prev is 0, so the curvature test
+        # skips that pair: no row holds one after the first step.  The
+        # second step stores the pair of the first in every row that moved.
+        state, idx, history = fresh_ascent(rng)
+        start = state.u.copy()
+        state._step(idx, idx, 0.0, history)
+        assert not history.rho.any()
+        moved = np.flatnonzero(np.any(state.u != start, axis=(1, 2)))
+        assert moved.size > 1
+        state._step(moved, moved, 0.0, history)
+        pairs = np.count_nonzero(history.rho.reshape(unitary_opt._MEMORY, -1), axis=0)
+        assert np.array_equal(pairs[moved], np.ones(moved.size))
 
     def test_history_memory_is_bounded_by_slabs(self, monkeypatch):
         # Each slab of instances runs all its iterations with an L-BFGS
