@@ -44,11 +44,17 @@ from .verify import (
 _WITNESS_CAP = 512
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -61,18 +67,18 @@ def _tolerance(text: str) -> float:
 # Flags shared by several subcommands, keyed by their dest; each subcommand
 # takes only the ones its handler reads (see _flags).
 _FLAGS = {
-    "directions": dict(type=int, default=DEFAULT_DIRECTIONS,
+    "directions": dict(type=_int_at_least(8), default=DEFAULT_DIRECTIONS,
                        help="support directions (default %(default)s)"),
-    "restarts": dict(type=_positive_int, default=DEFAULT_CFG.restarts,
+    "restarts": dict(type=_int_at_least(1), default=DEFAULT_CFG.restarts,
                      help="Haar restarts per optimization (default %(default)s)"),
     "smax_factor": dict(type=float, default=DEFAULT_SMAX_FACTOR,
                         help="largest shift as a multiple of scale (default %(default)g)"),
-    "seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
+    "seed": dict(type=_int_at_least(0), default=0, help="random seed (default %(default)s)"),
     "tol": dict(type=_tolerance, default=None,
                 help="override the verification tolerance: the absolute main_formula "
                      "tolerance for verify and projection, a multiple of the oracle's "
                      "diameter for derivation"),
-    "dim": dict(type=_positive_int, default=2, help="matrix dimension (default %(default)s)"),
+    "dim": dict(type=_int_at_least(1), default=2, help="matrix dimension (default %(default)s)"),
 }
 
 
@@ -112,16 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="verify the orbit formula on a batch")
     p.add_argument("instances", nargs="*", help="instance files (default: random batch)")
-    p.add_argument("--count", type=_positive_int, default=20,
+    p.add_argument("--count", type=_int_at_least(1), default=20,
                    help="random instances (default 20)")
-    p.add_argument("--tuples", type=_positive_int, default=2, help="tuple length k (default 2)")
+    p.add_argument("--tuples", type=_int_at_least(1), default=2, help="tuple length k (default 2)")
     _flags(p, "dim", "directions", "restarts", "smax_factor", "seed", "tol")
 
     p = subs.add_parser("derivation",
                         help="check x -> Ax - xB against W(A) - W(B)")
     p.add_argument("instances", nargs="*",
                    help="instance files encoding a derivation (default: random batch)")
-    p.add_argument("--count", type=_positive_int, default=10,
+    p.add_argument("--count", type=_int_at_least(1), default=10,
                    help="random pairs (default 10)")
     _flags(p, "dim", "directions", "restarts", "seed", "tol")
 

@@ -30,11 +30,16 @@ def _matrix_to_json(mat: np.ndarray):
     return [[_pair(entry) for entry in row] for row in np.asarray(mat)]
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer: bool is a subclass of int, but true and false are not numbers."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _parse_complex(obj, where: str) -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(v, (int, float)) for v in obj)
+        or not all(_is_int(v) or isinstance(v, float) for v in obj)
     ):
         raise InstanceFormatError(f"{where}: expected a [re, im] pair, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
@@ -75,9 +80,9 @@ def parse_instance_dict(d: dict) -> KTupleOperator:
         if fld not in d:
             raise InstanceFormatError(f"field '{fld}' is missing")
     n, k = d["n"], d["k"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InstanceFormatError(f"field 'n': expected a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise InstanceFormatError(f"field 'k': expected a positive integer, got {k!r}")
     for fld in ("a", "b"):
         if not isinstance(d[fld], list) or len(d[fld]) != k:
@@ -88,7 +93,7 @@ def parse_instance_dict(d: dict) -> KTupleOperator:
     if label is not None and not isinstance(label, str):
         raise InstanceFormatError("field 'label': expected a string")
     seed = d.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise InstanceFormatError("field 'seed': expected an integer")
     return KTupleOperator(a, b, label=label, seed=seed)
 

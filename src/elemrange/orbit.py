@@ -34,7 +34,6 @@ from . import _batched
 from .elemop import KTupleOperator, _batch_dim, apply_batched, russo_dye_norm
 from .region import SupportRegion, cloud_supports, directions, region_from_supports
 from .unitary_opt import (
-    _SLAB_ENTRIES,
     OptConfig,
     OrbitSupportObjective,
     ShiftedNormObjective,
@@ -43,7 +42,6 @@ from .unitary_opt import (
     merge_reports,
 )
 
-WITNESS_ANGLES = 32
 EARLY_STOP_REL = 1e-4
 DEFAULT_SMAX_FACTOR = 64.0
 
@@ -58,8 +56,9 @@ class RangeEstimate:
     """A computed region plus the diagnostics that qualify it.
 
     g_schedules and s_schedule are present for the operator (ray-limit)
-    side; samples is the witness cloud of the orbit side, boundary points
-    of W(sum u*a_i u b_i) at the per-direction maximizers u.
+    side; samples is the witness cloud of the orbit side, one boundary
+    point of W(sum u*a_i u b_i) per direction, at that direction's
+    maximizer u.
     """
 
     region: SupportRegion
@@ -119,37 +118,29 @@ def _orbit_matrices(r: KTupleOperator, us: np.ndarray) -> np.ndarray:
 
 
 def _fov_witnesses(c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Boundary points of W(c_j) in the directions thetas[j, :], row by row.
+    """Boundary point v* c_j v of W(c_j) in the direction thetas[j], for each j.
 
-    The rows (j, a) run in slabs of at most _SLAB_ENTRIES matrix entries
-    (or of one c_j), which bound the temporaries; every row's work is its
-    own, so the slabs do not change its bits.
+    Each row's bits are its own in any call of two or more rows; numpy's
+    einsum sums a call of a single 2x2 row in another order.
     """
-    count, width = thetas.shape
-    out = np.empty(count * width, dtype=complex)
-    step = max(1, _SLAB_ENTRIES // (width * c.shape[-1] ** 2))
-    for lo in range(0, count, step):
-        cs = np.repeat(c[lo : lo + step], width, axis=0)
-        rc = np.exp(-1j * thetas[lo : lo + step].ravel())[:, None, None] * cs
-        h = (rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0
-        _, v = _batched.top_eigh(h)
-        out[lo * width : lo * width + len(cs)] = np.einsum("bi,bij,bj->b", np.conj(v), cs, v)
-    return out
+    rc = np.exp(-1j * thetas)[:, None, None] * c
+    _, v = _batched.top_eigh((rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0)
+    return np.einsum("bi,bij,bj->b", np.conj(v), c, v)
 
 
-def orbit_witnesses(r: KTupleOperator, us: np.ndarray, n_angles: int = WITNESS_ANGLES):
-    """Boundary witness points of W(sum u*a_i u b_i) for each unitary."""
-    th = directions(n_angles)
-    return _fov_witnesses(_orbit_matrices(r, us), np.broadcast_to(th, (len(us), n_angles)))
+def orbit_witnesses(r: KTupleOperator, us: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Boundary point of W(sum_i u_j* a_i u_j b_i) in the direction thetas[j],
+    for each unitary u_j: one point of the orbit union per unitary."""
+    return _fov_witnesses(_orbit_matrices(r, us), thetas)
 
 
 def _witnesses_at_own_angle(r: KTupleOperator, us: np.ndarray, thetas: np.ndarray):
-    """Witness of each unitary's field of values at its own direction theta_j.
+    """The witness cloud: each direction's maximizer u_j witnessed at theta_j.
 
     These points realize the optimized support values exactly, so the
     witness cloud's hull touches the orbit region in every grid direction.
     """
-    return _fov_witnesses(_orbit_matrices(r, us), thetas[:, None])
+    return orbit_witnesses(r, us, thetas)
 
 
 def _stack_blocks(blocks, extra=None):
@@ -234,10 +225,7 @@ def _orbit_estimate(r: KTupleOperator, reports, thetas: np.ndarray):
     """One instance's orbit region from its sweep reports and the witness cloud."""
     maximizers = np.stack([rep.maximizer for rep in reports])
     h_opt = np.array([rep.value for rep in reports])
-    witnesses = np.concatenate([
-        orbit_witnesses(r, maximizers),
-        _witnesses_at_own_angle(r, maximizers, thetas),
-    ])
+    witnesses = _witnesses_at_own_angle(r, maximizers, thetas)
     h = np.maximum(h_opt, cloud_supports(witnesses, len(thetas)))
     scale = max(1.0, float(np.max(np.abs(h))))
     return RangeEstimate(
@@ -251,13 +239,13 @@ def orbit_region(
     """Orbit-side region of each operator: per-direction optimized supports
     plus witness cloud.
 
-    The witness cloud collects boundary points of W(sum u*a_i u b_i) for
-    every per-direction maximizer u, on the WITNESS_ANGLES grid and at u's
-    own direction.  Witness points are certified members of the orbit
-    union, so the region support in each direction is the larger of the
-    optimized value and the cloud's own support there.  The operators act
-    on one M_n; their sweeps run as one grouped ascent, and each estimate
-    is the one its operator gets alone.
+    The witness cloud holds one point per direction theta_j: the boundary
+    point of W(sum u*a_i u b_i) at theta_j for that direction's maximizer
+    u.  Witness points are certified members of the orbit union, so the
+    region support in each direction is the larger of the optimized value
+    and the cloud's own support there.  The operators act on one M_n;
+    their sweeps run as one grouped ascent, and each estimate is the one
+    its operator gets alone.
     """
     if m < 8:
         raise ValueError("orbit_region needs at least 8 directions")

@@ -76,6 +76,27 @@ class TestInstanceFormat:
         with pytest.raises(InstanceFormatError, match=r"\[re, im\]"):
             parse_instance_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", True), ("k", True), ("seed", False), ("pair", [True, False]), ("pair", [1, False])],
+    )
+    def test_boolean_rejected(self, field, value):
+        # JSON true and false are not numbers, though Python's bool is an int.
+        doc = json.loads(json.dumps(IDENTITY_DOC))
+        if field == "pair":
+            doc["a"][0][0][0] = value
+        else:
+            doc[field] = value
+        where = r"\[re, im\]" if field == "pair" else f"field '{field}'"
+        with pytest.raises(InstanceFormatError, match=where):
+            parse_instance_dict(doc)
+
+    def test_boolean_dimension_is_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(dict(IDENTITY_DOC, n=True)))
+        assert main(["norm", str(path)]) == 2
+        assert "field 'n'" in capsys.readouterr().err
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2,\n  "k": }')
@@ -166,6 +187,24 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 2
         assert argv[-2] in err and "PASS" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "--directions", m]
+         for command in ("fov", "range", "verify", "derivation", "projection")
+         for m in ("0", "-4", "6")]
+        + [[command, "--seed", "-1"] for command in ("norm", "range", "verify")],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_flag_below_its_minimum_names_itself(self, identity_path, argv, capsys):
+        # --directions needs 8 and --seed 0; the usage error names the flag.
+        command, *rest = argv
+        instance = [identity_path] if command in ("fov", "norm", "range") else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *instance, *rest])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: must be >= " in err
 
     def test_zero_tolerance_is_checked(self, identity_path, capsys):
         code = main(["verify", identity_path, "--tol", "0", *fast_args()])

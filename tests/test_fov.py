@@ -13,7 +13,7 @@ JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 def _witness(c, theta: float) -> complex:
     """The boundary point v*cv of W(c) at theta that the orbit side records."""
-    return _fov_witnesses(np.asarray(c, dtype=complex)[None], np.array([[theta]]))[0]
+    return _fov_witnesses(np.asarray(c, dtype=complex)[None], np.array([theta]))[0]
 
 
 class TestFovSupport:

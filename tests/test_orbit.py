@@ -16,14 +16,19 @@ from elemrange.linalg import (
 )
 from elemrange.orbit import (
     EARLY_STOP_REL,
-    WITNESS_ANGLES,
     banach_region,
     default_s_schedule,
     orbit_region,
     _fov_witnesses,
     orbit_witnesses,
 )
-from elemrange.region import directions, hausdorff, hull_of_points
+from elemrange.region import (
+    cloud_supports,
+    directions,
+    hausdorff,
+    hull_of_points,
+    region_from_supports,
+)
 from elemrange.unitary_opt import OptConfig
 
 from oracles import projection_mult_support, rectangle_support, su2_grid, grid_orbit_support
@@ -216,25 +221,6 @@ class TestOrbitRegion:
                 tracemalloc.stop()
         assert peaks[1] <= 3 * peaks[0]
 
-    def test_witness_cloud_memory_is_bounded_by_slabs(self, monkeypatch):
-        # The witness cloud runs its (unitary, angle) rows in slabs; with one
-        # slab holding the rows of 4 unitaries, 64 unitaries peak like 4
-        # plus their own orbit matrices and witness points (+31% at n = 4).
-        # Without slabs, 64 unitaries peaked at 12 times 4.
-        r = random_instance(4, 2, np.random.default_rng([5, 0]))
-        us = haar_unitaries(4, 64, np.random.default_rng(1))
-        monkeypatch.setattr("elemrange.orbit._SLAB_ENTRIES", 4 * WITNESS_ANGLES * 4 * 4)
-        orbit_witnesses(r, us[:4])
-        peaks = []
-        for count in (4, 64):
-            tracemalloc.start()
-            try:
-                orbit_witnesses(r, us[:count])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0]
-
 
 class TestBanachRegion:
     def test_identity_point(self):
@@ -375,8 +361,8 @@ class TestOrbitWitnesses:
     def test_witnesses_are_orbit_points(self, rng):
         r = random_instance(2, 2, rng)
         us = np.stack([haar_unitary(2, rng) for _ in range(4)])
-        wit = orbit_witnesses(r, us, n_angles=8)
-        assert wit.shape == (32,)
+        wit = orbit_witnesses(r, us, directions(4))
+        assert wit.shape == (4,)
         # Each witness lies in the field of values of its orbit matrix, so
         # its modulus is bounded by the largest orbit-matrix norm.
         t = np.conj(np.swapaxes(us, -1, -2)) @ np.einsum("kij,bjl,klm->bim", r.a, us, r.b)
@@ -385,13 +371,30 @@ class TestOrbitWitnesses:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_slabs_keep_each_witness_bits(self, rng, n):
-        # 100 matrices x 32 angles span several slabs at n = 3 and one at
-        # n = 2; each matrix's witnesses are the ones it gets alone.
+        # However many matrices share the call, each matrix's witness is
+        # the one it gets alone.  Alone means a call of 8 copies of it, the
+        # fewest rows orbit_region makes one (m >= 8): numpy's einsum sums a
+        # call of one 2x2 row in another order.
         c = rng.standard_normal((100, n, n)) + 1j * rng.standard_normal((100, n, n))
-        thetas = np.broadcast_to(directions(32), (100, 32))
+        thetas = rng.uniform(0, 2 * np.pi, 100)
         wit = _fov_witnesses(c, thetas)
-        alone = np.concatenate([_fov_witnesses(c[i : i + 1], thetas[:1]) for i in range(100)])
-        assert np.array_equal(wit, alone)
+        for i in range(100):
+            alone = _fov_witnesses(np.repeat(c[i : i + 1], 8, 0), np.repeat(thetas[i], 8))
+            assert np.array_equal(alone, np.full(8, wit[i]))
+
+    def test_one_witness_per_direction_at_its_support(self, rng):
+        # Witness j is the boundary point at theta_j of direction j's
+        # maximizer, so it realizes the optimized support there, and the
+        # region is the optimized supports raised to the cloud's own.
+        ops = [random_instance(2, 2, rng) for _ in range(2)]
+        thetas = directions(M)
+        for est in orbit_region(ops, M, CFG):
+            assert len(est.samples) == M
+            realized = np.real(np.exp(-1j * thetas) * est.samples)
+            h_opt = np.array([rep.value for rep in est.reports])
+            assert np.abs(realized - h_opt).max() <= 1e-12 * est.scale
+            expected = region_from_supports(np.maximum(h_opt, cloud_supports(est.samples, M)))
+            assert np.array_equal(est.region.support, expected.support)
 
 
 def _normal(rng, n):
