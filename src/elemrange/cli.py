@@ -57,11 +57,17 @@ def _int_at_least(low: int):
     return parse
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
+def _float_at_least(low: float):
+    """The argparse type of a finite float >= low."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (np.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be >= {low:g} and finite, got {value}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
 
 
 # Flags shared by several subcommands, keyed by their dest; each subcommand
@@ -71,10 +77,10 @@ _FLAGS = {
                        help="support directions (default %(default)s)"),
     "restarts": dict(type=_int_at_least(1), default=DEFAULT_CFG.restarts,
                      help="Haar restarts per optimization (default %(default)s)"),
-    "smax_factor": dict(type=float, default=DEFAULT_SMAX_FACTOR,
+    "smax_factor": dict(type=_float_at_least(16), default=DEFAULT_SMAX_FACTOR,
                         help="largest shift as a multiple of scale (default %(default)g)"),
     "seed": dict(type=_int_at_least(0), default=0, help="random seed (default %(default)s)"),
-    "tol": dict(type=_tolerance, default=None,
+    "tol": dict(type=_float_at_least(0), default=None,
                 help="override the verification tolerance: the absolute main_formula "
                      "tolerance for verify and projection, a multiple of the oracle's "
                      "diameter for derivation"),
@@ -184,17 +190,14 @@ def _witness_pairs(samples) -> list:
 
 def _estimate_fragment(inst: dict, side: str, est):
     inst.setdefault("regions", {})[side] = region_to_dict(est.region)
-    spreads = [float(s) for s in est.restart_spreads]
     if side == "rhs":
         inst["witnesses"] = _witness_pairs(est.samples)
-        inst.setdefault("restart_spreads", spreads)
     if est.residuals is not None:
         inst["residuals"] = [float(x) for x in est.residuals]
-        prior = inst.get("restart_spreads")
-        if prior:
-            inst["restart_spreads"] = [max(a, b) for a, b in zip(prior, spreads)]
-        else:
-            inst["restart_spreads"] = spreads
+    # Either side may come first; the spreads are the max of both.
+    spreads = [float(s) for s in est.restart_spreads]
+    prior = inst.get("restart_spreads", spreads)
+    inst["restart_spreads"] = [max(a, b) for a, b in zip(prior, spreads)]
 
 
 def _report_fragment(inst: dict, report):
@@ -273,8 +276,11 @@ def _shift(text: str | None) -> complex:
     """The --z value RE[,IM] as a finite complex number; 0 when absent."""
     if text is None:
         return 0j
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) > 2 or not np.all(np.isfinite(parts)):
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if not 0 < len(parts) <= 2 or not np.all(np.isfinite(parts)):
         raise ValueError(f"--z takes RE or RE,IM with finite parts, got {text!r}")
     return complex(*parts)
 

@@ -18,8 +18,8 @@ from .unitary_opt import (
     OptConfig,
     OptReport,
     ShiftedNormObjective,
+    _maximize_blocks,
     default_starts,
-    maximize_grouped,
 )
 
 
@@ -142,12 +142,12 @@ def shifted_norm(
     cfg = cfg or OptConfig()
     n = _batch_dim(rs)
     rng = np.random.default_rng([cfg.seed, 0x5EED])
-    block = np.stack(default_starts(n, cfg.restarts, rng))
-    starts = np.tile(block, (len(rs), 1, 1))
-    groups = np.repeat(np.arange(len(rs)), len(block))
-    offsets = len(block) * np.arange(len(rs))
-    objective = ShiftedNormObjective([(r.a, r.b) for r in rs], z, offsets)
-    return maximize_grouped(objective, groups, starts, cfg)
+    block = default_starts(n, cfg.restarts, rng)
+    tuples = [(r.a, r.b) for r in rs]
+    reports = _maximize_blocks(
+        [[block]] * len(rs), lambda g, off: ShiftedNormObjective(tuples, z, off), cfg
+    )
+    return [reps[0] for reps in reports]
 
 
 def russo_dye_norm(

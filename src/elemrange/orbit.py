@@ -37,8 +37,8 @@ from .unitary_opt import (
     OptConfig,
     OrbitSupportObjective,
     ShiftedNormObjective,
+    _maximize_blocks,
     default_starts,
-    maximize_grouped,
     merge_reports,
 )
 
@@ -143,42 +143,14 @@ def _witnesses_at_own_angle(r: KTupleOperator, us: np.ndarray, thetas: np.ndarra
     return orbit_witnesses(r, us, thetas)
 
 
-def _stack_blocks(blocks, extra=None):
-    """(starts, groups, offsets) of per-instance lists of start blocks.
-
-    blocks[i][j], plus extra[i][j] when extra is given, is one group of
-    instance i; groups are numbered over the instances in order, and
-    offsets[i] is the first row of instance i.  starts is a list of
-    matrices, which maximize_grouped stacks in its one copy of the starts.
-    """
-    starts, groups, offsets = [], [], []
-    group = 0
-    for i, inst_blocks in enumerate(blocks):
-        offsets.append(len(starts))
-        for j, block in enumerate(inst_blocks):
-            if extra is not None:
-                block = [*block, np.asarray(extra[i][j], dtype=complex)]
-            starts.extend(block)
-            groups.extend([group] * len(block))
-            group += 1
-    return starts, np.asarray(groups), np.asarray(offsets)
-
-
-def _by_instance(reports, m: int) -> list:
-    """Split a flat list of per-direction reports into one list per instance."""
-    return [reports[i : i + m] for i in range(0, len(reports), m)]
-
-
-def _sweep_starts(n: int, m: int, cfg: OptConfig, stream: int, count: int, extra=None):
-    """Fresh multistart points for every direction of count instances.
+def _sweep_starts(n: int, m: int, cfg: OptConfig, stream: int) -> list:
+    """Fresh multistart points for each of m directions, one block each.
 
     The points depend only on cfg.seed and the stream, so they are drawn
-    once and shared by every instance; extra[i][j] adds a warm point to
-    direction j of instance i.
+    once and shared by every instance.
     """
     children = np.random.SeedSequence([cfg.seed, stream]).spawn(m)
-    blocks = [default_starts(n, cfg.restarts, np.random.default_rng(c)) for c in children]
-    return _stack_blocks([blocks] * count, extra)
+    return [default_starts(n, cfg.restarts, np.random.default_rng(c)) for c in children]
 
 
 # Iteration budget of the chained polish pass; partial ascents remain valid
@@ -196,29 +168,28 @@ def _chain_polish(reports, make_objective, cfg: OptConfig):
     objective, so they are not ascended again.
     """
     blocks = [[[reps[j - 1].maximizer] for j in range(len(reps))] for reps in reports]
-    starts, groups, offsets = _stack_blocks(blocks)
     capped = replace(cfg, max_iterations=min(_CHAIN_BUDGET, cfg.max_iterations))
-    polished = maximize_grouped(
-        make_objective(groups, offsets), groups, starts, capped, coarse_first=False
-    )
+    polished = _maximize_blocks(blocks, make_objective, capped, coarse_first=False)
     return [
         [merge_reports(rep, pol) for rep, pol in zip(reps, pols)]
-        for reps, pols in zip(reports, _by_instance(polished, len(reports[0])))
+        for reps, pols in zip(reports, polished)
     ]
 
 
-def _sweep(
-    n: int, count: int, m: int, cfg: OptConfig, stream: int, make_objective, extra=None
-):
-    """Multistart over all m directions of count instances, then the chained
+def _sweep(n: int, m: int, cfg: OptConfig, stream: int, make_objective, warm):
+    """Multistart over all m directions of every instance, then the chained
     polish, both as one grouped ascent; one report list per instance.
 
+    warm[i][j] is a tuple of extra starts of direction j of instance i.
     Group i*m + j is direction j of instance i; make_objective(groups,
     offsets) builds the objective for the stacked starts.
     """
-    starts, groups, offsets = _sweep_starts(n, m, cfg, stream, count, extra)
-    reports = maximize_grouped(make_objective(groups, offsets), groups, starts, cfg)
-    return _chain_polish(_by_instance(reports, m), make_objective, cfg)
+    shared = _sweep_starts(n, m, cfg, stream)
+    blocks = [
+        [[*block, *extra] for block, extra in zip(shared, inst, strict=True)] for inst in warm
+    ]
+    reports = _maximize_blocks(blocks, make_objective, cfg)
+    return _chain_polish(reports, make_objective, cfg)
 
 
 def _orbit_estimate(r: KTupleOperator, reports, thetas: np.ndarray):
@@ -255,8 +226,9 @@ def orbit_region(
     tuples = [(r.a, r.b) for r in rs]
 
     reports = _sweep(
-        n, len(rs), m, cfg, _STREAM_ORBIT,
+        n, m, cfg, _STREAM_ORBIT,
         lambda g, off: OrbitSupportObjective(tuples, thetas[g % m], off),
+        [[()] * m] * len(rs),
     )
     return [_orbit_estimate(r, reps, thetas) for r, reps in zip(rs, reports)]
 
@@ -303,12 +275,17 @@ def banach_region(
     phases = np.exp(1j * directions(m))
     tuples = [(r.a, r.b) for r in rs]
 
+    if warm_starts is None:
+        warm = [[()] * m] * len(rs)
+    else:
+        warm = [[(u,) for u in ws] for ws in warm_starts]
+
     # Full multistart at the smallest shift, one grouped sweep.
     first = np.array([sched[0] for sched in schedules])
     reports = _sweep(
-        n, len(rs), m, cfg, _STREAM_BANACH,
+        n, m, cfg, _STREAM_BANACH,
         lambda g, off: ShiftedNormObjective(tuples, -first[g // m] * phases[g % m], off),
-        extra=warm_starts,
+        warm,
     )
 
     g_per_dir = [
@@ -318,26 +295,23 @@ def banach_region(
     active = [list(range(m)) for _ in rs]
     # Remaining shifts are warm continuations of the active directions of
     # every operator, one grouped ascent per shift; a direction freezes once
-    # its g decrement falls under its operator's early stop.
+    # its g decrement falls under its operator's early stop.  An operator
+    # with no active direction left has no rows.
     for t in range(1, len(schedules[0])):
-        live = [i for i in range(len(rs)) if active[i]]
-        if not live:
+        if not any(active):
             break
-        blocks = [[[reports[i][j].maximizer] for j in active[i]] for i in live]
-        extra = None
-        if warm_starts is not None:
-            extra = [[warm_starts[i][j] for j in active[i]] for i in live]
-        starts, groups, offsets = _stack_blocks(blocks, extra)
-        dirs = np.concatenate([active[i] for i in live])
-        shift = np.concatenate([np.full(len(active[i]), schedules[i][t]) for i in live])
-        objective = ShiftedNormObjective(
-            [tuples[i] for i in live], -shift[groups] * phases[dirs[groups]], offsets
+        blocks = [
+            [[reports[i][j].maximizer, *warm[i][j]] for j in act]
+            for i, act in enumerate(active)
+        ]
+        z = np.concatenate([-sched[t] * phases[act] for sched, act in zip(schedules, active)])
+        cont = _maximize_blocks(
+            blocks, lambda g, off: ShiftedNormObjective(tuples, z[g], off), cfg,
+            coarse_first=False,
         )
-        cont = iter(maximize_grouped(objective, groups, starts, cfg, coarse_first=False))
-        for i in live:
+        for i, reps in enumerate(cont):
             still = []
-            for j in active[i]:
-                rep = next(cont)
+            for j, rep in zip(active[i], reps):
                 g = g_per_dir[i][j]
                 g.append(rep.value - schedules[i][t])
                 reports[i][j] = rep

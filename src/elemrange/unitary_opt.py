@@ -26,10 +26,11 @@ compares those two polished values with the other starts' coarse ones.
 One batch may also hold the sweeps of several instances (operators).
 The objectives then apply each instance's operator to its own rows, one
 GEMM per instance, and the driver keeps every iteration budget per
-instance.  The rows are split once into slabs of whole instances of at
-most _SLAB_ENTRIES matrix entries (or of one instance), and each slab runs
-all its iterations, with an L-BFGS history of its own, before the next
-one starts; that bounds a batch's peak memory.  Every per-row kernel and
+instance; _maximize_blocks lays out every such batch from per-instance
+lists of start blocks.  The rows are split once into slabs of whole
+instances of at most _SLAB_ENTRIES matrix entries (or of one instance),
+and each slab runs all its iterations, with an L-BFGS history of its own,
+before the next one starts; that bounds a batch's peak memory.  Every per-row kernel and
 every inner product is independent of the rows beside it, so an
 instance's reports are bit-identical whether it runs alone or in a batch,
 whatever the slabs.
@@ -103,10 +104,13 @@ class OptReport:
 
     value: float
     maximizer: np.ndarray
-    restarts_used: int
     iterations: int  # most gradient evaluations spent on any one start
     converged: bool
     start_values: np.ndarray
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.start_values)
 
     @property
     def spread(self) -> float:
@@ -114,9 +118,12 @@ class OptReport:
         return float(np.max(self.start_values) - np.min(self.start_values))
 
 
-def _colify(x: np.ndarray) -> np.ndarray:
-    """Reshape a per-element parameter vector for (B, n, n) broadcasting."""
-    return x[:, None, None] if x.ndim == 1 else x
+def _at(x: np.ndarray, idx):
+    """A per-element parameter at the rows idx (None: all rows), shaped for
+    (B, n, n) broadcasting; a scalar parameter as it is."""
+    if x.ndim == 0:
+        return x
+    return (x if idx is None else x[idx])[:, None, None]
 
 
 def _elementary(tuples, offsets) -> _batched.ElementaryMatrix:
@@ -144,15 +151,10 @@ class ShiftedNormObjective:
         self.n = self._r.n
         self._shifted = bool(np.any(self.z != 0))
 
-    def _z_at(self, idx):
-        if self.z.ndim == 0 or idx is None:
-            return self.z
-        return self.z[idx]
-
     def _transform(self, u, idx):
         g = self._r.apply(u, idx)
         if self._shifted:
-            g = g - _colify(self._z_at(idx)) * u
+            g = g - _at(self.z, idx) * u
         return g
 
     def value(self, u, idx=None):
@@ -163,7 +165,7 @@ class ShiftedNormObjective:
         outer = w[:, :, None] * np.conj(v)[:, None, :]
         e = self._r.adjoint(outer, idx)
         if self._shifted:
-            e -= np.conj(_colify(self._z_at(idx))) * outer
+            e -= np.conj(_at(self.z, idx)) * outer
         return sigma, e
 
 
@@ -181,14 +183,9 @@ class OrbitSupportObjective:
         self.n = self._r.n
         self._phase = np.exp(-1j * self.theta)
 
-    def _phase_at(self, idx):
-        if self._phase.ndim == 0 or idx is None:
-            return self._phase
-        return self._phase[idx]
-
     def _herm(self, u, s, idx):
         """Herm(e^{-i theta} u* s), with s = R(u)."""
-        rt = _colify(self._phase_at(idx)) * _batched.mm(np.conj(np.swapaxes(u, -1, -2)), s)
+        rt = _at(self._phase, idx) * _batched.mm(np.conj(np.swapaxes(u, -1, -2)), s)
         return (rt + np.conj(np.swapaxes(rt, -1, -2))) / 2.0
 
     def value(self, u, idx=None):
@@ -197,7 +194,7 @@ class OrbitSupportObjective:
     def value_and_grad(self, u, idx=None):
         s = self._r.apply(u, idx)
         lam, v = _batched.top_eigh(self._herm(u, s, idx))
-        phase = _colify(self._phase_at(idx))
+        phase = _at(self._phase, idx)
         vh = np.conj(v)[:, None, :]
         sv = np.einsum("bij,bj->bi", s, v)
         # Row-sized temporaries set a slab's peak memory; drop s first.
@@ -473,7 +470,6 @@ def maximize_grouped(
             OptReport(
                 value=float(state.fval[best]),
                 maximizer=state.u[best].copy(),
-                restarts_used=int(idx.size),
                 iterations=int(np.max(state.iterations[idx])),
                 converged=bool(state.converged[best]),
                 start_values=vals.copy(),
@@ -482,13 +478,35 @@ def maximize_grouped(
     return reports
 
 
+def _maximize_blocks(blocks, make_objective, cfg: OptConfig, coarse_first: bool = True):
+    """maximize_grouped over per-instance lists of start blocks; one report
+    list per instance.
+
+    blocks[i][j] is the start list of group j of instance i.  Groups are
+    numbered over the instances in order, instance i's rows start at
+    offsets[i] (an instance with no groups repeats the next offset), and
+    make_objective(groups, offsets) builds the objective of the stacked
+    starts.
+    """
+    starts, groups, offsets, group = [], [], [], 0
+    for inst in blocks:
+        offsets.append(len(starts))
+        for block in inst:
+            starts.extend(block)
+            groups.extend([group] * len(block))
+            group += 1
+    groups, offsets = np.asarray(groups), np.asarray(offsets)
+    objective = make_objective(groups, offsets)
+    reports = iter(maximize_grouped(objective, groups, starts, cfg, coarse_first))
+    return [[next(reports) for _ in inst] for inst in blocks]
+
+
 def merge_reports(incumbent: OptReport, challenger: OptReport) -> OptReport:
     """Combine two ascents of the same subproblem, keeping the better value."""
     winner = challenger if challenger.value > incumbent.value else incumbent
     return OptReport(
         value=winner.value,
         maximizer=winner.maximizer,
-        restarts_used=incumbent.restarts_used + challenger.restarts_used,
         iterations=incumbent.iterations + challenger.iterations,
         converged=winner.converged,
         start_values=np.concatenate(

@@ -22,6 +22,7 @@ from elemrange.io import (
     result_to_csv,
     write_instance,
 )
+from elemrange.verify import verify_main
 
 IDENTITY_DOC = {
     "n": 2,
@@ -129,12 +130,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("factor", ["nan", "inf"])
     def test_non_finite_smax_factor_is_2(self, identity_path, factor, capsys):
-        code = main(["verify", identity_path, *fast_args(["--smax-factor", factor])])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "smax_factor" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", identity_path, *fast_args(["--smax-factor", factor])])
+        assert exc.value.code == 2
+        assert "argument --smax-factor: must be >= 16 and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("z", ["1,2,3", "nan,0", "0,nan", "inf", "1,-inf"])
+    @pytest.mark.parametrize("z", ["1,2,3", "nan,0", "0,nan", "inf", "1,-inf", "abc", "", "1,"])
     def test_bad_shift_is_2(self, identity_path, z, capsys):
         code = main(["norm", identity_path, "--restarts", "1", "--z", z])
         out, err = capsys.readouterr()
@@ -193,11 +194,14 @@ class TestExitCodes:
         [[command, "--directions", m]
          for command in ("fov", "range", "verify", "derivation", "projection")
          for m in ("0", "-4", "6")]
-        + [[command, "--seed", "-1"] for command in ("norm", "range", "verify")],
+        + [[command, "--seed", "-1"] for command in ("norm", "range", "verify")]
+        + [[command, "--smax-factor", factor]
+           for command in ("range", "verify", "projection") for factor in ("8", "15.9", "-64")],
         ids=lambda argv: "-".join(argv),
     )
     def test_flag_below_its_minimum_names_itself(self, identity_path, argv, capsys):
-        # --directions needs 8 and --seed 0; the usage error names the flag.
+        # --directions needs 8, --seed 0 and --smax-factor 16; the usage
+        # error names the flag, before any side is computed.
         command, *rest = argv
         instance = [identity_path] if command in ("fov", "norm", "range") else []
         with pytest.raises(SystemExit) as exc:
@@ -299,6 +303,21 @@ class TestCommands:
         for inst in doc["instances"]:
             for chk in inst["checks"]:
                 assert chk["passed"]
+
+    def test_verify_restart_spreads_are_the_max_of_both_sides(self, tmp_path, capsys):
+        # verify reports the operator side first; the orbit side's spreads
+        # must still count, as they do for range --side both.
+        r = random_instance(2, 2, np.random.default_rng(4), label="spreads")
+        path = tmp_path / "spreads.json"
+        write_instance(r, str(path))
+        out = tmp_path / "verify.json"
+        assert main(["verify", str(path), *fast_args(["--out", str(out)])]) == 0
+        capsys.readouterr()
+        spreads = json.loads(out.read_text())["instances"][0]["restart_spreads"]
+        rep = verify_main([r], m=16, cfg=unitary_opt.OptConfig(restarts=2))[0]
+        lhs, rhs = (rep.artifacts[side].restart_spreads for side in ("lhs", "rhs"))
+        assert np.any(rhs > lhs)
+        assert spreads == [float(s) for s in np.maximum(lhs, rhs)]
 
     def test_derivation_instance_roundtrip(self, tmp_path, capsys):
         a = np.diag([0.0, 1.0])

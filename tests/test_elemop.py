@@ -182,6 +182,18 @@ class TestShiftedNorm:
         )
         assert abs(rep1.value - rep2.value) <= 1e-10 * max(1.0, abs(rep1.value))
 
+    @pytest.mark.parametrize("z", [0.0, 0.7 - 0.4j])
+    def test_batch_matches_solo_runs(self, z):
+        # At n = 3 one GEMM over every row would change the bits; each
+        # operator's rows get their own, so each report is the solo one.
+        ops = [random_instance(3, 2, np.random.default_rng([21, i])) for i in range(3)]
+        for r, many in zip(ops, shifted_norm(ops, z, CFG)):
+            one = shifted_norm([r], z, CFG)[0]
+            assert one.value == many.value
+            assert np.array_equal(one.maximizer, many.maximizer)
+            assert one.iterations == many.iterations
+            assert np.array_equal(one.start_values, many.start_values)
+
     def test_determinism(self, rng):
         r = random_instance(2, 2, rng)
         a = shifted_norm([r], 1.0 - 0.5j, CFG)[0]

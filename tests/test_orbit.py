@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elemrange import orbit
+from elemrange import orbit, unitary_opt
 from elemrange.elemop import KTupleOperator, apply, random_instance, russo_dye_norm
 from elemrange.linalg import (
     haar_unitaries,
@@ -205,6 +205,27 @@ class TestOrbitRegion:
                 if one.g_schedules is not None:
                     assert all(map(np.array_equal, one.g_schedules, many.g_schedules))
 
+    @pytest.mark.parametrize("zero_at", [0, 1, 2])
+    def test_stopped_operator_leaves_the_batch_bits_alone(self, zero_at):
+        # The zero operator's g is 0 at every shift, so all its directions
+        # stop after the second shift; at every later shift it contributes
+        # no rows, and its offset repeats the next one.  Each estimate is
+        # still the one its operator gets alone, wherever the zero sits.
+        ops = [random_instance(3, 2, np.random.default_rng([19, i])) for i in range(2)]
+        ops.insert(zero_at, KTupleOperator(np.zeros((2, 3, 3)), np.zeros((2, 3, 3))))
+        warm = [list(haar_unitaries(3, 8, np.random.default_rng([20, i]))) for i in range(3)]
+        batch = banach_region(ops, 8, CFG, scales=[3.0] * 3, warm_starts=warm)
+        for i, (r, many) in enumerate(zip(ops, batch)):
+            one = banach_region([r], 8, CFG, scales=[3.0], warm_starts=[warm[i]])[0]
+            shifts = max(len(g) for g in many.g_schedules)
+            assert shifts == 2 if i == zero_at else shifts > 2
+            assert np.array_equal(one.region.support, many.region.support)
+            assert all(map(np.array_equal, one.g_schedules, many.g_schedules))
+            assert np.array_equal(np.stack(one.maximizers), np.stack(many.maximizers))
+            assert [rep.iterations for rep in one.reports] == [
+                rep.iterations for rep in many.reports
+            ]
+
     def test_batch_memory_is_bounded_by_slabs(self):
         # The ascent steps a few instances at a time while many rows are
         # active, so 20 instances peak at a few times 2 (3.5x without slabs).
@@ -254,6 +275,14 @@ class TestBanachRegion:
         assert len(est.maximizers) == M
         for u, rep in zip(est.maximizers, est.reports):
             assert np.array_equal(u, rep.maximizer)
+
+    def test_rejects_warm_starts_of_the_wrong_shape(self):
+        # One list per operator, of one unitary per direction.
+        r = KTupleOperator.identity(2)
+        eye = np.eye(2, dtype=complex)
+        for warm in ([[eye] * M] * 2, [[eye] * (M - 1)], [[eye] * (M + 1)]):
+            with pytest.raises(ValueError):
+                banach_region([r], M, CFG, scales=[2.0], warm_starts=warm)
 
     def test_orbit_side_has_no_residuals(self):
         est = orbit_region([KTupleOperator.identity(2)], M, CFG)[0]
@@ -314,7 +343,7 @@ class TestChainPolish:
         # maximizer and the Banach warm start were starts of the sweep.
         ops = [random_instance(2, 2, np.random.default_rng([17, i])) for i in range(2)]
         warm = [list(haar_unitaries(2, 8, np.random.default_rng([18, i]))) for i in range(2)]
-        chain, grouped = orbit._chain_polish, orbit.maximize_grouped
+        chain, grouped = orbit._chain_polish, unitary_opt.maximize_grouped
         inside, polishes = [], []  # polishes: (maximizers in, groups, starts)
 
         def spy_chain(reports, *args):
@@ -330,7 +359,7 @@ class TestChainPolish:
             return grouped(objective, groups, starts, *args, **kwargs)
 
         monkeypatch.setattr(orbit, "_chain_polish", spy_chain)
-        monkeypatch.setattr(orbit, "maximize_grouped", spy_grouped)
+        monkeypatch.setattr(unitary_opt, "maximize_grouped", spy_grouped)
         orbit_region(ops, 8, CFG)
         banach_region(ops, 8, CFG, scales=[3.0, 4.0], warm_starts=warm)
         assert len(polishes) == 2
