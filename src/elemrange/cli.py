@@ -38,10 +38,7 @@ from .verify import (
     verify_derivation,
     verify_main,
     verify_mult_projection,
-    hermitian_check,
 )
-
-_WITNESS_CAP = 512
 
 
 def _int_at_least(low: int):
@@ -179,19 +176,10 @@ def _labelled(path: str) -> KTupleOperator:
     return r
 
 
-def _witness_pairs(samples) -> list:
-    if samples is None:
-        return []
-    pts = np.asarray(samples)
-    stride = max(1, int(np.ceil(pts.size / _WITNESS_CAP)))
-    pts = pts[::stride]
-    return [[float(p.real), float(p.imag)] for p in pts]
-
-
 def _estimate_fragment(inst: dict, side: str, est):
     inst.setdefault("regions", {})[side] = region_to_dict(est.region)
     if side == "rhs":
-        inst["witnesses"] = _witness_pairs(est.samples)
+        inst["witnesses"] = [[float(w.real), float(w.imag)] for w in est.samples]
     if est.residuals is not None:
         inst["residuals"] = [float(x) for x in est.residuals]
     # Either side may come first; the spreads are the max of both.
@@ -255,6 +243,16 @@ def _print_checks(result: dict) -> int:
         print(f"{failures} check(s) FAILED")
         return 1
     return 0
+
+
+def _checked(args, heads, reports) -> int:
+    """Emit one instance per head, completed by its report, and print the checks."""
+    result = _result_shell(args)
+    for inst, rep in zip(heads, reports):
+        _report_fragment(inst, rep)
+        result["instances"].append(inst)
+    _emit(result, args)
+    return _print_checks(result)
 
 
 def _cmd_fov(args) -> int:
@@ -350,13 +348,8 @@ def _cmd_verify(args) -> int:
         )
 
     reports = _run_batch(batch, [r.n for r in batch], worker)
-    result = _result_shell(args)
-    for r, rep in zip(batch, reports):
-        inst = {"label": r.label, "instance": instance_to_dict(r)}
-        _report_fragment(inst, rep)
-        result["instances"].append(inst)
-    _emit(result, args)
-    return _print_checks(result)
+    heads = [{"label": r.label, "instance": instance_to_dict(r)} for r in batch]
+    return _checked(args, heads, reports)
 
 
 def _as_derivation(r: KTupleOperator):
@@ -399,13 +392,7 @@ def _cmd_derivation(args) -> int:
         )
 
     reports = _run_batch(pairs, [a.shape[0] for a, _, _ in pairs], worker)
-    result = _result_shell(args)
-    for (a, b, label), rep in zip(pairs, reports):
-        inst = {"label": label}
-        _report_fragment(inst, rep)
-        result["instances"].append(inst)
-    _emit(result, args)
-    return _print_checks(result)
+    return _checked(args, [{"label": label} for _, _, label in pairs], reports)
 
 
 def _cmd_projection(args) -> int:
@@ -427,29 +414,14 @@ def _cmd_projection(args) -> int:
             p[i, i] = 1.0
         items.append((p, f"projection-n{args.dim}r{args.rank}"))
 
-    result = _result_shell(args)
-    for p, label in items:
-        rep = verify_mult_projection(
-            p, m=args.directions, cfg=cfg, smax_factor=args.smax_factor, tol=args.tol
+    def worker(run):
+        return verify_mult_projection(
+            [p for p, _ in run], m=args.directions, cfg=cfg,
+            smax_factor=args.smax_factor, tol=args.tol,
         )
-        rep.label = label
-        herm = hermitian_check(
-            KTupleOperator.multiplication(p, p, label=label),
-            m=args.directions,
-            cfg=cfg,
-            orbit=rep.artifacts["rhs"],
-        )
-        inst = {"label": label}
-        _report_fragment(inst, rep)
-        inst["diagnostics"] = {
-            **rep.diagnostics,
-            "hermitian": herm.check("real_range").passed,
-            "imaginary_extent": herm.diagnostics["imaginary_extent"],
-            "sampled_asymmetry": herm.diagnostics["sampled_asymmetry"],
-        }
-        result["instances"].append(inst)
-    _emit(result, args)
-    return _print_checks(result)
+
+    reports = _run_batch(items, [p.shape[0] for p, _ in items], worker)
+    return _checked(args, [{"label": label} for _, label in items], reports)
 
 
 _HANDLERS = {

@@ -160,7 +160,8 @@ def dump_result(result: dict, fh) -> None:
 def write_text_atomic(path: str, text):
     """Write via a temporary file in the target directory, then rename.
 
-    text is a string, or a function that writes to the open file.
+    text is a string, or a function that writes to the open file.  The
+    file gets the mode that open() gives a new file, not mkstemp's 0600.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -170,6 +171,9 @@ def write_text_atomic(path: str, text):
                 text(fh)
             else:
                 fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -49,9 +49,11 @@ def _panel(inst: dict, offset_y: int) -> list[str]:
         py = offset_y + _MARGIN + (ymax - y) / side * plot
         return px, py
 
+    # Escaped by hand: xml.sax.saxutils would import urllib.request, ssl and email.
+    label = inst.get("label", "").replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     out = [
         f'<text x="{_MARGIN}" y="{offset_y + 22}" font-size="13" '
-        f'font-family="monospace">{inst.get("label", "")}</text>'
+        f'font-family="monospace">{label}</text>'
     ]
     # axes
     if xmin < 0 < xmax:

@@ -201,7 +201,7 @@ def test_criterion_07_union_hull_convexity(main_batch):
 def test_criterion_08_projection_multiplication():
     m = DEFAULT_DIRECTIONS
     p = np.diag([1.0, 0.0])
-    rep = verify_mult_projection(p, m=m, cfg=DEFAULT_CFG)
+    rep = verify_mult_projection([p], m=m, cfg=DEFAULT_CFG)[0]
     h0 = rep.diagnostics["support_rhs_0"]
     hpi = rep.diagnostics["support_rhs_pi"]
     oracle0 = projection_mult_support(0.0)
@@ -209,7 +209,7 @@ def test_criterion_08_projection_multiplication():
     ok = abs(h0 - 1.0) <= 1e-3 and abs(hpi - 0.125) <= 1e-3
     ok &= abs(h0 - oracle0) <= 1e-3 and abs(hpi - oraclepi) <= 1e-3
 
-    herm = hermitian_check(KTupleOperator.multiplication(p, p), m=m, cfg=DEFAULT_CFG)
+    herm = hermitian_check([KTupleOperator.multiplication(p, p)], m=m, cfg=DEFAULT_CFG)[0]
     extent = herm.diagnostics["imaginary_extent"]
     ok &= (not herm.check("real_range").passed) and extent >= 0.2
     record(

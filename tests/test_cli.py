@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from elemrange.io import (
     result_to_csv,
     write_instance,
 )
+from elemrange.linalg import haar_unitary
 from elemrange.verify import verify_main
 
 IDENTITY_DOC = {
@@ -284,6 +286,39 @@ class TestCommands:
         assert "legend" not in text or True
         assert "rhs" in text and "lhs" in text
 
+    def test_svg_escapes_the_label(self, tmp_path, capsys):
+        path = str(tmp_path / "amp.json")
+        write_instance(KTupleOperator.identity(2, label="A&B <1>"), path)
+        out = tmp_path / "fov.svg"
+        assert main(["fov", path, "--directions", "16", "--format", "svg",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        root = ET.fromstring(out.read_text())
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "A&B <1>"
+
+    def test_out_file_gets_the_umask_mode(self, identity_path, tmp_path, capsys):
+        # The result file has the mode open() gives a new file, not 0600.
+        old = os.umask(0o022)
+        try:
+            out = tmp_path / "fov.json"
+            assert main(["fov", identity_path, "--directions", "16",
+                         "--out", str(out)]) == 0
+            plain = tmp_path / "plain.json"
+            with open(plain, "w"):
+                pass
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_range_writes_one_witness_per_direction(self, identity_path, tmp_path, capsys):
+        out = tmp_path / "range.json"
+        assert main(["range", identity_path, "--side", "rhs", "--directions", "720",
+                     "--restarts", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(json.loads(out.read_text())["instances"][0]["witnesses"]) == 720
+
     def test_svg_requires_regions(self, identity_path, tmp_path, capsys):
         out = tmp_path / "norm.svg"
         code = main(["norm", identity_path, "--restarts", "2", "--format", "svg",
@@ -346,6 +381,28 @@ class TestCommands:
         assert diag["support_rhs_0"] == pytest.approx(1.0, abs=1e-3)
         assert diag["support_rhs_pi"] == pytest.approx(0.125, abs=1e-3)
         assert diag["hermitian"] is False
+
+    def test_projection_batch_matches_solo_runs(self, tmp_path, capsys, rng):
+        # Files on n = 2, 2, 3, 2 run as three batches; each instance's
+        # fragment is byte-equal to the one its file writes alone.
+        v = haar_unitary(2, rng)[:, :1]
+        q = haar_unitary(3, rng)[:, :2]
+        projections = [np.diag([1.0, 0.0]), v @ v.conj().T, q @ q.conj().T, np.eye(2)]
+        paths = []
+        for i, p in enumerate(projections):
+            paths.append(str(tmp_path / f"p{i}.json"))
+            write_instance(KTupleOperator.multiplication(p, p, label=f"p{i}"), paths[-1])
+
+        def run(files, name):
+            out = tmp_path / f"{name}.json"
+            assert main(["projection", *files, *fast_args(["--out", str(out)])]) == 0
+            return [dumps_result(inst) for inst in json.loads(out.read_text())["instances"]]
+
+        whole = run(paths, "whole")
+        assert len(whole) == 4
+        for i, path in enumerate(paths):
+            assert run([path], f"alone{i}") == [whole[i]]
+        capsys.readouterr()
 
     def test_projection_rejects_non_projection_instance(self, tmp_path, capsys):
         bad = KTupleOperator(np.diag([0.5, 0.0])[None], np.diag([0.5, 0.0])[None])

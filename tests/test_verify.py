@@ -170,25 +170,33 @@ class TestVerifyDerivation:
 
 class TestVerifyMultProjection:
     def test_identity_projection(self):
-        rep = verify_mult_projection(np.eye(2), m=M, cfg=CFG)
+        rep = verify_mult_projection([np.eye(2)], m=M, cfg=CFG)[0]
         assert rep.passed
         assert rep.diagnostics["support_rhs_0"] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_projection(self):
-        rep = verify_mult_projection(np.zeros((2, 2)), m=M, cfg=CFG)
+        rep = verify_mult_projection([np.zeros((2, 2))], m=M, cfg=CFG)[0]
         assert rep.passed
         assert abs(rep.diagnostics["support_rhs_0"]) <= 1e-10
 
     def test_rank_one_supports(self):
-        rep = verify_mult_projection(np.diag([1.0, 0.0]), m=M, cfg=CFG)
+        rep = verify_mult_projection([np.diag([1.0, 0.0])], m=M, cfg=CFG)[0]
         assert rep.diagnostics["support_rhs_0"] == pytest.approx(1.0, abs=1e-3)
         assert rep.diagnostics["support_rhs_pi"] == pytest.approx(0.125, abs=1e-3)
 
-    def test_rejects_non_projection(self):
+    def test_rejects_non_projection(self, monkeypatch):
         with pytest.raises(ValueError):
-            verify_mult_projection(np.diag([0.5, 0.0]), m=M, cfg=CFG)
+            verify_mult_projection([np.diag([0.5, 0.0])], m=M, cfg=CFG)[0]
         with pytest.raises(ValueError):
-            verify_mult_projection(np.array([[0.0, 1.0], [0.0, 0.0]]), m=M, cfg=CFG)
+            verify_mult_projection([np.array([[0.0, 1.0], [0.0, 0.0]])], m=M, cfg=CFG)[0]
+
+        # Every entry is checked before the batch runs.
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verification ran")
+
+        monkeypatch.setattr(verify_mod, "verify_main", no_verify)
+        with pytest.raises(ValueError, match="projection"):
+            verify_mult_projection([np.eye(2), np.diag([0.5, 0.0])], m=M, cfg=CFG)
 
     def test_rejects_odd_directions(self, monkeypatch):
         # Direction m // 2 is pi only for even m.
@@ -197,36 +205,47 @@ class TestVerifyMultProjection:
 
         monkeypatch.setattr(verify_mod, "verify_main", no_verify)
         with pytest.raises(ValueError, match="even"):
-            verify_mult_projection(np.diag([1.0, 0.0]), m=9, cfg=CFG)
+            verify_mult_projection([np.diag([1.0, 0.0])], m=9, cfg=CFG)[0]
 
 
 class TestHermitianCheck:
     def test_imaginary_identity_not_hermitian(self):
         r = KTupleOperator((1j * np.eye(2))[None], np.eye(2, dtype=complex)[None])
-        rep = hermitian_check(r, m=M, cfg=CFG)
+        rep = hermitian_check([r], m=M, cfg=CFG)[0]
         assert not rep.check("real_range").passed
         assert rep.diagnostics["imaginary_extent"] == pytest.approx(1.0, abs=1e-6)
 
     def test_inner_derivation_is_hermitian(self):
         a = np.diag([0.0, 1.0])
-        rep = hermitian_check(KTupleOperator.derivation(a, a), m=M, cfg=CFG)
+        rep = hermitian_check([KTupleOperator.derivation(a, a)], m=M, cfg=CFG)[0]
         assert rep.check("real_range").passed
         assert rep.diagnostics["sampled_asymmetry"] <= 1e-10
 
     def test_projection_mult_not_hermitian(self):
         p = np.diag([1.0, 0.0])
-        rep = hermitian_check(KTupleOperator.multiplication(p, p), m=M, cfg=CFG)
+        rep = hermitian_check([KTupleOperator.multiplication(p, p)], m=M, cfg=CFG)[0]
         assert not rep.check("real_range").passed
         assert rep.diagnostics["imaginary_extent"] >= 0.2
 
-    def test_reused_orbit_estimate_gives_same_report(self):
+    def test_projection_report_carries_a_fresh_checks_diagnostics(self):
+        # verify_mult_projection reads the Hermitian diagnostics off its own
+        # orbit estimate; they are those of a separate hermitian_check.
         p = np.diag([1.0, 0.0])
-        proj = verify_mult_projection(p, m=M, cfg=CFG)
-        r = KTupleOperator.multiplication(p, p)
-        fresh = hermitian_check(r, m=M, cfg=CFG)
-        reused = hermitian_check(r, m=M, cfg=CFG, orbit=proj.artifacts["rhs"])
-        assert reused.to_dict() == fresh.to_dict()
-        assert reused.artifacts["rhs"] is proj.artifacts["rhs"]
+        proj = verify_mult_projection([p], m=M, cfg=CFG)[0]
+        fresh = hermitian_check([KTupleOperator.multiplication(p, p)], m=M, cfg=CFG)[0]
+        assert proj.diagnostics["hermitian"] == fresh.check("real_range").passed
+        for key in ("imaginary_extent", "sampled_asymmetry"):
+            assert proj.diagnostics[key] == fresh.diagnostics[key]
+
+    def test_batch_matches_solo_runs(self, rng):
+        rs = [random_instance(3, 2, rng, label=f"h{i}") for i in range(3)]
+        batch = hermitian_check(rs, m=M, cfg=CFG)
+        for r, rep in zip(rs, batch):
+            solo = hermitian_check([r], m=M, cfg=CFG)[0]
+            assert rep.to_dict() == solo.to_dict()
+            assert np.array_equal(
+                rep.artifacts["rhs"].region.support, solo.artifacts["rhs"].region.support
+            )
 
 
 class TestRandomBatch:
