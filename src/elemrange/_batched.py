@@ -5,14 +5,16 @@ The unitary ascent engine evaluates objectives on stacks of shape
 are applied as one matrix product against the n^2 x n^2 matrix of R
 (``ElementaryMatrix``), B n^4 multiply-adds per call whatever the tuple
 length k; a stack may hold the operands of several instances, each
-multiplied by its own matrix.  For n = 2 the eigen/singular problems have
-closed forms that are an order of magnitude faster than per-matrix LAPACK
-calls, and stacked products (``mm``) are broadcast multiply-adds, which
-avoid one BLAS call per matrix; larger n falls back to numpy.linalg and
-``@``.  The closed forms rescale rows of extreme magnitude by exact powers
-of two, so they hold over the whole floating-point range.  All kernels are
-pure and deterministic, and every kernel but ``ElementaryMatrix`` gives
-each row the bits it gets alone.
+multiplied by its own matrix.  For n = 2 the eigenproblems have closed
+forms that are an order of magnitude faster than per-matrix LAPACK calls,
+and stacked products (``mm``) are broadcast multiply-adds, which avoid one
+BLAS call per matrix; larger n falls back to numpy.linalg and ``@``.  At
+every n the top singular pair comes from the top eigenpair of the Gram
+matrix G*G and one product G v, never from an SVD.  The closed forms and
+the Gram matrix rescale rows of extreme magnitude by exact powers of two,
+so they hold over the whole floating-point range.  All kernels are pure and
+deterministic, and every kernel but ``ElementaryMatrix`` gives each row the
+bits it gets alone.
 """
 
 from __future__ import annotations
@@ -82,21 +84,21 @@ def mm(a, b) -> np.ndarray:
     return a @ b
 
 
-# The n = 2 closed forms square a matrix's entries once (eigenvalues), or
-# twice (singular values, through the Gram matrix), so they can overflow, or
-# lose digits to underflow, on a row whose largest entry lies outside these
-# windows.  They run with those floating-point exceptions raised; when one
-# fires, the rows outside the window are computed again from their input
-# scaled by an exact power of two.  That scales every step of the arithmetic
-# exactly, so the result is the same as at unit scale, and every other row
-# keeps its bits.
+# The n = 2 closed forms square a matrix's entries once (eigenvalues), and
+# the singular values square them once more at every n, through the Gram
+# matrix G*G, so these kernels can overflow, or lose digits to underflow, on
+# a row whose largest entry lies outside these windows.  They run with those
+# floating-point exceptions raised; when one fires, the rows outside the
+# window are computed again from their input scaled by an exact power of two.
+# That scales every step of the arithmetic exactly, so the result is the
+# same as at unit scale, and every other row keeps its bits.
 _EIG2_WINDOW = (2.0**-470, 2.0**500)
-_SVD2_WINDOW = (2.0**-235, 2.0**249)
+_SVD_WINDOW = (2.0**-235, 2.0**249)
 
 
 def _rescaled(form, x, window):
-    """form(x) = (values, *vectors) for a stack x of 2x2 matrices, where the
-    values scale with x and the vectors do not, safe at any scale."""
+    """form(x) = (values, *vectors) for a stack x of square matrices, where
+    the values scale with x and the vectors do not, safe at any scale."""
     try:
         with np.errstate(over="raise", under="raise", invalid="raise"):
             return form(x)
@@ -162,12 +164,12 @@ def _eigh_full2(h):
     return lam, vecs
 
 
-def _sigma_max2(g):
-    return (np.sqrt(np.maximum(eigvals_max(_gram2(g)), 0.0)),)
+def _sigma_max_gram(g):
+    return (np.sqrt(np.maximum(eigvals_max(_gram(g)), 0.0)),)
 
 
-def _top_svd2(g):
-    lam, v = top_eigh(_gram2(g))
+def _top_svd_gram(g):
+    lam, v = top_eigh(_gram(g))
     sigma = np.sqrt(np.maximum(lam, 0.0))
     w = np.einsum("...ij,...j->...i", g, v)
     wn = np.sqrt(np.sum(w.real**2 + w.imag**2, axis=-1))
@@ -205,12 +207,13 @@ def eigh_full(h):
 
 def sigma_max(g) -> np.ndarray:
     """Largest singular value of each matrix in the stack."""
-    if g.shape[-1] == 2:
-        return _rescaled(_sigma_max2, g, _SVD2_WINDOW)[0]
-    return np.linalg.svd(g, compute_uv=False)[..., 0]
+    return _rescaled(_sigma_max_gram, g, _SVD_WINDOW)[0]
 
 
-def _gram2(g):
+def _gram(g):
+    """G*G for each matrix in the stack; at n = 2 with a real diagonal."""
+    if g.shape[-1] != 2:
+        return mm(np.conj(np.swapaxes(g, -1, -2)), g)
     g00, g01 = g[..., 0, 0], g[..., 0, 1]
     g10, g11 = g[..., 1, 0], g[..., 1, 1]
     m = np.empty(g.shape, dtype=complex)
@@ -223,10 +226,7 @@ def _gram2(g):
 
 def top_svd(g):
     """(sigma_max, left vector w, right vector v) with G v = sigma w."""
-    if g.shape[-1] == 2:
-        return _rescaled(_top_svd2, g, _SVD2_WINDOW)
-    u, s, vh = np.linalg.svd(g)
-    return s[..., 0], u[..., :, 0], np.conj(vh[..., 0, :])
+    return _rescaled(_top_svd_gram, g, _SVD_WINDOW)
 
 
 def skew_exp_factors(k):

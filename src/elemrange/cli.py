@@ -34,6 +34,7 @@ from .verify import (
     DEFAULT_CFG,
     DEFAULT_DIRECTIONS,
     DEFAULT_SMAX_FACTOR,
+    _require_projection,
     random_batch,
     verify_derivation,
     verify_main,
@@ -405,6 +406,7 @@ def _cmd_projection(args) -> int:
                 raise InstanceFormatError(
                     f"instance '{r.label}' does not encode x -> p x p (need k=1, a=b=(p,))"
                 )
+            _require_projection(r.a[0], f"instance '{r.label}'")
             items.append((r.a[0], r.label))
     else:
         if not 0 <= args.rank <= args.dim:

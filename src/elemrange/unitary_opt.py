@@ -11,9 +11,12 @@ _MEMORY pairs (s, y) as skew matrices and the two-loop recursion maps K
 to a direction D under the inner product Re tr(X*Y).  The retraction is
 the exact matrix exponential u <- u exp(tD), and t is chosen by Armijo
 backtracking from t = 1; a start whose D is not an ascent direction steps
-along K instead.  The recursion's initial inverse Hessian is gamma I, with
-gamma = _INITIAL_STEP until a start stores its first pair, so a start with
-no pair yet takes D = _INITIAL_STEP K through the same path.
+along K instead.  The first trial of each step is evaluated with its
+gradient, and a start accepted there takes its next step from that K, so
+most steps cost one decomposition per start; later trials are value-only.
+The recursion's initial inverse Hessian is gamma I, with gamma =
+_INITIAL_STEP until a start stores its first pair, so a start with no pair
+yet takes D = _INITIAL_STEP K through the same path.
 Objectives may carry per-element parameters (direction angles, shifts) so
 a whole sweep of related subproblems runs as one batch; the grouped
 driver then aggregates per subproblem.  Every start first ascends to a
@@ -62,7 +65,7 @@ _ASCENT = 1e-10
 # The initial gamma of the L-BFGS scaling gamma I, which makes the first
 # step of a row with no stored pair _INITIAL_STEP K; then the Armijo line
 # search: backtracking factor, sufficient-increase constant, most trials per
-# gradient, and the step below which a row stalls.
+# step, and the step below which a row stalls.
 _INITIAL_STEP = 0.5
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
@@ -81,10 +84,11 @@ class OptConfig:
 
     restarts counts the Haar-random starts; the identity and the flip
     permutation are always added as deterministic starts.  max_iterations
-    caps the gradient evaluations of any one start, per instance, over both
-    passes.  seed seeds the Haar starts and every sampled check.  The
-    gradient tolerances, the L-BFGS memory and the Armijo line-search
-    constants are fixed module constants.
+    caps the steps of any one start, per instance, over both passes; a step
+    is one iteration whether or not its gradient was carried over from the
+    previous step's first trial.  seed seeds the Haar starts and every
+    sampled check.  The gradient tolerances, the L-BFGS memory and the
+    Armijo line-search constants are fixed module constants.
     """
 
     restarts: int = 16
@@ -104,7 +108,7 @@ class OptReport:
 
     value: float
     maximizer: np.ndarray
-    iterations: int  # most gradient evaluations spent on any one start
+    iterations: int  # most steps taken by any one start
     converged: bool
     start_values: np.ndarray
 
@@ -254,6 +258,8 @@ class _History:
     in the Lie algebra and k_prev its K there.  A row steps again only after
     an accepted step (any other row is done), so s_prev is always that step;
     before a row's first step it is 0, and the curvature test skips the pair.
+    Where has_k is set, k_next is K at the row's current point, evaluated by
+    the first trial of the step that was accepted there.
     """
 
     def __init__(self, rows: int, n: int):
@@ -265,6 +271,8 @@ class _History:
         self.gamma = np.full(rows, _INITIAL_STEP)
         self.k_prev = np.zeros((rows, n, n), dtype=complex)
         self.s_prev = np.zeros_like(self.k_prev)
+        self.k_next = np.zeros_like(self.k_prev)
+        self.has_k = np.zeros(rows, dtype=bool)
 
     def update(self, loc, k) -> None:
         """Store the pair of the rows loc, which now ascend along k.
@@ -361,11 +369,21 @@ class _Ascent:
         return fa, tangent_project(ua, ea)
 
     def _step(self, idx, loc, gtol: float, history: _History) -> None:
-        """One gradient evaluation, L-BFGS direction and Armijo line search
-        for the rows idx, at positions loc of the slab that owns history."""
+        """One L-BFGS direction and Armijo line search for the rows idx, at
+        positions loc of the slab that owns history.
+
+        A row's K comes from history when its last step was accepted at the
+        first trial, which evaluated the gradient there; any other row
+        evaluates it now.  The first trial of this step is evaluated with
+        its gradient in turn, and later trials with the value alone.
+        """
         u, fval, done = self.u, self.fval, self.done
-        fa, k = self._gradient(idx)
-        fval[idx] = fa
+        fresh = ~history.has_k[loc]
+        k = history.k_next[loc]
+        if fresh.any():
+            fval[idx[fresh]], k[fresh] = self._gradient(idx[fresh])
+        history.has_k[loc] = False
+        fa = fval[idx]
         history.update(loc, k)
         gn2 = _dot(k, k)
         hit = np.sqrt(gn2) <= gtol * (1.0 + np.abs(fa))
@@ -391,15 +409,23 @@ class _Ascent:
         t = np.minimum(1.0, np.pi / (np.max(np.abs(lam), axis=1) + 1e-300))
         # live and its per-row arrays shrink to the rows still backtracking;
         # those rows have not moved, so u holds their start.
-        for _ in range(_MAX_BACKTRACKS):
+        for j in range(_MAX_BACKTRACKS):
             trial = _batched.apply_skew_exp(u[live], lam, vv, t)
-            ft = np.asarray(self.objective.value(trial, live), dtype=float)
+            if j == 0:
+                ft, e = self.objective.value_and_grad(trial, live)
+            else:
+                ft = self.objective.value(trial, live)
+            ft = np.asarray(ft, dtype=float)
             ok = ft >= fval[live] + _ARMIJO * t * slope
             acc = live[ok]
             if acc.size:
                 u[acc] = trial[ok]
                 fval[acc] = ft[ok]
                 history.s_prev[loc[ok]] *= t[ok][:, None, None]
+            if j == 0:
+                history.k_next[loc[ok]] = tangent_project(trial[ok], e[ok])
+                history.has_k[loc[ok]] = True
+                del e  # freed before the value-only backtracks
             t *= _BACKTRACK
             stalled = ~ok & (t < _MIN_STEP)
             done[live[stalled]] = True

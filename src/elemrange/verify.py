@@ -110,6 +110,15 @@ def _require_even(m: int) -> None:
         raise ValueError(f"need an even number of directions, got {m}")
 
 
+def _require_projection(p: np.ndarray, name: str = "input") -> None:
+    """Raise ValueError, naming the input, unless p = p* = p^2 to 1e-10."""
+    if (
+        float(np.abs(p - p.conj().T).max()) > 1e-10
+        or float(np.abs(p @ p - p).max()) > 1e-10
+    ):
+        raise ValueError(f"{name} is not an orthogonal projection (p = p* = p^2)")
+
+
 def random_batch(count: int, n: int, k: int, seed: int) -> list[KTupleOperator]:
     """Seeded random instances with unit-scale entries, one child stream each."""
     out = []
@@ -278,11 +287,7 @@ def verify_mult_projection(
     _require_even(m)
     ps = [np.asarray(p, dtype=complex) for p in ps]
     for p in ps:
-        if (
-            float(np.abs(p - p.conj().T).max()) > 1e-10
-            or float(np.abs(p @ p - p).max()) > 1e-10
-        ):
-            raise ValueError("input is not an orthogonal projection (p = p* = p^2)")
+        _require_projection(p)
     cfg = cfg or DEFAULT_CFG
     rs = [KTupleOperator.multiplication(p, p, label="projection-mult") for p in ps]
     reports = verify_main(rs, m=m, cfg=cfg, smax_factor=smax_factor, tol=tol)

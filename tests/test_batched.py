@@ -1,8 +1,9 @@
 """The batched kernels must agree with their references to roundoff.
 
-The closed-form 2x2 kernels are checked against LAPACK, and the GEMM
-form of the elementary operator against the three-operand contraction
-and the column-stacking Kronecker matricization.
+The closed-form 2x2 kernels and the Gram-matrix singular values, at
+every n, are checked against LAPACK, and the GEMM form of the elementary
+operator against the three-operand contraction and the column-stacking
+Kronecker matricization.
 """
 
 import numpy as np
@@ -56,7 +57,7 @@ def test_eigh_full_reconstructs(rng, n):
     assert np.all(np.diff(lam, axis=1) >= -1e-14)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_top_svd_matches_lapack(rng, n):
     g = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
     sigma, w, v = _batched.top_svd(g)
@@ -73,10 +74,11 @@ def test_top_svd_zero_matrix():
 
 
 def test_sigma_max_matches_svd(rng):
-    g = rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
-    assert np.abs(
-        _batched.sigma_max(g) - np.linalg.svd(g, compute_uv=False)[:, 0]
-    ).max() <= 1e-12
+    for n in range(1, 6):
+        g = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+        assert np.abs(
+            _batched.sigma_max(g) - np.linalg.svd(g, compute_uv=False)[:, 0]
+        ).max() <= 1e-12
 
 
 def test_skew_exp_unitary(rng):
@@ -199,8 +201,8 @@ def _rel_norm(x, size):
     return np.linalg.norm((x / size.reshape(-1, *([1] * (x.ndim - 1)))).reshape(len(x), -1), axis=1)
 
 
-def _check_n2_kernels(g, h):
-    """The n = 2 closed forms on g (general) and h (Hermitian) against LAPACK."""
+def _check_svd_kernels(g):
+    """sigma_max and top_svd on the stack g against LAPACK's svd."""
     sref = np.linalg.svd(g, compute_uv=False)[:, 0]
     assert np.all(np.abs(_batched.sigma_max(g) - sref) <= 1e-12 * sref)
     sigma, w, v = _batched.top_svd(g)
@@ -210,6 +212,10 @@ def _check_n2_kernels(g, h):
     for vec in (w, v):
         assert np.abs(np.linalg.norm(vec, axis=1) - 1.0).max() <= 1e-12
 
+
+def _check_n2_kernels(g, h):
+    """The n = 2 kernels on g (general) and h (Hermitian) against LAPACK."""
+    _check_svd_kernels(g)
     lref = np.linalg.eigvalsh(h)
     size = np.abs(lref).max(axis=1)
     assert np.all(np.abs(_batched.eigvals_max(h) - lref[:, -1]) <= 1e-12 * size)
@@ -227,34 +233,49 @@ def _check_n2_kernels(g, h):
 def test_n2_kernels_at_extreme_scale(rng, scale):
     g = _stack(rng, (32, 2, 2), 1.0)
     _check_n2_kernels(scale * g, scale * _random_hermitian(rng, 32, 2))
+    # The singular values come from the Gram matrix at every n.
+    for n in (3, 4):
+        _check_svd_kernels(scale * _stack(rng, (32, n, n), 1.0))
 
 
 def test_n2_kernels_on_the_zero_matrix():
     z = np.zeros((3, 2, 2), dtype=complex)
-    assert np.all(_batched.sigma_max(z) == 0.0)
     assert np.all(_batched.eigvals_max(z) == 0.0)
-    for lam in (_batched.top_svd(z)[0], _batched.top_eigh(z)[0], _batched.eigh_full(z)[0]):
+    for lam in (_batched.top_eigh(z)[0], _batched.eigh_full(z)[0]):
         assert np.all(lam == 0.0)
-    for vec in (*_batched.top_svd(z)[1:], _batched.top_eigh(z)[1]):
-        assert np.abs(np.linalg.norm(vec, axis=1) - 1.0).max() == 0.0
+    assert np.abs(np.linalg.norm(_batched.top_eigh(z)[1], axis=1) - 1.0).max() == 0.0
+    for n in (2, 3, 4):
+        z = np.zeros((3, n, n), dtype=complex)
+        assert np.all(_batched.sigma_max(z) == 0.0)
+        sigma, w, v = _batched.top_svd(z)
+        assert np.all(sigma == 0.0)
+        for vec in (w, v):
+            assert np.abs(np.linalg.norm(vec, axis=1) - 1.0).max() == 0.0
+
+
+def _mixed(x):
+    """x beside its copies at 1e300 and 1e-300, then one zero matrix."""
+    return np.concatenate([x, 1e300 * x, 1e-300 * x, np.zeros((1, *x.shape[1:]))])
 
 
 def test_n2_kernels_rescale_only_the_rows_outside_the_window(rng):
     # A unit-scale row keeps its bits beside rows that need rescaling.
     g = _stack(rng, (8, 2, 2), 1.0)
     h = _random_hermitian(rng, 8, 2)
-    mixed_g = np.concatenate([g, 1e300 * g, 1e-300 * g, np.zeros((1, 2, 2))])
-    mixed_h = np.concatenate([h, 1e300 * h, 1e-300 * h, np.zeros((1, 2, 2))])
-    for kernel, x, mixed in (
-        (_batched.sigma_max, g, mixed_g),
-        (_batched.top_svd, g, mixed_g),
-        (_batched.eigvals_max, h, mixed_h),
-        (_batched.top_eigh, h, mixed_h),
-        (_batched.eigh_full, h, mixed_h),
-    ):
-        alone, inside = kernel(x), kernel(mixed)
+    cases = [
+        (_batched.eigvals_max, h),
+        (_batched.top_eigh, h),
+        (_batched.eigh_full, h),
+    ]
+    gs = [g, *(_stack(rng, (8, n, n), 1.0) for n in (3, 4))]
+    for x in gs:
+        cases += [(_batched.sigma_max, x), (_batched.top_svd, x)]
+    for kernel, x in cases:
+        alone, inside = kernel(x), kernel(_mixed(x))
         if not isinstance(alone, tuple):
             alone, inside = (alone,), (inside,)
         for one, many in zip(alone, inside):
             assert np.array_equal(one, many[:8])
-    _check_n2_kernels(mixed_g[:-1], mixed_h[:-1])
+    _check_n2_kernels(_mixed(g)[:-1], _mixed(h)[:-1])
+    for x in gs[1:]:
+        _check_svd_kernels(_mixed(x)[:-1])

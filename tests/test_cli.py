@@ -283,8 +283,15 @@ class TestCommands:
         assert code == 0
         text = out.read_text()
         assert text.startswith("<svg")
-        assert "legend" not in text or True
-        assert "rhs" in text and "lhs" in text
+        # Each drawn region, lhs and rhs, has one legend swatch in its
+        # colour and one legend label.
+        fills = sorted(
+            line.split('fill="')[1].split('"')[0] for line in text.splitlines()
+            if line.startswith("<rect ") and 'width="10" height="10"' in line
+        )
+        assert fills == ["#1f77b4", "#d62728"]
+        for name in ("lhs", "rhs"):
+            assert text.count(f">{name}</text>") == 1
 
     def test_svg_escapes_the_label(self, tmp_path, capsys):
         path = str(tmp_path / "amp.json")
@@ -404,13 +411,29 @@ class TestCommands:
             assert run([path], f"alone{i}") == [whole[i]]
         capsys.readouterr()
 
-    def test_projection_rejects_non_projection_instance(self, tmp_path, capsys):
+    def test_projection_rejects_non_projection_instance(self, tmp_path, capsys, monkeypatch):
         bad = KTupleOperator(np.diag([0.5, 0.0])[None], np.diag([0.5, 0.0])[None])
         path = str(tmp_path / "notproj.json")
         write_instance(bad, path)
         code = main(["projection", path, *fast_args()])
         capsys.readouterr()
         assert code == 2
+
+        # Every file is checked while it is read, before any verification
+        # runs, and the error names the offending instance.
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verification ran")
+
+        monkeypatch.setattr(elemrange.verify, "verify_main", no_verify)
+        good = str(tmp_path / "good_n3.json")
+        p = np.diag([1.0, 1.0, 0.0])
+        write_instance(KTupleOperator.multiplication(p, p, label="good_n3"), good)
+        bad_path = str(tmp_path / "bad_n2.json")
+        write_instance(KTupleOperator(bad.a, bad.b, label="bad_n2"), bad_path)
+        code = main(["projection", good, bad_path, *fast_args()])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'bad_n2' is not an orthogonal projection" in err
 
     def test_slabs_give_same_result(self, tmp_path, capsys, monkeypatch):
         # Every instance's result fragment is the same whether it runs alone,

@@ -228,25 +228,57 @@ class TestMaximizeGrouped:
             monkeypatch.setattr(unitary_opt, "_SLAB_ENTRIES", cap)
             assert_same_reports(batched(), solo)
 
-    def test_value_rows_are_the_trial_rows(self, rng, monkeypatch):
-        # value is called on line-search trials only, never on the starts.
+    def test_each_point_is_decomposed_once(self, rng, monkeypatch):
+        # The first trial of each step goes to value_and_grad, and a start
+        # accepted there takes its next step from that gradient; value sees
+        # only the later trials of a step.  So within one pass (one run of
+        # the ascent), value_and_grad never receives the same point twice.
         r = random_instance(3, 2, rng)
         obj = OrbitSupportObjective([(r.a, r.b)], 0.7)
-        rows = {"value": 0, "trials": 0}
-        value, retract = obj.value, unitary_opt._batched.apply_skew_exp
+        first, later, graded, repeated, valued = set(), set(), [], [], []
+        trials_in_step = [0]
+        value, value_and_grad = obj.value, obj.value_and_grad
+        retract = unitary_opt._batched.apply_skew_exp
+        run, step = unitary_opt._Ascent.run, unitary_opt._Ascent._step
 
-        def counted_value(u, idx=None):
-            rows["value"] += len(u)
+        def points(u):
+            return [row.tobytes() for row in u]
+
+        def spy_run(self, *args):
+            graded.append(set())
+            return run(self, *args)
+
+        def spy_step(self, *args):
+            trials_in_step[0] = 0
+            return step(self, *args)
+
+        def spy_retract(u, *args):
+            out = retract(u, *args)
+            trials_in_step[0] += 1
+            (first if trials_in_step[0] == 1 else later).update(points(out))
+            return out
+
+        def spy_value(u, idx=None):
+            valued.extend(points(u))
             return value(u, idx)
 
-        def counted_retract(u, *args):
-            rows["trials"] += len(u)
-            return retract(u, *args)
+        def spy_value_and_grad(u, idx=None):
+            for p in points(u):
+                if p in graded[-1]:
+                    repeated.append(p)
+                graded[-1].add(p)
+            return value_and_grad(u, idx)
 
-        monkeypatch.setattr(obj, "value", counted_value)
-        monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", counted_retract)
+        monkeypatch.setattr(obj, "value", spy_value)
+        monkeypatch.setattr(obj, "value_and_grad", spy_value_and_grad)
+        monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", spy_retract)
+        monkeypatch.setattr(unitary_opt._Ascent, "run", spy_run)
+        monkeypatch.setattr(unitary_opt._Ascent, "_step", spy_step)
         one_group(obj, OptConfig(restarts=4, seed=2))
-        assert rows["trials"] > 0 and rows["value"] == rows["trials"]
+        assert len(graded) == 2 and not repeated
+        assert valued and all(p in later and p not in first for p in valued)
+        # Every first trial was evaluated with its gradient.
+        assert first and first <= set().union(*graded)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_fine_pass_polishes_the_best_coarse_starts(self, n, monkeypatch):
