@@ -70,6 +70,13 @@ class ElementaryMatrix:
         return self._gemm(y, self._mc, idx)
 
 
+def _herm(c, phase) -> np.ndarray:
+    """Herm(phase c) = (phase c + (phase c)*) / 2 for a stack c; phase is a
+    scalar or broadcasts against the stack, e.g. e^{-i theta} of shape (B, 1, 1)."""
+    rc = phase * c
+    return (rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0
+
+
 def mm(a, b) -> np.ndarray:
     """a @ b for stacks of square matrices.
 

@@ -143,10 +143,7 @@ def shifted_norm(
     n = _batch_dim(rs)
     rng = np.random.default_rng([cfg.seed, 0x5EED])
     block = default_starts(n, cfg.restarts, rng)
-    tuples = [(r.a, r.b) for r in rs]
-    reports = _maximize_blocks(
-        [[block]] * len(rs), lambda g, off: ShiftedNormObjective(tuples, z, off), cfg
-    )
+    reports = _maximize_blocks(ShiftedNormObjective, rs, [[(z, block)]] * len(rs), cfg)
     return [reps[0] for reps in reports]
 
 

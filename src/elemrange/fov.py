@@ -16,11 +16,8 @@ from .region import SupportRegion, _trusted_region, directions
 def fov_supports(c, thetas) -> np.ndarray:
     """Support values of W(c) at each angle, computed as one batch."""
     c = as_square_matrix(c)
-    th = np.asarray(thetas, dtype=float)
-    ph = np.exp(-1j * th)[:, None, None]
-    rc = ph * c
-    h = (rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0
-    return _batched.eigvals_max(h)
+    ph = np.exp(-1j * np.asarray(thetas, dtype=float))[:, None, None]
+    return _batched.eigvals_max(_batched._herm(c, ph))
 
 
 def field_of_values(c, m: int = 720) -> SupportRegion:

@@ -123,8 +123,7 @@ def _fov_witnesses(c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     Each row's bits are its own in any call of two or more rows; numpy's
     einsum sums a call of a single 2x2 row in another order.
     """
-    rc = np.exp(-1j * thetas)[:, None, None] * c
-    _, v = _batched.top_eigh((rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0)
+    _, v = _batched.top_eigh(_batched._herm(c, np.exp(-1j * thetas)[:, None, None]))
     return np.einsum("bi,bij,bj->b", np.conj(v), c, v)
 
 
@@ -158,38 +157,42 @@ def _sweep_starts(n: int, m: int, cfg: OptConfig, stream: int) -> list:
 _CHAIN_BUDGET = 30
 
 
-def _chain_polish(reports, make_objective, cfg: OptConfig):
+def _chain_polish(reports, objective_cls, rs, params, cfg: OptConfig):
     """Grouped warm-continuation pass implementing direction chaining.
 
-    Direction j of every instance re-ascends from one start, the maximizer
-    of direction j - 1 on the circle (direction 0 from direction m - 1),
-    all in one batch; results merge in by max.  A direction's own maximizer
-    and any warm point were already starts of the sweep, under the same
-    objective, so they are not ascended again.
+    Direction j of every instance i, with parameter params[i][j],
+    re-ascends from one start, the maximizer of direction j - 1 on the
+    circle (direction 0 from direction m - 1), all in one batch; results
+    merge in by max.  A direction's own maximizer and any warm point were
+    already starts of the sweep, under the same objective, so they are not
+    ascended again.
     """
-    blocks = [[[reps[j - 1].maximizer] for j in range(len(reps))] for reps in reports]
+    blocks = [
+        [(p, [reps[j - 1].maximizer]) for j, p in enumerate(ps)]
+        for reps, ps in zip(reports, params)
+    ]
     capped = replace(cfg, max_iterations=min(_CHAIN_BUDGET, cfg.max_iterations))
-    polished = _maximize_blocks(blocks, make_objective, capped, coarse_first=False)
+    polished = _maximize_blocks(objective_cls, rs, blocks, capped, coarse_first=False)
     return [
         [merge_reports(rep, pol) for rep, pol in zip(reps, pols)]
         for reps, pols in zip(reports, polished)
     ]
 
 
-def _sweep(n: int, m: int, cfg: OptConfig, stream: int, make_objective, warm):
+def _sweep(objective_cls, rs, params, cfg: OptConfig, stream: int, warm):
     """Multistart over all m directions of every instance, then the chained
     polish, both as one grouped ascent; one report list per instance.
 
-    warm[i][j] is a tuple of extra starts of direction j of instance i.
-    Group i*m + j is direction j of instance i; make_objective(groups,
-    offsets) builds the objective for the stacked starts.
+    params[i][j] is the objective's parameter of direction j of instance i,
+    and warm[i][j] a tuple of extra starts of it.
     """
-    shared = _sweep_starts(n, m, cfg, stream)
+    shared = _sweep_starts(rs[0].n, len(params[0]), cfg, stream)
     blocks = [
-        [[*block, *extra] for block, extra in zip(shared, inst, strict=True)] for inst in warm
+        [(p, [*block, *extra]) for p, block, extra in zip(ps, shared, inst, strict=True)]
+        for ps, inst in zip(params, warm)
     ]
-    reports = _maximize_blocks(blocks, make_objective, cfg)
-    return _chain_polish(reports, make_objective, cfg)
+    reports = _maximize_blocks(objective_cls, rs, blocks, cfg)
+    return _chain_polish(reports, objective_cls, rs, params, cfg)
 
 
 def _orbit_estimate(r: KTupleOperator, reports, thetas: np.ndarray):
@@ -221,13 +224,10 @@ def orbit_region(
     if m < 8:
         raise ValueError("orbit_region needs at least 8 directions")
     cfg = cfg or OptConfig()
-    n = _batch_dim(rs)
+    _batch_dim(rs)  # one M_n, or ValueError
     thetas = directions(m)
-    tuples = [(r.a, r.b) for r in rs]
-
     reports = _sweep(
-        n, m, cfg, _STREAM_ORBIT,
-        lambda g, off: OrbitSupportObjective(tuples, thetas[g % m], off),
+        OrbitSupportObjective, rs, [thetas] * len(rs), cfg, _STREAM_ORBIT,
         [[()] * m] * len(rs),
     )
     return [_orbit_estimate(r, reps, thetas) for r, reps in zip(rs, reports)]
@@ -263,7 +263,7 @@ def banach_region(
         raise ValueError("banach_region needs at least 8 directions")
     check_smax_factor(smax_factor)
     cfg = cfg or OptConfig()
-    n = _batch_dim(rs)
+    _batch_dim(rs)  # one M_n, or ValueError
     if scales is None:
         scales = [rep.value + 1.0 for rep in russo_dye_norm(rs, cfg)]
     if len(scales) != len(rs) or (
@@ -273,7 +273,6 @@ def banach_region(
     scales = [float(s) for s in scales]
     schedules = [default_s_schedule(s, smax_factor) for s in scales]
     phases = np.exp(1j * directions(m))
-    tuples = [(r.a, r.b) for r in rs]
 
     if warm_starts is None:
         warm = [[()] * m] * len(rs)
@@ -281,11 +280,9 @@ def banach_region(
         warm = [[(u,) for u in ws] for ws in warm_starts]
 
     # Full multistart at the smallest shift, one grouped sweep.
-    first = np.array([sched[0] for sched in schedules])
     reports = _sweep(
-        n, m, cfg, _STREAM_BANACH,
-        lambda g, off: ShiftedNormObjective(tuples, -first[g // m] * phases[g % m], off),
-        warm,
+        ShiftedNormObjective, rs, [-sched[0] * phases for sched in schedules], cfg,
+        _STREAM_BANACH, warm,
     )
 
     g_per_dir = [
@@ -301,14 +298,13 @@ def banach_region(
         if not any(active):
             break
         blocks = [
-            [[reports[i][j].maximizer, *warm[i][j]] for j in act]
-            for i, act in enumerate(active)
+            [
+                (z, [reports[i][j].maximizer, *warm[i][j]])
+                for j, z in zip(act, -sched[t] * phases[act])
+            ]
+            for i, (act, sched) in enumerate(zip(active, schedules))
         ]
-        z = np.concatenate([-sched[t] * phases[act] for sched, act in zip(schedules, active)])
-        cont = _maximize_blocks(
-            blocks, lambda g, off: ShiftedNormObjective(tuples, z[g], off), cfg,
-            coarse_first=False,
-        )
+        cont = _maximize_blocks(ShiftedNormObjective, rs, blocks, cfg, coarse_first=False)
         for i, reps in enumerate(cont):
             still = []
             for j, rep in zip(active[i], reps):

@@ -96,10 +96,12 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name, least in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -189,8 +191,8 @@ class OrbitSupportObjective:
 
     def _herm(self, u, s, idx):
         """Herm(e^{-i theta} u* s), with s = R(u)."""
-        rt = _at(self._phase, idx) * _batched.mm(np.conj(np.swapaxes(u, -1, -2)), s)
-        return (rt + np.conj(np.swapaxes(rt, -1, -2))) / 2.0
+        c = _batched.mm(np.conj(np.swapaxes(u, -1, -2)), s)
+        return _batched._herm(c, _at(self._phase, idx))
 
     def value(self, u, idx=None):
         return _batched.eigvals_max(self._herm(u, self._r.apply(u, idx), idx))
@@ -504,25 +506,27 @@ def maximize_grouped(
     return reports
 
 
-def _maximize_blocks(blocks, make_objective, cfg: OptConfig, coarse_first: bool = True):
+def _maximize_blocks(objective_cls, rs, blocks, cfg: OptConfig, coarse_first: bool = True):
     """maximize_grouped over per-instance lists of start blocks; one report
     list per instance.
 
-    blocks[i][j] is the start list of group j of instance i.  Groups are
+    rs holds the operators (anything with stacks a and b) of the instances,
+    and blocks[i][j] = (p, starts) is group j of instance i: the parameter
+    of its subproblem (an angle, a shift) and its start list.  Groups are
     numbered over the instances in order, instance i's rows start at
     offsets[i] (an instance with no groups repeats the next offset), and
-    make_objective(groups, offsets) builds the objective of the stacked
-    starts.
+    the objective is objective_cls(tuples, p per row, offsets).
     """
-    starts, groups, offsets, group = [], [], [], 0
+    starts, params, groups, offsets = [], [], [], []
     for inst in blocks:
         offsets.append(len(starts))
-        for block in inst:
+        for p, block in inst:
             starts.extend(block)
-            groups.extend([group] * len(block))
-            group += 1
-    groups, offsets = np.asarray(groups), np.asarray(offsets)
-    objective = make_objective(groups, offsets)
+            groups.extend([len(params)] * len(block))
+            params.append(p)
+    groups = np.asarray(groups, dtype=int)
+    tuples = [(r.a, r.b) for r in rs]
+    objective = objective_cls(tuples, np.asarray(params)[groups], np.asarray(offsets))
     reports = iter(maximize_grouped(objective, groups, starts, cfg, coarse_first))
     return [[next(reports) for _ in inst] for inst in blocks]
 

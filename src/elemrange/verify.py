@@ -15,18 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _batched
-from .elemop import (
-    KTupleOperator,
-    apply_batched,
-    random_instance,
-    russo_dye_norm,
-)
+from .elemop import KTupleOperator, random_instance, russo_dye_norm
 from .fov import field_of_values
-from .linalg import haar_unitaries, spectral_norm
+from .linalg import haar_unitaries
 from .orbit import DEFAULT_SMAX_FACTOR
 from .orbit import _orbit_matrices, banach_region, check_smax_factor, orbit_region
 from .region import directions, hausdorff, hull_of_points, minkowski_sum, negate
-from .unitary_opt import OptConfig
+from .unitary_opt import OptConfig, OrbitSupportObjective, ShiftedNormObjective
 
 # Direction count sized so a 20-instance main-formula batch at n=2, k=2
 # completes within the acceptance runtime budget.
@@ -141,28 +136,26 @@ def verify_inclusion(
     INCLUSION_S_FACTORS times a norm bound, the matrix inequality
     lambda_max(Herm(e^{-i theta} sum u*a_i u b_i)) <= |R(u) + s e^{i theta} u| - s
     holds exactly; the discrepancy is the worst violation observed,
-    independent of any optimization, against INCLUSION_TOL.
+    independent of any optimization, against INCLUSION_TOL.  Both sides
+    are evaluated by the objectives the two regions' ascents maximize:
+    the left by OrbitSupportObjective at theta, the right by
+    ShiftedNormObjective at z = -s e^{i theta}.
     """
     cfg = cfg or DEFAULT_CFG
     us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 31]))
-    ru = apply_batched(r, us)
-    cu = _batched.mm(np.conj(np.swapaxes(us, -1, -2)), ru)
-
-    srough = 1.0 + sum(
-        spectral_norm(r.a[i]) * spectral_norm(r.b[i]) for i in range(r.k)
-    )
+    srough = 1.0 + float(np.sum(_batched.sigma_max(r.a) * _batched.sigma_max(r.b)))
     svals = srough * np.asarray(INCLUSION_S_FACTORS)
     th = directions(m)
-    ph = np.exp(-1j * th)
+    tuples = [(r.a, r.b)]
 
-    rc = ph[None, :, None, None] * cu[:, None]
-    lhs = _batched.eigvals_max((rc + np.conj(np.swapaxes(rc, -1, -2))) / 2.0)
+    # One row per (sample, direction), and per (sample, direction, shift).
+    orbit = OrbitSupportObjective(tuples, np.tile(th, n_samples))
+    lhs = orbit.value(np.repeat(us, m, axis=0)).reshape(n_samples, m, 1)
+    shifts = -svals[None, :] * np.exp(1j * th)[:, None]
+    shifted = ShiftedNormObjective(tuples, np.tile(shifts.ravel(), n_samples))
+    rhs = shifted.value(np.repeat(us, shifts.size, axis=0)).reshape(n_samples, m, -1) - svals
 
-    shift = svals[None, None, :, None, None] * np.conj(ph)[None, :, None, None, None]
-    g = ru[:, None, None] + shift * us[:, None, None]
-    rhs = _batched.sigma_max(g) - svals[None, None, :]
-
-    violation = float(np.max(lhs[:, :, None] - rhs))
+    violation = float(np.max(lhs - rhs))
     rep = VerificationReport(label=r.label or "inclusion")
     rep.checks.append(CheckResult("per_unitary_inclusion", violation, INCLUSION_TOL))
     rep.diagnostics = {
@@ -243,13 +236,15 @@ def verify_derivation(
     The oracle region W(a) + (-W(b)) is computed by eigenvalue sweeps and
     Minkowski arithmetic only, independent of any unitary optimization.
     Negating W(b) rotates the grid by half a turn, so m must be even.
-    labels, when given, names each pair.  The pairs share one n and their
-    orbit sweeps run as one batch; each report is the one its pair gets
-    alone.
+    labels, when given, names each pair, one label per pair.  The pairs
+    share one n and their orbit sweeps run as one batch; each report is the
+    one its pair gets alone.
     """
     _require_even(m)
     cfg = cfg or DEFAULT_CFG
     labels = labels if labels is not None else [None] * len(pairs)
+    if len(labels) != len(pairs):
+        raise ValueError(f"labels need one entry per pair, got {len(labels)} for {len(pairs)}")
     deltas = [
         KTupleOperator.derivation(a, b, label=label)
         for (a, b), label in zip(pairs, labels)

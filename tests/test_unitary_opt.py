@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from elemrange import unitary_opt
 from elemrange.elemop import random_instance
-from elemrange.linalg import haar_unitary, is_unitary
+from elemrange.linalg import haar_unitaries, haar_unitary, is_unitary
 from elemrange.unitary_opt import (
     OptConfig,
     OrbitSupportObjective,
@@ -347,6 +347,48 @@ class TestMaximizeGrouped:
         assert climb.iterations > 1
 
 
+class TestMaximizeBlocks:
+    """_maximize_blocks numbers the groups and builds the objective itself,
+    from blocks[i][j] = (p, starts)."""
+
+    @pytest.mark.parametrize(
+        "cls, params",
+        [
+            (OrbitSupportObjective, [0.3, 1.1, 2.5, 4.0, 5.2, 0.7]),
+            (ShiftedNormObjective, [1.5 - 0.5j, -2.0j, 0.8, 3.0 + 1.0j, -1.2, 0.4j]),
+        ],
+    )
+    def test_each_row_gets_its_block_parameter(self, cls, params):
+        rng = np.random.default_rng(31)
+        ops = [random_instance(2, 2, rng) for _ in range(4)]
+        # Instance 2 has no groups; block sizes differ within and across
+        # instances.
+        sizes = [[2, 4], [3], [], [1, 2, 5]]
+        p = iter(params)
+        blocks = [
+            [(next(p), list(haar_unitaries(2, size, rng))) for size in inst]
+            for inst in sizes
+        ]
+        made = []
+
+        class Spy(cls):
+            def __init__(self, tuples, param, offsets):
+                made.append((len(tuples), np.array(param), np.array(offsets)))
+                super().__init__(tuples, param, offsets)
+
+        cfg = OptConfig(restarts=1, seed=0, max_iterations=12)
+        batched = unitary_opt._maximize_blocks(Spy, ops, blocks, cfg)
+
+        count, per_row, offsets = made[0]
+        assert count == len(ops)
+        assert np.array_equal(per_row, np.repeat(params, [s for inst in sizes for s in inst]))
+        assert np.array_equal(offsets, [0, 6, 9, 9])
+        assert [len(reps) for reps in batched] == [len(inst) for inst in sizes]
+        for r, inst, reps in zip(ops, blocks, batched):
+            if inst:
+                assert_same_reports(reps, unitary_opt._maximize_blocks(cls, [r], [inst], cfg)[0])
+
+
 def skew_basis(n):
     """An orthonormal basis of the skew-Hermitian n x n matrices under
     Re tr(X*Y): the real n^2 coordinates of the Lie algebra u(n)."""
@@ -571,6 +613,29 @@ class TestHelpers:
             OptConfig(restarts=0)
         with pytest.raises(ValueError):
             OptConfig(max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 2.5),
+            ("restarts", True),
+            ("max_iterations", 10.0),
+            ("max_iterations", "10"),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", -1),
+            ("seed", np.int64(-3)),
+        ],
+    )
+    def test_config_rejects_values_that_fail_later(self, field, value):
+        # Each message names the field; seed=-1 used to reach numpy's
+        # "expected non-negative integer" at the first ascent.
+        with pytest.raises(ValueError, match=field):
+            OptConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = OptConfig(restarts=np.int64(3), max_iterations=np.int32(20), seed=np.uint8(0))
+        assert (cfg.restarts, cfg.max_iterations, cfg.seed) == (3, 20, 0)
 
     def test_config_holds_only_the_values_callers_set(self):
         # Tolerances and line-search constants are module constants.
