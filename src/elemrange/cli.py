@@ -210,7 +210,9 @@ def _result_shell(args) -> dict:
     }
 
 
-def _emit(result: dict, args) -> None:
+def _emit(result: dict, args):
+    """Write the result to --out or stdout; return the stream for status
+    lines, which is stderr when the result went to stdout, so that it parses."""
     if args.out is None:
         if args.format == "json":
             print(dumps_result(result))
@@ -218,7 +220,7 @@ def _emit(result: dict, args) -> None:
             sys.stdout.write(result_to_csv(result))
         else:
             raise ValueError("--format svg requires --out")
-        return
+        return sys.stderr
     if args.format == "json":
         write_text_atomic(args.out, lambda fh: dump_result(result, fh))
     elif args.format == "csv":
@@ -226,9 +228,10 @@ def _emit(result: dict, args) -> None:
     else:
         render_svg(result, args.out)
     print(f"wrote {args.out}")
+    return sys.stdout
 
 
-def _print_checks(result: dict) -> int:
+def _print_checks(result: dict, out) -> int:
     failures = 0
     for inst in result["instances"]:
         for chk in inst.get("checks", []):
@@ -238,10 +241,11 @@ def _print_checks(result: dict) -> int:
             print(
                 f"{inst['label']}: {chk['name']} "
                 f"discrepancy={chk['discrepancy']:.3e} "
-                f"tolerance={chk['tolerance']:.3e} {status}"
+                f"tolerance={chk['tolerance']:.3e} {status}",
+                file=out,
             )
     if failures:
-        print(f"{failures} check(s) FAILED")
+        print(f"{failures} check(s) FAILED", file=out)
         return 1
     return 0
 
@@ -252,8 +256,7 @@ def _checked(args, heads, reports) -> int:
     for inst, rep in zip(heads, reports):
         _report_fragment(inst, rep)
         result["instances"].append(inst)
-    _emit(result, args)
-    return _print_checks(result)
+    return _print_checks(result, _emit(result, args))
 
 
 def _cmd_fov(args) -> int:
@@ -303,8 +306,8 @@ def _cmd_norm(args) -> int:
             },
         }
     )
-    _emit(result, args)
-    print(f"{r.label}: norm value {rep.value!r} (converged={rep.converged})")
+    out = _emit(result, args)
+    print(f"{r.label}: norm value {rep.value!r} (converged={rep.converged})", file=out)
     return 0
 
 

@@ -11,9 +11,11 @@ _MEMORY pairs (s, y) as skew matrices and the two-loop recursion maps K
 to a direction D under the inner product Re tr(X*Y).  The retraction is
 the exact matrix exponential u <- u exp(tD), and t is chosen by Armijo
 backtracking from t = 1; a start whose D is not an ascent direction steps
-along K instead.  The first trial of each step is evaluated with its
-gradient, and a start accepted there takes its next step from that K, so
-most steps cost one decomposition per start; later trials are value-only.
+along K instead.  A start stores its pair when its step is accepted,
+with K at its new point, as in textbook L-BFGS.  The first trial of each
+step is evaluated with its gradient, so a start accepted there costs one
+decomposition per step; later trials are value-only, and the starts
+accepted at one of them take their gradient in one call after the search.
 The recursion's initial inverse Hessian is gamma I, with gamma =
 _INITIAL_STEP until a start stores its first pair, so a start with no pair
 yet takes D = _INITIAL_STEP K through the same path.
@@ -85,10 +87,10 @@ class OptConfig:
     restarts counts the Haar-random starts; the identity and the flip
     permutation are always added as deterministic starts.  max_iterations
     caps the steps of any one start, per instance, over both passes; a step
-    is one iteration whether or not its gradient was carried over from the
-    previous step's first trial.  seed seeds the Haar starts and every
-    sampled check.  The gradient tolerances, the L-BFGS memory and the
-    Armijo line-search constants are fixed module constants.
+    is one iteration however many trials its line search takes.  seed seeds
+    the Haar starts and every sampled check.  The gradient tolerances, the
+    L-BFGS memory and the Armijo line-search constants are fixed module
+    constants.
     """
 
     restarts: int = 16
@@ -253,43 +255,36 @@ class _History:
     """The L-BFGS memory of one slab's rows, indexed by position in the slab.
 
     Each row keeps its last _MEMORY pairs (s, y) in a ring whose newest slot
-    is head; slot j of row i is entry j * rows + i of s, y and rho.  A slot
-    with no pair holds zeros and rho = 0, which the two-loop recursion
-    passes through unchanged, so a row with none gets gamma K; gamma starts
-    at _INITIAL_STEP.  s_prev is the step t D of each row's last iteration
-    in the Lie algebra and k_prev its K there.  A row steps again only after
-    an accepted step (any other row is done), so s_prev is always that step;
-    before a row's first step it is 0, and the curvature test skips the pair.
-    Where has_k is set, k_next is K at the row's current point, evaluated by
-    the first trial of the step that was accepted there.
+    is head; slot j of row i is entry [j, i] of s, y and rho.  A slot with
+    no pair holds zeros and rho = 0, which the two-loop recursion passes
+    through unchanged, so a row with none gets gamma K; gamma starts at
+    _INITIAL_STEP.  k is K at each row's current point, and a row's pair is
+    stored when its step is accepted, together with K at its new point.
     """
 
     def __init__(self, rows: int, n: int):
-        self.rows = rows
-        self.s = np.zeros((_MEMORY * rows, n, n), dtype=complex)
+        self.s = np.zeros((_MEMORY, rows, n, n), dtype=complex)
         self.y = np.zeros_like(self.s)
-        self.rho = np.zeros(_MEMORY * rows)
+        self.rho = np.zeros((_MEMORY, rows))
         self.head = np.zeros(rows, dtype=int)
         self.gamma = np.full(rows, _INITIAL_STEP)
-        self.k_prev = np.zeros((rows, n, n), dtype=complex)
-        self.s_prev = np.zeros_like(self.k_prev)
-        self.k_next = np.zeros_like(self.k_prev)
-        self.has_k = np.zeros(rows, dtype=bool)
+        self.k = np.zeros((rows, n, n), dtype=complex)
 
-    def update(self, loc, k) -> None:
-        """Store the pair of the rows loc, which now ascend along k.
+    def store(self, loc, s, k_old, k_new) -> None:
+        """The rows loc moved by the step s from where K was k_old to where
+        it is k_new: keep k_new and store the pair.
 
-        s = s_prev is the step in the Lie algebra and y = K_prev - K the
-        gradient change of -f; a pair without positive curvature is skipped.
+        s is the step in the Lie algebra and y = k_old - k_new the gradient
+        change of -f; a pair without positive curvature is skipped.
         """
-        s = self.s_prev[loc]
-        y = self.k_prev[loc] - k
+        self.k[loc] = k_new
+        y = k_old - k_new
         sy = _dot(s, y)
         yy = _dot(y, y)
         keep = sy > _CURVATURE * np.sqrt(_dot(s, s) * yy)
         rows = loc[keep]
         self.head[rows] = (self.head[rows] + 1) % _MEMORY
-        slot = self.head[rows] * self.rows + rows
+        slot = self.head[rows], rows
         self.s[slot] = s[keep]
         self.y[slot] = y[keep]
         self.rho[slot] = 1.0 / sy[keep]
@@ -297,11 +292,8 @@ class _History:
 
     def direction(self, loc, k) -> np.ndarray:
         """The two-loop recursion: the inverse-BFGS image of k at rows loc."""
-        newest_first = (self.head[loc] - np.arange(_MEMORY)[:, None]) % _MEMORY
-        slot = (newest_first * self.rows + loc).ravel()
-        s = self.s[slot].reshape(_MEMORY, *k.shape)
-        y = self.y[slot].reshape(_MEMORY, *k.shape)
-        rho = self.rho[slot].reshape(_MEMORY, -1)
+        slot = (self.head[loc] - np.arange(_MEMORY)[:, None]) % _MEMORY, loc
+        s, y, rho = self.s[slot], self.y[slot], self.rho[slot]
         q = k.copy()
         alpha = np.empty_like(rho)
         for j in range(_MEMORY):
@@ -356,6 +348,8 @@ class _Ascent:
                 loc = np.flatnonzero(~done[slab] & (own > it))
                 if loc.size == 0:
                     break
+                if it == 0:
+                    self.fval[slab[loc]], history.k[loc] = self._gradient(slab[loc])
                 self.iterations[slab[loc]] += 1
                 self._step(slab[loc], loc, gtol, history)
             del history  # freed before the next slab allocates its own
@@ -372,29 +366,22 @@ class _Ascent:
 
     def _step(self, idx, loc, gtol: float, history: _History) -> None:
         """One L-BFGS direction and Armijo line search for the rows idx, at
-        positions loc of the slab that owns history.
+        positions loc of the slab that owns history, from K = history.k.
 
-        A row's K comes from history when its last step was accepted at the
-        first trial, which evaluated the gradient there; any other row
-        evaluates it now.  The first trial of this step is evaluated with
-        its gradient in turn, and later trials with the value alone.
+        The first trial is evaluated with its gradient, so a row accepted
+        there stores its pair at once.  Later trials are evaluated with the
+        value alone; the rows accepted at one of them take their gradient in
+        one call after the search, and then store their pair.
         """
         u, fval, done = self.u, self.fval, self.done
-        fresh = ~history.has_k[loc]
-        k = history.k_next[loc]
-        if fresh.any():
-            fval[idx[fresh]], k[fresh] = self._gradient(idx[fresh])
-        history.has_k[loc] = False
-        fa = fval[idx]
-        history.update(loc, k)
+        k = history.k[loc]
         gn2 = _dot(k, k)
-        hit = np.sqrt(gn2) <= gtol * (1.0 + np.abs(fa))
+        hit = np.sqrt(gn2) <= gtol * (1.0 + np.abs(fval[idx]))
         done[idx[hit]] = True
         self.converged[idx[hit]] = True
-        live, loc = idx[~hit], loc[~hit]
-        if live.size == 0:
+        if hit.all():
             return
-        k, gn2 = k[~hit], gn2[~hit]
+        idx, loc, k, gn2 = idx[~hit], loc[~hit], k[~hit], gn2[~hit]
         # Every row takes the two-loop direction D (gamma K for a row with no
         # stored pair) with a first trial of t = 1, unless D is not an ascent
         # direction, when it falls back to D = K.
@@ -403,40 +390,46 @@ class _Ascent:
         fallback = ~(slope > _ASCENT * np.sqrt(gn2 * _dot(d, d)))
         d[fallback] = k[fallback]
         slope[fallback] = gn2[fallback]
-        history.k_prev[loc] = k
-        history.s_prev[loc] = d  # scaled by t on acceptance
         lam, vv = _batched.skew_exp_factors(d)
-        del k, d  # freed before the line search allocates its temporaries
         # Cap the step so one retraction never rotates past half a turn.
         t = np.minimum(1.0, np.pi / (np.max(np.abs(lam), axis=1) + 1e-300))
-        # live and its per-row arrays shrink to the rows still backtracking;
-        # those rows have not moved, so u holds their start.
+        # at holds the positions in idx of the rows still backtracking, which
+        # have not moved, so u holds their start; d[at] is scaled by t on
+        # acceptance, so that it holds the accepted step.
+        at = np.arange(idx.size)
+        late = np.zeros(idx.size, dtype=bool)
         for j in range(_MAX_BACKTRACKS):
-            trial = _batched.apply_skew_exp(u[live], lam, vv, t)
+            rows = idx[at]
+            trial = _batched.apply_skew_exp(u[rows], lam, vv, t)
             if j == 0:
-                ft, e = self.objective.value_and_grad(trial, live)
+                ft, e = self.objective.value_and_grad(trial, rows)
             else:
-                ft = self.objective.value(trial, live)
+                ft = self.objective.value(trial, rows)
             ft = np.asarray(ft, dtype=float)
-            ok = ft >= fval[live] + _ARMIJO * t * slope
-            acc = live[ok]
+            ok = ft >= fval[rows] + _ARMIJO * t * slope
+            acc = at[ok]
             if acc.size:
-                u[acc] = trial[ok]
-                fval[acc] = ft[ok]
-                history.s_prev[loc[ok]] *= t[ok][:, None, None]
+                u[rows[ok]] = trial[ok]
+                fval[rows[ok]] = ft[ok]
+                d[acc] *= t[ok][:, None, None]
+                if j == 0:
+                    history.store(loc[acc], d[acc], k[acc], tangent_project(trial[ok], e[ok]))
+                else:
+                    late[acc] = True
             if j == 0:
-                history.k_next[loc[ok]] = tangent_project(trial[ok], e[ok])
-                history.has_k[loc[ok]] = True
                 del e  # freed before the value-only backtracks
             t *= _BACKTRACK
             stalled = ~ok & (t < _MIN_STEP)
-            done[live[stalled]] = True
+            done[rows[stalled]] = True
             rest = ~ok & ~stalled
-            if not rest.any():
-                return
-            live, loc, lam, vv = live[rest], loc[rest], lam[rest], vv[rest]
-            slope, t = slope[rest], t[rest]
-        done[live] = True  # backtracking budget exhausted: stall
+            at, lam, vv, slope, t = at[rest], lam[rest], vv[rest], slope[rest], t[rest]
+            if at.size == 0:
+                break
+        done[idx[at]] = True  # backtracking budget exhausted: stall
+        late = np.flatnonzero(late)
+        if late.size:
+            fval[idx[late]], k_late = self._gradient(idx[late])
+            history.store(loc[late], d[late], k[late], k_late)
 
 
 def maximize_grouped(

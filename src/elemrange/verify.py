@@ -141,6 +141,9 @@ def verify_inclusion(
     the left by OrbitSupportObjective at theta, the right by
     ShiftedNormObjective at z = -s e^{i theta}.
     """
+    for name, value in (("n_samples", n_samples), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     cfg = cfg or DEFAULT_CFG
     us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 31]))
     srough = 1.0 + float(np.sum(_batched.sigma_max(r.a) * _batched.sigma_max(r.b)))

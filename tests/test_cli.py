@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -333,6 +334,21 @@ class TestCommands:
         capsys.readouterr()
         assert code == 2
 
+    def test_verify_json_on_stdout_parses(self, identity_path, capsys):
+        # Without --out the result is stdout, and the check lines go to stderr.
+        assert main(["verify", identity_path, "--directions", "8", "--restarts", "1"]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert [c["name"] for c in doc["instances"][0]["checks"]][0] == "main_formula"
+        assert "main_formula" in err and "PASS" in err
+
+    def test_norm_csv_on_stdout_parses(self, identity_path, capsys):
+        assert main(["norm", identity_path, "--restarts", "1", "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 2 and len(rows[0]) == len(rows[1])
+        assert "norm value" in err
+
     def test_verify_random_batch(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
         code = main(["verify", "--count", "2", "--dim", "2", "--tuples", "2",
@@ -577,13 +593,18 @@ class TestDeterminism:
             assert blobs[0] == blobs[1]
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_heavy_module():
     # numpy is the only runtime dependency; scipy serves the tests alone.
+    # The standard library's network, mail and XML packages cost import time
+    # and resident memory that every CLI call pays (xml.sax.saxutils alone
+    # cost 2.8 MB of peak RSS).  What the interpreter's startup and numpy
+    # load (pathlib loads urllib.parse) is the floor.
+    heavy = ("scipy", "urllib", "ssl", "email", "http", "xml")
     src = str(Path(elemrange.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, elemrange.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, numpy; floor = set(sys.modules); import elemrange.cli; "
+        f"print(sorted(m for m in set(sys.modules) - floor if m.split('.')[0] in {heavy!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),

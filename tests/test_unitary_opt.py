@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from elemrange import unitary_opt
 from elemrange.elemop import random_instance
@@ -424,11 +425,9 @@ def inverse_bfgs(pairs, dim):
 
 
 def store_pair(history, loc, s, y):
-    """Feed the pair (s, y) of the rows loc through history.update."""
+    """Feed the pair (s, y) of the rows loc through history.store."""
     k = np.stack([random_skew(np.random.default_rng(len(loc)), s.shape[-1])] * len(loc))
-    history.s_prev[loc] = s
-    history.k_prev[loc] = y + k
-    history.update(loc, k)
+    history.store(loc, s, y + k, k)
 
 
 def spy_retraction(monkeypatch):
@@ -452,11 +451,14 @@ def spy_retraction(monkeypatch):
 
 def fresh_ascent(rng, n=3, restarts=4):
     """An ascent of one orbit objective from the default starts, its rows,
-    and a fresh L-BFGS history for them."""
+    and a fresh L-BFGS history for them, holding K at every row, as the
+    ascent's first step finds them."""
     r = random_instance(n, 2, rng)
     obj = OrbitSupportObjective([(r.a, r.b)], 0.9)
     state = unitary_opt._Ascent(obj, np.stack(default_starts(n, restarts, rng)))
-    return state, np.arange(state.nb), unitary_opt._History(state.nb, n)
+    idx, history = np.arange(state.nb), unitary_opt._History(state.nb, n)
+    state.fval[idx], history.k[idx] = state._gradient(idx)
+    return state, idx, history
 
 
 class TestLbfgsStep:
@@ -489,20 +491,20 @@ class TestLbfgsStep:
         history = unitary_opt._History(3, n)
         s = np.stack([random_skew(rng, n) for _ in range(3)])
         store_pair(history, np.arange(3), s, s)
-        ring = (history.s, history.y, history.rho, history.head, history.gamma)
-        before = [x.copy() for x in ring]
+        ring = (history.s, history.y, history.rho)
+        before = [x.copy() for x in (*ring, history.head, history.gamma)]
         other = random_skew(rng, n)
         ortho = other - np.sum(np.conj(s[1]) * other).real * s[1]
         store_pair(history, np.arange(3), s, np.stack([-s[0], ortho, 2 * s[2]]))
-        slots = np.arange(unitary_opt._MEMORY)[:, None] * 3 + np.arange(3)
         for x, old in zip(ring, before):
-            rows = slots[:, :2] if x.shape[0] == slots.size else np.arange(2)
-            assert np.array_equal(x[rows], old[rows])
-        newest = history.head[2] * 3 + 2
+            assert np.array_equal(x[:, :2], old[:, :2])
+        for x, old in zip((history.head, history.gamma), before[3:]):
+            assert np.array_equal(x[:2], old[:2])
+        newest = history.head[2], 2
         assert np.array_equal(history.s[newest], s[2])
         assert np.allclose(history.y[newest], 2 * s[2], rtol=0, atol=1e-15)
         assert history.rho[newest] == pytest.approx(0.5)
-        assert np.sort(history.rho[slots[:, 2]]) == pytest.approx([0.0, 0.0, 0.5, 1.0])
+        assert np.sort(history.rho[:, 2]) == pytest.approx([0.0, 0.0, 0.5, 1.0])
         assert history.gamma[2] == pytest.approx(0.5)
 
     def test_non_ascent_direction_falls_back_to_k(self, rng, monkeypatch):
@@ -514,10 +516,11 @@ class TestLbfgsStep:
         obj = OrbitSupportObjective([(r.a, r.b)], 0.9)
         state = unitary_opt._Ascent(obj, np.stack(default_starts(n, 0, rng)))
         idx = np.arange(2)
-        _, k = state._gradient(idx)
         history = unitary_opt._History(2, n)
         s = np.stack([random_skew(rng, n) for _ in idx])
         store_pair(history, idx, s, s)
+        state.fval[idx], history.k[idx] = state._gradient(idx)
+        k = history.k.copy()
         monkeypatch.setattr(history, "direction", lambda loc, k: np.stack([-k[0], 2 * k[1]]))
         seen = spy_retraction(monkeypatch)
         state._step(idx, idx, 0.0, history)
@@ -531,7 +534,7 @@ class TestLbfgsStep:
         # gamma K with gamma = _INITIAL_STEP, tried first at t = min(1, tmax):
         # a steepest-ascent step of _INITIAL_STEP along K.
         state, idx, history = fresh_ascent(rng)
-        _, k = state._gradient(idx)
+        k = history.k.copy()
         seen = spy_retraction(monkeypatch)
         state._step(idx, idx, 0.0, history)
         assert np.array_equal(seen[0], unitary_opt._INITIAL_STEP * k)
@@ -539,19 +542,58 @@ class TestLbfgsStep:
         tmax = np.pi / np.abs(lam).max(axis=1)
         assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
 
-    def test_first_pair_is_stored_at_the_second_step(self, rng):
-        # Before a row's first step its s_prev is 0, so the curvature test
-        # skips that pair: no row holds one after the first step.  The
-        # second step stores the pair of the first in every row that moved.
+    def test_pair_is_stored_when_its_step_is_accepted(self, rng):
+        # Every row that moved holds the pair of its step and K at its new
+        # point; a row that did not move holds no pair.
         state, idx, history = fresh_ascent(rng)
         start = state.u.copy()
         state._step(idx, idx, 0.0, history)
-        assert not history.rho.any()
-        moved = np.flatnonzero(np.any(state.u != start, axis=(1, 2)))
-        assert moved.size > 1
-        state._step(moved, moved, 0.0, history)
-        pairs = np.count_nonzero(history.rho.reshape(unitary_opt._MEMORY, -1), axis=0)
-        assert np.array_equal(pairs[moved], np.ones(moved.size))
+        moved = np.any(state.u != start, axis=(1, 2))
+        assert np.count_nonzero(moved) > 1
+        pairs = np.count_nonzero(history.rho, axis=0)
+        assert np.array_equal(pairs, moved.astype(int))
+        fval, k = state._gradient(idx[moved])
+        assert np.array_equal(history.k[moved], k)
+        assert np.array_equal(state.fval[moved], fval)
+
+    def test_late_rows_take_their_gradient_after_the_search(self, rng, monkeypatch):
+        # A first trial 64 times too long overshoots, so most rows are
+        # accepted at a later, value-only trial.  Those rows, and only
+        # those, take their gradient in one call after the search, and
+        # store their pair and their new K within the step.
+        monkeypatch.setattr(unitary_opt, "_INITIAL_STEP", 64 * unitary_opt._INITIAL_STEP)
+        state, idx, history = fresh_ascent(rng, restarts=8)
+        start, k_start = state.u.copy(), history.k.copy()
+        firsts, calls = [], []
+        retract, gradient = unitary_opt._batched.apply_skew_exp, state._gradient
+
+        def spy_retract(u, *args):
+            out = retract(u, *args)
+            if not firsts:
+                firsts.append(out)
+            return out
+
+        def spy_gradient(rows):
+            calls.append(rows.copy())
+            return gradient(rows)
+
+        monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", spy_retract)
+        monkeypatch.setattr(state, "_gradient", spy_gradient)
+        state._step(idx, idx, 0.0, history)
+        moved = np.any(state.u != start, axis=(1, 2))
+        first = np.all(state.u == firsts[0], axis=(1, 2))
+        late = np.flatnonzero(moved & ~first)
+        assert late.size > 1
+        assert len(calls) == 1 and np.array_equal(calls[0], late)
+        fval, k = gradient(late)
+        assert np.array_equal(history.k[late], k)
+        assert np.array_equal(state.fval[late], fval)
+        assert np.array_equal(np.count_nonzero(history.rho[:, late], axis=0), np.ones(late.size))
+        # The pair is (the accepted step, the change of K along it).
+        newest = history.head[late], late
+        assert np.array_equal(history.y[newest], k_start[late] - k)
+        for row, step in zip(late, history.s[newest]):
+            assert np.allclose(start[row] @ expm(step), state.u[row], rtol=0, atol=1e-12)
 
     def test_history_memory_is_bounded_by_slabs(self, monkeypatch):
         # Each slab of instances runs all its iterations with an L-BFGS

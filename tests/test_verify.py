@@ -54,6 +54,20 @@ class TestVerifyInclusion:
             rep = verify_inclusion(r, n_samples=50, cfg=CFG, m=12)
             assert rep.check("per_unitary_inclusion").discrepancy <= 1e-10
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_samples", 0), ("m", 0), ("m", -3), ("n_samples", -1), ("n_samples", 2.5),
+         ("m", True)],
+    )
+    def test_rejects_counts_that_are_not_positive_integers(self, name, value, monkeypatch):
+        # Each used to fail inside numpy with a message naming no argument.
+        def fail(*args):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(verify_mod, "haar_unitaries", fail)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            verify_inclusion(KTupleOperator.identity(2), cfg=CFG, **{name: value})
+
 
 class TestVerifyMain:
     def test_identity_operator(self):
