@@ -1,9 +1,11 @@
 """Elementary operators x -> sum_i a_i x b_i on the matrix algebra M_n.
 
-Provides application, a Kronecker matricization oracle, and operator
-norms computed over the unitary group, where the supremum of |R(x)| over
-the unit ball is attained (unitaries are the extreme points of the ball
-and the ball is their closed convex hull).
+Provides the pair of k-tuples that defines an operator, seeded random
+instances, and operator norms computed over the unitary group, where the
+supremum of |R(x)| over the unit ball is attained (unitaries are the
+extreme points of the ball and the ball is their closed convex hull).
+The operator itself is applied by the batched kernel
+``_batched.ElementaryMatrix`` inside the objectives.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batched import ElementaryMatrix
 from .linalg import as_square_matrix
 from .unitary_opt import (
     OptConfig,
@@ -86,36 +87,6 @@ class KTupleOperator:
         a = np.concatenate([self.a, (complex(z) * eye)[None]])
         b = np.concatenate([self.b, eye[None]])
         return KTupleOperator(a, b, label=label)
-
-
-def apply(r: KTupleOperator, x) -> np.ndarray:
-    """R(x) = sum_i a_i x b_i."""
-    x = as_square_matrix(x, "x")
-    if x.shape[0] != r.n:
-        raise ValueError(f"operand is {x.shape[0]}x{x.shape[0]}, operator acts on {r.n}x{r.n}")
-    return apply_batched(r, x[None])[0]
-
-
-def apply_batched(r: KTupleOperator, u: np.ndarray) -> np.ndarray:
-    """R applied to a stack of operands of shape (B, n, n)."""
-    return ElementaryMatrix([(r.a, r.b)]).apply(np.asarray(u))
-
-
-def matricize(r: KTupleOperator) -> np.ndarray:
-    """The n^2 x n^2 matrix of R under column stacking: sum_i (b_i^T kron a_i).
-
-    With vec the column-major stacking, vec(R(x)) = matricize(R) @ vec(x);
-    this is the independent oracle against which `apply` is tested.
-    """
-    m = np.zeros((r.n * r.n, r.n * r.n), dtype=complex)
-    for i in range(r.k):
-        m += np.kron(r.b[i].T, r.a[i])
-    return m
-
-
-def vec(x) -> np.ndarray:
-    """Column-major stacking of a matrix into a vector."""
-    return np.asarray(x).flatten(order="F")
 
 
 def _batch_dim(rs) -> int:

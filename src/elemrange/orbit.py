@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _batched
-from .elemop import KTupleOperator, _batch_dim, apply_batched, russo_dye_norm
+from .elemop import KTupleOperator, _batch_dim, russo_dye_norm
 from .region import SupportRegion, cloud_supports, directions, region_from_supports
 from .unitary_opt import (
     OptConfig,
@@ -114,7 +114,8 @@ def default_s_schedule(
 
 def _orbit_matrices(r: KTupleOperator, us: np.ndarray) -> np.ndarray:
     """sum_i u* a_i u b_i for a stack of unitaries."""
-    return _batched.mm(np.conj(np.swapaxes(us, -1, -2)), apply_batched(r, us))
+    ru = _batched.ElementaryMatrix([(r.a, r.b)]).apply(us)
+    return _batched.mm(np.conj(np.swapaxes(us, -1, -2)), ru)
 
 
 def _fov_witnesses(c: np.ndarray, thetas: np.ndarray) -> np.ndarray:

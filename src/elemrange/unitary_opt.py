@@ -117,10 +117,6 @@ class OptReport:
     start_values: np.ndarray
 
     @property
-    def restarts_used(self) -> int:
-        return len(self.start_values)
-
-    @property
     def spread(self) -> float:
         """Gap between the best and worst final start values."""
         return float(np.max(self.start_values) - np.min(self.start_values))
@@ -537,23 +533,3 @@ def merge_reports(incumbent: OptReport, challenger: OptReport) -> OptReport:
         ),
     )
 
-
-def directional_derivative(objective, u, k) -> float:
-    """Analytic derivative of t -> f(u exp(tK)) at t = 0."""
-    u = np.asarray(u, dtype=complex)[None]
-    _, e = objective.value_and_grad(u)
-    proj = tangent_project(u, e)[0]
-    kk = np.asarray(k)
-    return float(np.sum(proj.real * kk.real + proj.imag * kk.imag))
-
-
-def finite_difference_directional(objective, u, k, h: float = 1e-4) -> float:
-    """Central finite difference of t -> f(u exp(tK)) at t = 0."""
-    u = np.asarray(u, dtype=complex)
-    k = np.asarray(k, dtype=complex)
-    lam, vv = _batched.skew_exp_factors(k[None])
-    up = _batched.apply_skew_exp(u[None], lam, vv, np.array([h]))
-    um = _batched.apply_skew_exp(u[None], lam, vv, np.array([-h]))
-    fp = float(objective.value(up)[0])
-    fm = float(objective.value(um)[0])
-    return (fp - fm) / (2.0 * h)

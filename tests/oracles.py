@@ -1,13 +1,111 @@
-"""Independent brute-force oracles used to freeze expected test values.
+"""Independent references used to freeze expected test values.
 
-These deliberately avoid the library's optimization and geometry paths:
-dense parameter grids over SU(2), random unit-sphere sampling, interval
-arithmetic, and closed-form ellipse families.
+These deliberately avoid the library's optimization, geometry and batched
+kernel paths: dense parameter grids over SU(2), random unit-sphere
+sampling, interval arithmetic, closed-form ellipse families, and
+single-matrix numpy and scipy linear algebra (Hermitian parts, eigenpairs,
+spectral norms, the operator applied term by term and its Kronecker
+matricization, and the derivative along a curve u exp(tK)).  Only input
+validation is shared with the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.linalg import expm
+
+from elemrange.linalg import as_square_matrix
+
+UNITARY_TOL = 1e-10
+
+
+def hermitian_part(c, theta: float = 0.0) -> np.ndarray:
+    """Hermitian part of exp(-i*theta)*c, i.e. (e^{-it}c + e^{it}c*)/2."""
+    c = as_square_matrix(c)
+    rc = np.exp(-1j * float(theta)) * c
+    return (rc + rc.conj().T) / 2.0
+
+
+@dataclass(frozen=True)
+class EigenPair:
+    """Largest eigenvalue of a Hermitian matrix and a unit eigenvector."""
+
+    value: float
+    vector: np.ndarray
+
+
+def top_eigenpair(h) -> EigenPair:
+    """Largest eigenvalue and a unit eigenvector of Hermitian ``h``."""
+    h = as_square_matrix(h)
+    if np.abs(h - h.conj().T).max() > 1e-12 * max(1.0, np.abs(h).max()):
+        raise ValueError("matrix is not Hermitian")
+    w, v = np.linalg.eigh(h)
+    return EigenPair(float(w[-1]), np.ascontiguousarray(v[:, -1]))
+
+
+def spectral_norm(c) -> float:
+    """Largest singular value."""
+    return float(np.linalg.norm(as_square_matrix(c), 2))
+
+
+def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
+    u = as_square_matrix(u)
+    eye = np.eye(u.shape[0])
+    return (
+        float(np.linalg.norm(u.conj().T @ u - eye, 2)) <= tol
+        and float(np.linalg.norm(u @ u.conj().T - eye, 2)) <= tol
+    )
+
+
+def apply(r, x) -> np.ndarray:
+    """R(x) = sum_i a_i x b_i for a KTupleOperator r."""
+    x = as_square_matrix(x, "x")
+    if x.shape[0] != r.n:
+        raise ValueError(f"operand is {x.shape[0]}x{x.shape[0]}, operator acts on {r.n}x{r.n}")
+    return apply_batched(r, x[None])[0]
+
+
+def apply_batched(r, u) -> np.ndarray:
+    """R applied to a stack of operands of shape (B, n, n)."""
+    return apply_tuple(r.a, r.b, np.asarray(u))
+
+
+def matricize(r) -> np.ndarray:
+    """The n^2 x n^2 matrix of R under column stacking: sum_i (b_i^T kron a_i).
+
+    With vec the column-major stacking, vec(R(x)) = matricize(R) @ vec(x).
+    """
+    m = np.zeros((r.n * r.n, r.n * r.n), dtype=complex)
+    for i in range(r.k):
+        m += np.kron(r.b[i].T, r.a[i])
+    return m
+
+
+def vec(x) -> np.ndarray:
+    """Column-major stacking of a matrix into a vector."""
+    return np.asarray(x).flatten(order="F")
+
+
+def directional_derivative(objective, u, k) -> float:
+    """Derivative of t -> f(u exp(tK)) at t = 0 from the objective's
+    Euclidean gradient E: Re tr((skew u*E)* K)."""
+    u = np.asarray(u, dtype=complex)
+    _, e = objective.value_and_grad(u[None])
+    m = u.conj().T @ e[0]
+    proj = (m - m.conj().T) / 2.0
+    kk = np.asarray(k)
+    return float(np.sum(proj.real * kk.real + proj.imag * kk.imag))
+
+
+def finite_difference_directional(objective, u, k, h: float = 1e-4) -> float:
+    """Central finite difference of t -> f(u exp(tK)) at t = 0."""
+    u = np.asarray(u, dtype=complex)
+    k = np.asarray(k, dtype=complex)
+    fp = float(objective.value((u @ expm(h * k))[None])[0])
+    fm = float(objective.value((u @ expm(-h * k))[None])[0])
+    return (fp - fm) / (2.0 * h)
 
 
 def su2_grid(n_t: int = 33, n_phase: int = 32) -> np.ndarray:

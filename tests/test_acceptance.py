@@ -13,23 +13,12 @@ import pytest
 
 from elemrange import _batched
 from elemrange.cli import main
-from elemrange.elemop import (
-    KTupleOperator,
-    apply_batched,
-    matricize,
-    random_instance,
-    russo_dye_norm,
-)
+from elemrange.elemop import KTupleOperator, random_instance, russo_dye_norm
 from elemrange.fov import field_of_values
-from elemrange.linalg import haar_unitary, spectral_norm
+from elemrange.linalg import haar_unitary
 from elemrange.orbit import orbit_region
 from elemrange.region import cloud_supports, directions
-from elemrange.unitary_opt import (
-    OrbitSupportObjective,
-    ShiftedNormObjective,
-    directional_derivative,
-    finite_difference_directional,
-)
+from elemrange.unitary_opt import OrbitSupportObjective, ShiftedNormObjective
 from elemrange.verify import (
     DEFAULT_CFG,
     DEFAULT_DIRECTIONS,
@@ -40,7 +29,15 @@ from elemrange.verify import (
     verify_mult_projection,
 )
 
-from oracles import projection_mult_support, rectangle_support
+from oracles import (
+    apply_batched,
+    directional_derivative,
+    finite_difference_directional,
+    matricize,
+    projection_mult_support,
+    rectangle_support,
+    spectral_norm,
+)
 
 
 def record(number: int, name: str, ok: bool, detail: str):

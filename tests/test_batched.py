@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elemrange import _batched
-from elemrange.elemop import KTupleOperator, matricize, vec
+from elemrange.elemop import KTupleOperator
 
-from oracles import apply_tuple
+from oracles import apply_tuple, matricize, vec
 
 
 def _random_hermitian(rng, b, n):

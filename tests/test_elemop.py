@@ -3,20 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elemrange.elemop import (
-    KTupleOperator,
-    apply,
-    apply_batched,
-    matricize,
-    random_instance,
-    russo_dye_norm,
-    shifted_norm,
-    vec,
-)
-from elemrange.linalg import haar_unitary, spectral_norm
+from elemrange.elemop import KTupleOperator, random_instance, russo_dye_norm, shifted_norm
+from elemrange.linalg import haar_unitary
 from elemrange.unitary_opt import OptConfig, ShiftedNormObjective, maximize_grouped
 
-from oracles import grid_norm, su2_grid
+from oracles import apply, apply_batched, grid_norm, matricize, spectral_norm, su2_grid, vec
 
 E11 = np.diag([1.0, 0.0])
 E22 = np.diag([0.0, 1.0])

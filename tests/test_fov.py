@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from elemrange.fov import field_of_values, fov_supports
-from elemrange.linalg import haar_unitary, hermitian_part, spectral_norm, top_eigenpair
+from elemrange.linalg import haar_unitary
 from elemrange.orbit import _fov_witnesses
 from elemrange.region import cloud_supports, directions, hausdorff
 
-from oracles import sphere_fov_support
+from oracles import hermitian_part, spectral_norm, sphere_fov_support, top_eigenpair
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 

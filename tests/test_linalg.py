@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from elemrange.linalg import (
-    EigenPair,
-    MatrixShapeError,
-    as_square_matrix,
-    haar_unitaries,
-    haar_unitary,
-    hermitian_part,
-    spectral_norm,
-    top_eigenpair,
-)
+from elemrange.linalg import MatrixShapeError, as_square_matrix, haar_unitaries, haar_unitary
+
+from oracles import EigenPair, hermitian_part, spectral_norm, top_eigenpair
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 

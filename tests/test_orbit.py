@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elemrange import orbit, unitary_opt
-from elemrange.elemop import KTupleOperator, apply, random_instance, russo_dye_norm
-from elemrange.linalg import (
-    haar_unitaries,
-    haar_unitary,
-    hermitian_part,
-    spectral_norm,
-    top_eigenpair,
-)
+from elemrange.elemop import KTupleOperator, random_instance, russo_dye_norm
+from elemrange.linalg import haar_unitaries, haar_unitary
 from elemrange.orbit import (
     EARLY_STOP_REL,
     banach_region,
@@ -31,7 +25,16 @@ from elemrange.region import (
 )
 from elemrange.unitary_opt import OptConfig
 
-from oracles import projection_mult_support, rectangle_support, su2_grid, grid_orbit_support
+from oracles import (
+    apply,
+    grid_orbit_support,
+    hermitian_part,
+    projection_mult_support,
+    rectangle_support,
+    spectral_norm,
+    su2_grid,
+    top_eigenpair,
+)
 
 CFG = OptConfig(restarts=4, seed=0)
 M = 16

@@ -9,18 +9,18 @@ from scipy.linalg import expm
 
 from elemrange import unitary_opt
 from elemrange.elemop import random_instance
-from elemrange.linalg import haar_unitaries, haar_unitary, is_unitary
+from elemrange.linalg import haar_unitaries, haar_unitary
 from elemrange.unitary_opt import (
     OptConfig,
     OrbitSupportObjective,
     ShiftedNormObjective,
     default_starts,
-    directional_derivative,
-    finite_difference_directional,
     flip_permutation,
     maximize_grouped,
     tangent_project,
 )
+
+from oracles import directional_derivative, finite_difference_directional, is_unitary
 
 
 def random_skew(rng, n):
@@ -148,7 +148,7 @@ class TestMaximize:
         r = random_instance(2, 2, rng)
         rep = one_group(ShiftedNormObjective([(r.a, r.b)], 0.0), OptConfig(restarts=4, seed=2))
         assert rep.value == np.max(rep.start_values)
-        assert rep.restarts_used == 4 + 2
+        assert len(rep.start_values) == 4 + 2
         assert rep.spread >= 0.0
 
     def test_extra_starts_only(self, rng):
@@ -156,7 +156,7 @@ class TestMaximize:
         obj = ShiftedNormObjective([(r.a, r.b)], 0.0)
         u0 = haar_unitary(2, rng)
         rep = one_group(obj, OptConfig(restarts=1, seed=0), starts=[u0])
-        assert rep.restarts_used == 1
+        assert len(rep.start_values) == 1
         assert float(obj.value(rep.maximizer[None])[0]) >= float(obj.value(u0[None])[0])
 
     def test_deterministic_given_config(self, rng):
@@ -317,7 +317,7 @@ class TestMaximizeGrouped:
         assert np.array_equal(fine[2:4], np.flatnonzero(groups == 1)[:2])
         for g, rep in enumerate(reports):
             count = int(np.sum(groups == g))
-            assert rep.restarts_used == count and rep.start_values.shape == (count,)
+            assert len(rep.start_values) == count and rep.start_values.shape == (count,)
 
     def test_group_bookkeeping(self, rng):
         r = random_instance(2, 1, rng)
@@ -327,7 +327,7 @@ class TestMaximizeGrouped:
             ShiftedNormObjective([(r.a, r.b)], 0.0), groups, starts, OptConfig(seed=0)
         )
         assert len(reports) == 3
-        assert all(rep.restarts_used == 2 for rep in reports)
+        assert all(len(rep.start_values) == 2 for rep in reports)
 
     def test_iterations_are_per_group(self, rng):
         # Group 0 starts at a converged maximizer of its own subproblem, so
