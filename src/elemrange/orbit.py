@@ -113,9 +113,15 @@ def default_s_schedule(
 
 
 def _orbit_matrices(r: KTupleOperator, us: np.ndarray) -> np.ndarray:
-    """sum_i u* a_i u b_i for a stack of unitaries."""
-    ru = _batched.ElementaryMatrix([(r.a, r.b)]).apply(us)
-    return _batched.mm(np.conj(np.swapaxes(us, -1, -2)), ru)
+    """sum_i u* a_i u b_i for a stack of unitaries, term by term in order of i.
+
+    The witnesses read these matrices, so they do not go through the
+    ascent's GEMM (``_batched.ElementaryMatrix``): a fault in that kernel
+    moves the optimized supports but not the witnesses, and the hull check
+    sees the gap.  Each row's bits are its own.
+    """
+    uh = np.conj(np.swapaxes(us, -1, -2))
+    return sum(_batched.mm(_batched.mm(uh, a), _batched.mm(us, b)) for a, b in zip(r.a, r.b))
 
 
 def _fov_witnesses(c: np.ndarray, thetas: np.ndarray) -> np.ndarray:

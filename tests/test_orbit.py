@@ -27,6 +27,7 @@ from elemrange.unitary_opt import OptConfig
 
 from oracles import (
     apply,
+    apply_batched,
     grid_orbit_support,
     hermitian_part,
     projection_mult_support,
@@ -400,6 +401,19 @@ class TestOrbitWitnesses:
         t = np.conj(np.swapaxes(us, -1, -2)) @ np.einsum("kij,bjl,klm->bim", r.a, us, r.b)
         bound = max(spectral_norm(t[i]) for i in range(4))
         assert np.abs(wit).max() <= bound + 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_orbit_matrices_are_the_reference_with_each_row_bits(self, rng, n):
+        # sum u*a_i u b_i is formed term by term, apart from the ascents'
+        # GEMM: it matches the reference to roundoff, and each row's bits
+        # are the ones it gets alone.
+        r = random_instance(n, 3, rng)
+        us = haar_unitaries(n, 40, rng)
+        c = orbit._orbit_matrices(r, us)
+        ref = np.conj(np.swapaxes(us, -1, -2)) @ apply_batched(r, us)
+        assert np.abs(c - ref).max() <= 1e-13
+        for i in range(40):
+            assert np.array_equal(orbit._orbit_matrices(r, us[i : i + 1])[0], c[i])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_slabs_keep_each_witness_bits(self, rng, n):
