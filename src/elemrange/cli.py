@@ -86,14 +86,15 @@ _FLAGS = {
 }
 
 
-def _flags(sub, *names, **defaults) -> None:
-    """Add the named _FLAGS (defaults overridden by keyword), then --out and --format."""
+def _flags(sub, *names, formats=("json", "csv", "svg"), **defaults) -> None:
+    """Add the named _FLAGS (defaults overridden by keyword), then --out and
+    --format with the given choices."""
     for name in names:
         spec = {**_FLAGS[name], "default": defaults.get(name, _FLAGS[name]["default"])}
         sub.add_argument("--" + name.replace("_", "-"), **spec)
     sub.add_argument("--out", type=str, default=None, help="output file path")
-    sub.add_argument("--format", choices=("json", "csv", "svg"), default="json",
-                     help="output format (default json)")
+    sub.add_argument("--format", choices=formats, default="json",
+                     help="output format (default json; svg needs --out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file")
     p.add_argument("--z", type=str, default=None,
                    help="complex shift RE,IM: compute |R - z Id| instead")
-    _flags(p, "restarts", "seed")
+    _flags(p, "restarts", "seed", formats=("json", "csv"))
 
     p = subs.add_parser("range", help="numerical-range regions of an instance")
     p.add_argument("instance", help="instance file")
@@ -216,10 +217,8 @@ def _emit(result: dict, args):
     if args.out is None:
         if args.format == "json":
             print(dumps_result(result))
-        elif args.format == "csv":
-            sys.stdout.write(result_to_csv(result))
         else:
-            raise ValueError("--format svg requires --out")
+            sys.stdout.write(result_to_csv(result))
         return sys.stderr
     if args.format == "json":
         write_text_atomic(args.out, lambda fh: dump_result(result, fh))
@@ -442,6 +441,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "svg" and args.out is None:
+        parser.error("--format svg requires --out")
     try:
         return _HANDLERS[args.command](args)
     except (InstanceFormatError, RegionEmptyError, ValueError, OSError) as exc:

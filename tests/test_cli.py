@@ -328,11 +328,21 @@ class TestCommands:
         assert len(json.loads(out.read_text())["instances"][0]["witnesses"]) == 720
 
     def test_svg_requires_regions(self, identity_path, tmp_path, capsys):
+        # norm's result has no region, so norm does not offer svg.
         out = tmp_path / "norm.svg"
-        code = main(["norm", identity_path, "--restarts", "2", "--format", "svg",
-                     "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", identity_path, "--restarts", "2", "--format", "svg",
+                  "--out", str(out)])
         capsys.readouterr()
-        assert code == 2
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["fov", "range", "verify", "derivation", "projection"])
+    def test_svg_without_out_is_rejected_first(self, tmp_path, capsys, command):
+        # The instance file does not exist: the usage error comes before it is read.
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "missing.json"), "--format", "svg"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_verify_json_on_stdout_parses(self, identity_path, capsys):
         # Without --out the result is stdout, and the check lines go to stderr.
@@ -591,6 +601,25 @@ class TestDeterminism:
                 blobs.append(open(out, "rb").read())
             capsys.readouterr()
             assert blobs[0] == blobs[1]
+
+
+PUBLIC_NAMES = [
+    "CheckResult", "KTupleOperator", "OptConfig", "OptReport", "RangeEstimate",
+    "RegionEmptyError", "SupportRegion", "VerificationReport", "banach_region",
+    "default_s_schedule", "field_of_values", "haar_unitaries", "hausdorff",
+    "hermitian_check", "hull_of_points", "minkowski_sum", "negate", "orbit_region",
+    "random_batch", "random_instance", "region_from_supports", "russo_dye_norm",
+    "shifted_norm", "verify_derivation", "verify_inclusion", "verify_main",
+    "verify_mult_projection",
+]
+
+
+def test_public_names():
+    # The package exports what the program and its callers run; the tests'
+    # single-matrix references live in tests/oracles.py.
+    assert sorted(elemrange.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(elemrange, name), name
 
 
 def test_cli_import_loads_no_heavy_module():
