@@ -116,7 +116,7 @@ def parse_instance(path: str) -> KTupleOperator:
 
 
 def write_instance(r: KTupleOperator, path: str):
-    write_text_atomic(path, dumps_result(instance_to_dict(r)) + "\n")
+    write_text_atomic(path, lambda fh: dump_result(instance_to_dict(r), fh))
 
 
 def region_to_dict(region: SupportRegion) -> dict:
@@ -157,49 +157,48 @@ def dump_result(result: dict, fh) -> None:
     fh.write("\n")
 
 
-def write_text_atomic(path: str, text):
-    """Write via a temporary file in the target directory, then rename.
+def write_text_atomic(path: str, write) -> None:
+    """Call write(fh) on a temporary file in the target directory, then
+    rename it to path.
 
-    text is a string, or a function that writes to the open file.  The
-    file gets the mode that open() gives a new file, not mkstemp's 0600.
+    The file gets the mode that open() gives a new file, not mkstemp's
+    0600.  An OSError names path, not the temporary file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            if callable(text):
-                text(fh)
-            else:
-                fh.write(text)
+            write(fh)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
-def result_to_csv(result: dict) -> str:
+def dump_csv(result: dict, fh) -> None:
     """One row per direction: theta, supports, residual, restart spread.
 
     Columns adapt to the command: region-bearing commands emit the
     documented per-direction layout; `norm` emits one summary row per
     instance.
     """
-    lines = []
     if result.get("command") == "norm":
-        lines.append("instance,value,iterations,converged,restart_spread")
+        fh.write("instance,value,iterations,converged,restart_spread\n")
         for inst in result["instances"]:
             d = inst["diagnostics"]
-            lines.append(
+            fh.write(
                 f"{inst['label']},{d['value']!r},{d['iterations']},"
-                f"{d['converged']},{d['restart_spread']!r}"
+                f"{d['converged']},{d['restart_spread']!r}\n"
             )
-        return "\n".join(lines) + "\n"
+        return
 
-    lines.append("instance,theta,h_lhs,h_rhs,residual,restart_spread")
+    fh.write("instance,theta,h_lhs,h_rhs,residual,restart_spread\n")
     for inst in result["instances"]:
         regions = inst.get("regions", {})
         lhs = regions.get("lhs")
@@ -207,19 +206,15 @@ def result_to_csv(result: dict) -> str:
         some = lhs or rhs
         if some is None:
             continue
-        m = some["m"]
         residuals = inst.get("residuals")
         spreads = inst.get("restart_spreads")
-        for j in range(m):
-            theta = some["support"][j][0]
-            h_lhs = lhs["support"][j][1] if lhs else ""
-            h_rhs = rhs["support"][j][1] if rhs else ""
-            res = residuals[j] if residuals else ""
-            spread = spreads[j] if spreads else ""
-            row = [inst["label"], repr(theta)]
-            row.append(repr(h_lhs) if h_lhs != "" else "")
-            row.append(repr(h_rhs) if h_rhs != "" else "")
-            row.append(repr(res) if res != "" else "")
-            row.append(repr(spread) if spread != "" else "")
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        for j in range(some["m"]):
+            cells = [
+                lhs["support"][j][1] if lhs else None,
+                rhs["support"][j][1] if rhs else None,
+                residuals[j] if residuals else None,
+                spreads[j] if spreads else None,
+            ]
+            row = [inst["label"], repr(some["support"][j][0])]
+            row += ["" if c is None else repr(c) for c in cells]
+            fh.write(",".join(row) + "\n")

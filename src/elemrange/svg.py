@@ -6,8 +6,6 @@ byte-identical images; coordinates use fixed 3-decimal formatting.
 
 from __future__ import annotations
 
-from .io import write_text_atomic
-
 _COLORS = {
     "lhs": "#1f77b4",
     "rhs": "#d62728",
@@ -109,15 +107,9 @@ def _panel(inst: dict, offset_y: int) -> list[str]:
     return out
 
 
-def render_svg(result: dict, path: str):
+def dump_svg(result: dict, fh) -> None:
     """Write an SVG overlaying each instance's regions and witness points."""
-    instances = [
-        inst
-        for inst in result.get("instances", [])
-        if any(inst.get("regions", {}).values())
-    ]
-    if not instances:
-        raise ValueError("result contains no region to render")
+    instances = [inst for inst in result["instances"] if any(inst.get("regions", {}).values())]
     height = _PANEL_H * len(instances)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PANEL_W}" '
@@ -127,4 +119,4 @@ def render_svg(result: dict, path: str):
     for i, inst in enumerate(instances):
         parts.extend(_panel(inst, i * _PANEL_H))
     parts.append("</svg>")
-    write_text_atomic(path, "\n".join(parts) + "\n")
+    fh.write("\n".join(parts) + "\n")

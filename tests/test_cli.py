@@ -16,13 +16,14 @@ from elemrange.cli import main
 from elemrange.elemop import KTupleOperator, random_instance
 from elemrange.io import (
     InstanceFormatError,
+    dump_csv,
     dump_result,
     dumps_result,
     instance_to_dict,
     parse_instance,
     parse_instance_dict,
-    result_to_csv,
     write_instance,
+    write_text_atomic,
 )
 from elemrange.linalg import haar_unitary
 from elemrange.verify import verify_main
@@ -44,6 +45,14 @@ def identity_path(tmp_path):
 
 def fast_args(extra=()):
     return ["--directions", "16", "--restarts", "2", *extra]
+
+
+# The flags each subcommand runs its fast tests with.
+COMMAND_ARGS = {
+    "fov": ["--directions", "16"],
+    "norm": ["--restarts", "2"],
+    **{command: fast_args() for command in ("range", "verify", "derivation", "projection")},
+}
 
 
 class TestInstanceFormat:
@@ -336,13 +345,40 @@ class TestCommands:
         capsys.readouterr()
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["fov", "range", "verify", "derivation", "projection"])
-    def test_svg_without_out_is_rejected_first(self, tmp_path, capsys, command):
-        # The instance file does not exist: the usage error comes before it is read.
+    @pytest.mark.parametrize(
+        "where", ["missing/r.json", ".", "new/"], ids=["missing_dir", "directory", "no_name"]
+    )
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_unwritable_out_is_rejected_first(self, tmp_path, capsys, command, where):
+        # A file in a missing directory, a directory, and a path that names
+        # no file.  The instance file does not exist: the usage error comes
+        # before it is read.
+        out = os.path.join(tmp_path, where)
         with pytest.raises(SystemExit) as exc:
-            main([command, str(tmp_path / "missing.json"), "--format", "svg"])
+            main([command, str(tmp_path / "missing.json"), "--out", out])
         assert exc.value.code == 2
-        assert "--out" in capsys.readouterr().err
+        assert "argument --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [(command, fmt) for command in COMMAND_ARGS
+         for fmt in ("json", "csv", *(() if command == "norm" else ("svg",)))],
+    )
+    def test_stdout_is_the_out_file(
+        self, identity_path, derivation_path, tmp_path, capsys, command, fmt
+    ):
+        # Every format has one writer: stdout gets the bytes --out gets, and
+        # the status lines go to stderr.
+        instance = derivation_path if command == "derivation" else identity_path
+        argv = [command, instance, "--format", fmt, *COMMAND_ARGS[command]]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / f"result.{fmt}"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {out}\n")
+        assert stdout.encode() == out.read_bytes()
+        if fmt == "svg":
+            assert stdout.startswith("<svg")
 
     def test_verify_json_on_stdout_parses(self, identity_path, capsys):
         # Without --out the result is stdout, and the check lines go to stderr.
@@ -656,6 +692,21 @@ class TestResultSerialization:
         dump_result(result, fh)
         assert fh.getvalue() == dumps_result(result) + "\n"
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_write_error_names_the_path(self, tmp_path, where):
+        # The error names the target, not the temporary file, and no
+        # temporary file is left behind.
+        path = tmp_path / "missing" / "r.json" if where == "missing_dir" else tmp_path / "d"
+        if where == "directory":
+            path.mkdir()
+        with pytest.raises(OSError) as exc:
+            write_text_atomic(str(path), lambda fh: fh.write("text"))
+        assert exc.value.filename == str(path)
+        assert ".tmp" not in str(exc.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if where == "missing_dir" else ["d"]
+        )
+
     def test_instance_dict_matches_spec_shape(self, rng):
         r = random_instance(2, 1, rng, label="x")
         doc = instance_to_dict(r)
@@ -670,6 +721,8 @@ class TestResultSerialization:
                                                "converged": True, "restart_spread": 0.0}}
             ],
         }
-        text = result_to_csv(result)
+        fh = io.StringIO()
+        dump_csv(result, fh)
+        text = fh.getvalue()
         assert text.splitlines()[0] == "instance,value,iterations,converged,restart_spread"
         assert text.splitlines()[1].startswith("x,1.0,3,True,")

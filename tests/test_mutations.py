@@ -5,7 +5,8 @@ seeded instances that pass it unmutated.  The per-unitary inclusion check
 evaluates both sides through the objectives the ascents maximize, so a sign
 error in either objective must fail it.  The witnesses compute
 sum u*a_i u b_i term by term, apart from the GEMM both ascents share, so a
-fault in that kernel must fail the hull check.
+fault in that kernel must fail the hull check.  An orbit objective built on
+the wrong operator must fail both the main formula and the hull check.
 """
 
 import numpy as np
@@ -78,14 +79,43 @@ def _kernel_transposed(monkeypatch):
     monkeypatch.setattr(_batched.ElementaryMatrix, "__init__", mutant)
 
 
-def _hull_filling(n):
+def _tuples_swapped(monkeypatch):
+    """OrbitSupportObjective builds its operator from each (b, a) instead of
+    (a, b); the witnesses and the operator side keep (a, b)."""
+    init = OrbitSupportObjective.__init__
+
+    def mutant(self, tuples, *args, **kwargs):
+        init(self, [(b, a) for a, b in tuples], *args, **kwargs)
+
+    monkeypatch.setattr(OrbitSupportObjective, "__init__", mutant)
+
+
+def _reports(n):
     rs = [random_instance(n, 2, np.random.default_rng([71, n, i])) for i in range(3)]
-    return [rep.check("orbit_hull_filling") for rep in verify_main(rs, m=32, cfg=CFG)]
+    return verify_main(rs, m=32, cfg=CFG)
+
+
+def _hull_filling(n):
+    return [rep.check("orbit_hull_filling") for rep in _reports(n)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_unmutated_instances_pass_hull_filling(n):
     assert all(check.passed for check in _hull_filling(n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_unmutated_instances_pass_main_formula(n):
+    assert all(rep.check("main_formula").passed for rep in _reports(n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_swapped_tuples_fail_main_formula_and_hull_filling(monkeypatch, n):
+    _tuples_swapped(monkeypatch)
+    for rep in _reports(n):
+        for name in ("main_formula", "orbit_hull_filling"):
+            check = rep.check(name)
+            assert check.discrepancy > 2 * check.tolerance, name
 
 
 @pytest.mark.parametrize("n", [2, 3])
