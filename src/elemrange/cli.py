@@ -7,8 +7,11 @@ Exit codes: 0 all checks passed, 1 a verification exceeded its tolerance,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import itertools
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -67,6 +70,18 @@ def _float_at_least(low: float):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """The argparse type of --out: a file path in an existing directory, so
+    that a result that cannot be written is a usage error before any work."""
+    if (
+        not os.path.basename(text)
+        or os.path.isdir(text)
+        or not os.path.isdir(os.path.dirname(os.path.abspath(text)))
+    ):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a file path in an existing directory")
+    return text
+
+
 # Flags shared by several subcommands, keyed by their dest; each subcommand
 # takes only the ones its handler reads (see _flags).
 _FLAGS = {
@@ -91,7 +106,7 @@ def _flags(sub, *names, formats=("json", "csv", "svg"), **defaults) -> None:
     for name in names:
         spec = {**_FLAGS[name], "default": defaults.get(name, _FLAGS[name]["default"])}
         sub.add_argument("--" + name.replace("_", "-"), **spec)
-    sub.add_argument("--out", type=str, default=None, help="output file path")
+    sub.add_argument("--out", type=_out_path, default=None, help="output file path")
     sub.add_argument("--format", choices=formats, default="json",
                      help="output format (default json)")
 
@@ -210,37 +225,53 @@ def _result_shell(args) -> dict:
     }
 
 
-def _emit(result: dict, args):
-    """Write the result to --out or stdout; return the stream for status
-    lines, which is stderr when the result went to stdout, so that it parses."""
+def _to_stdout(write) -> None:
+    """write(sys.stdout), then flush it.
+
+    A reader that closes stdout early (``| head``) ends the output quietly:
+    stdout goes to os.devnull, as the Python docs' note on SIGPIPE shows, so
+    that neither this write nor the flush at exit reports an error, and the
+    run goes on to the exit code its checks give.
+    """
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit(result: dict, args, status=()) -> None:
+    """Write the result to --out or stdout, then the status lines: to stdout
+    after --out, else to stderr, so that stdout parses."""
     # Looked up per call, so that a wrapper installed on these module names
     # (perfbench's tracer) sees the writer.
     write = {"json": dump_result, "csv": dump_csv, "svg": dump_svg}[args.format]
+    lines = "".join(f"{line}\n" for line in status)
     if args.out is None:
-        write(result, sys.stdout)
-        return sys.stderr
-    write_text_atomic(args.out, lambda fh: write(result, fh))
-    print(f"wrote {args.out}")
-    return sys.stdout
+        _to_stdout(lambda fh: write(result, fh))
+        sys.stderr.write(lines)
+    else:
+        write_text_atomic(args.out, lambda fh: write(result, fh))
+        _to_stdout(lambda fh: fh.write(f"wrote {args.out}\n{lines}"))
 
 
-def _print_checks(result: dict, out) -> int:
-    failures = 0
+def _check_lines(result: dict) -> tuple[list, int]:
+    """One status line per check, then a count of the failed ones if any;
+    and the exit code, 1 when a check failed."""
+    lines, failures = [], 0
     for inst in result["instances"]:
         for chk in inst.get("checks", []):
-            status = "PASS" if chk["passed"] else "FAIL"
-            if not chk["passed"]:
-                failures += 1
-            print(
+            failures += not chk["passed"]
+            lines.append(
                 f"{inst['label']}: {chk['name']} "
                 f"discrepancy={chk['discrepancy']:.3e} "
-                f"tolerance={chk['tolerance']:.3e} {status}",
-                file=out,
+                f"tolerance={chk['tolerance']:.3e} {'PASS' if chk['passed'] else 'FAIL'}"
             )
     if failures:
-        print(f"{failures} check(s) FAILED", file=out)
-        return 1
-    return 0
+        lines.append(f"{failures} check(s) FAILED")
+    return lines, int(failures > 0)
 
 
 def _checked(args, heads, reports) -> int:
@@ -249,7 +280,9 @@ def _checked(args, heads, reports) -> int:
     for inst, rep in zip(heads, reports):
         _report_fragment(inst, rep)
         result["instances"].append(inst)
-    return _print_checks(result, _emit(result, args))
+    lines, code = _check_lines(result)
+    _emit(result, args, lines)
+    return code
 
 
 def _cmd_fov(args) -> int:
@@ -299,8 +332,7 @@ def _cmd_norm(args) -> int:
             },
         }
     )
-    out = _emit(result, args)
-    print(f"{r.label}: norm value {rep.value!r} (converged={rep.converged})", file=out)
+    _emit(result, args, [f"{r.label}: norm value {rep.value!r} (converged={rep.converged})"])
     return 0
 
 
@@ -324,12 +356,147 @@ def _cmd_range(args) -> int:
     return 0
 
 
-def _run_batch(items, dims, worker) -> list:
-    """Map worker(run) -> one result per item over runs of items on one n."""
+def _cpus() -> int:
+    """How many processes a batch may use: the CPUs this process may run on,
+    or 1 where fork or CPU affinity is missing."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_batch(items, dims, labels, worker) -> list:
+    """Map worker(run) -> one result per item over runs of items on one n.
+
+    Each run is split into P = min(_cpus(), len(run)) contiguous, near-equal
+    parts.  Part 0 runs in this process and each other part in a forked
+    child; their results come back in part order.  Every instance's result
+    is the one it gets alone (README, "Batches of instances"), so the split
+    moves no bit, and a child's exception is raised here as if its part had
+    run here.  While a run is split, BLAS runs on one thread.  ``taskset -c
+    0`` gives one part, no fork and BLAS as it is.
+    """
     out = []
-    for _, run in itertools.groupby(zip(items, dims), key=lambda pair: pair[1]):
-        out.extend(worker([item for item, _ in run]))
+    for _, run in itertools.groupby(zip(items, dims, labels), key=lambda t: t[1]):
+        run = list(run)
+        parts = min(_cpus(), len(run))
+        bounds = [len(run) * i // parts for i in range(parts + 1)]
+        with _one_blas_thread() if parts > 1 else contextlib.nullcontext():
+            out.extend(_run_parts([run[lo:hi] for lo, hi in zip(bounds, bounds[1:])], worker))
     return out
+
+
+def _openblas_threads():
+    """The get and set functions of the thread count of the OpenBLAS that
+    numpy loaded, or None where no loaded library provides them.
+
+    The library is found by its path in /proc/self/maps (Linux); numpy's
+    wheels name the functions scipy_openblas_{get,set}_num_threads64_.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with BLAS on one thread, then restore its thread count.
+
+    A split run has one process per CPU, and a BLAS thread pool in each
+    would ask for more threads than there are CPUs.  Only numpy's OpenBLAS
+    is found (see _openblas_threads); any other BLAS is left as it is.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
+def _run_parts(parts, worker) -> list:
+    """worker over each part of (item, n, label) triples, concatenated: the
+    first part here, every other one in a forked child."""
+    children = []  # (pid, reader of its pipe), in part order, until reaped
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(w, worker, [item for item, _, _ in part])
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        out = list(worker([item for item, _, _ in parts[0]]))
+        for part in parts[1:]:
+            pid, reader = children[0]
+            with reader:
+                data = reader.read()
+            del children[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if not data:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise ChildProcessError(
+                    f"the worker for instances {part[0][2]} .. {part[-1][2]} "
+                    f"ended with {how} and no result"
+                )
+            kind, value = pickle.loads(data)
+            if kind == "err":
+                raise value
+            out.extend(value)
+        return out
+    finally:
+        # Children are left here only when something raised, and their
+        # results are not needed.  Only this path loads the signal module.
+        if children:
+            from signal import SIGKILL
+
+            for pid, reader in children:
+                reader.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(w: int, worker, items) -> None:
+    """The forked child's whole life: pickle ("ok", worker(items)), or
+    ("err", exception), into the pipe w, then os._exit.  It never returns
+    into its caller's stack, and flushes no buffer and runs no exit handler
+    that it shares with the parent."""
+    code = 1
+    try:
+        try:
+            payload = ("ok", worker(items))
+        except Exception as exc:
+            payload = ("err", exc)
+        data = pickle.dumps(payload)
+        with open(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _cmd_verify(args) -> int:
@@ -344,7 +511,7 @@ def _cmd_verify(args) -> int:
             run, m=args.directions, cfg=cfg, smax_factor=args.smax_factor, tol=args.tol
         )
 
-    reports = _run_batch(batch, [r.n for r in batch], worker)
+    reports = _run_batch(batch, [r.n for r in batch], [r.label for r in batch], worker)
     heads = [{"label": r.label, "instance": instance_to_dict(r)} for r in batch]
     return _checked(args, heads, reports)
 
@@ -385,7 +552,9 @@ def _cmd_derivation(args) -> int:
             labels=[label for _, _, label in run], **kwargs,
         )
 
-    reports = _run_batch(pairs, [a.shape[0] for a, _, _ in pairs], worker)
+    reports = _run_batch(
+        pairs, [a.shape[0] for a, _, _ in pairs], [label for _, _, label in pairs], worker
+    )
     return _checked(args, [{"label": label} for _, _, label in pairs], reports)
 
 
@@ -415,7 +584,9 @@ def _cmd_projection(args) -> int:
             smax_factor=args.smax_factor, tol=args.tol,
         )
 
-    reports = _run_batch(items, [p.shape[0] for p, _ in items], worker)
+    reports = _run_batch(
+        items, [p.shape[0] for p, _ in items], [label for _, label in items], worker
+    )
     return _checked(args, [{"label": label} for _, label in items], reports)
 
 
@@ -430,16 +601,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # A result file that cannot be written is a usage error before any work.
-    out = args.out
-    if out is not None and (
-        not os.path.basename(out)
-        or os.path.isdir(out)
-        or not os.path.isdir(os.path.dirname(os.path.abspath(out)))
-    ):
-        parser.error(f"argument --out: {out!r} is not a file path in an existing directory")
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (InstanceFormatError, RegionEmptyError, ValueError, OSError) as exc:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import elemrange
-from elemrange import unitary_opt
+from elemrange import cli, unitary_opt
 from elemrange.cli import main
 from elemrange.elemop import KTupleOperator, random_instance
 from elemrange.io import (
@@ -41,6 +42,14 @@ def identity_path(tmp_path):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps(IDENTITY_DOC))
     return str(path)
+
+
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this elemrange."""
+    src = str(Path(elemrange.__file__).resolve().parent.parent)
+    return dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
 
 
 def fast_args(extra=()):
@@ -235,6 +244,25 @@ class TestExitCodes:
         assert "even number of directions" in err
 
 
+def projection_files(tmp_path, rng) -> list:
+    """Projection instance files on n = 2, 2, 3, 2."""
+    v = haar_unitary(2, rng)[:, :1]
+    q = haar_unitary(3, rng)[:, :2]
+    projections = [np.diag([1.0, 0.0]), v @ v.conj().T, q @ q.conj().T, np.eye(2)]
+    paths = []
+    for i, p in enumerate(projections):
+        paths.append(str(tmp_path / f"p{i}.json"))
+        write_instance(KTupleOperator.multiplication(p, p, label=f"p{i}"), paths[-1])
+    return paths
+
+
+def mixed_files(identity_path, tmp_path) -> list:
+    """Verify instance files on n = 2, 3, 2: three runs of one instance."""
+    path3 = str(tmp_path / "identity3.json")
+    write_instance(KTupleOperator.identity(3, label="identity3"), path3)
+    return [identity_path, path3, identity_path]
+
+
 class TestCommands:
     def test_fov_json(self, identity_path, tmp_path, capsys):
         out = tmp_path / "fov.json"
@@ -357,7 +385,10 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main([command, str(tmp_path / "missing.json"), "--out", out])
         assert exc.value.code == 2
-        assert "argument --out" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --out" in err
+        # The subcommand's usage line, as argparse gives for its own errors.
+        assert err.startswith(f"usage: elemrange {command} ")
 
     @pytest.mark.parametrize(
         "command, fmt",
@@ -379,6 +410,22 @@ class TestCommands:
         assert stdout.encode() == out.read_bytes()
         if fmt == "svg":
             assert stdout.startswith("<svg")
+
+    def test_reader_that_closes_stdout_early_ends_the_run_quietly(self, identity_path):
+        # `range ... | head -c 10`: the result (about 150 kB) is larger than
+        # a pipe's buffer, so the writer meets the closed pipe.  The run
+        # ends with its own exit code, and nothing on stderr.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "elemrange.cli", "range", identity_path, "--side", "rhs",
+             "--directions", "720", "--restarts", "1"],
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
 
     def test_verify_json_on_stdout_parses(self, identity_path, capsys):
         # Without --out the result is stdout, and the check lines go to stderr.
@@ -454,13 +501,7 @@ class TestCommands:
     def test_projection_batch_matches_solo_runs(self, tmp_path, capsys, rng):
         # Files on n = 2, 2, 3, 2 run as three batches; each instance's
         # fragment is byte-equal to the one its file writes alone.
-        v = haar_unitary(2, rng)[:, :1]
-        q = haar_unitary(3, rng)[:, :2]
-        projections = [np.diag([1.0, 0.0]), v @ v.conj().T, q @ q.conj().T, np.eye(2)]
-        paths = []
-        for i, p in enumerate(projections):
-            paths.append(str(tmp_path / f"p{i}.json"))
-            write_instance(KTupleOperator.multiplication(p, p, label=f"p{i}"), paths[-1])
+        paths = projection_files(tmp_path, rng)
 
         def run(files, name):
             out = tmp_path / f"{name}.json"
@@ -538,10 +579,8 @@ class TestCommands:
 
     def test_verify_mixed_dimensions(self, identity_path, tmp_path, capsys):
         # A batch holds one n; a change of n between files starts a new batch.
-        path3 = str(tmp_path / "identity3.json")
-        write_instance(KTupleOperator.identity(3, label="identity3"), path3)
         out = tmp_path / "mixed.json"
-        code = main(["verify", identity_path, path3, identity_path,
+        code = main(["verify", *mixed_files(identity_path, tmp_path),
                      *fast_args(["--out", str(out)])])
         capsys.readouterr()
         assert code == 0
@@ -600,6 +639,121 @@ def test_config_echoes_exactly_the_options_read(
     capsys.readouterr()
     config = json.loads(out.read_text())["config"]
     assert set(config) == keys | {"command", "format"}
+
+
+SPLIT_ARGS = ["--directions", "8", "--restarts", "1"]
+
+
+class TestSplit:
+    """verify, derivation and projection split each run of one n into
+    cli._cpus() contiguous parts, all but the first in forked children."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # A run that blocks fails after a minute instead of hanging the
+        # session.  Afterwards this process has no child, live or exited.
+        def expire(signum, frame):
+            raise TimeoutError("blocked for 60 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "case", ["verify-n2", "verify-n3", "derivation-n3", "projection-files", "verify-mixed"]
+    )
+    def test_any_part_count_gives_the_same_bytes(
+        self, monkeypatch, tmp_path, capsys, identity_path, rng, case
+    ):
+        if case == "projection-files":
+            argv = ["projection", *projection_files(tmp_path, rng)]
+        elif case == "verify-mixed":
+            argv = ["verify", *mixed_files(identity_path, tmp_path)]
+        else:
+            command, dim = case.split("-n")
+            argv = [command, "--count", "20", "--dim", dim]
+        out = tmp_path / "result.json"
+        seen = []
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(cli, "_cpus", lambda: parts)
+            code = main([*argv, *SPLIT_ARGS, "--out", str(out)])
+            seen.append((code, capsys.readouterr(), out.read_bytes()))
+        assert seen[0][0] == 0
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    @pytest.mark.parametrize("bad", ["00", "05"], ids=["parent_part", "child_part"])
+    def test_worker_error_reads_as_in_process(self, monkeypatch, capsys, bad):
+        # rand-n2k2-00 lies in the part this process runs, -05 in a child's.
+        real = cli.verify_main
+
+        def failing(rs, **kwargs):
+            if any(r.label == f"rand-n2k2-{bad}" for r in rs):
+                raise ValueError(f"no result for rand-n2k2-{bad}")
+            return real(rs, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_main", failing)
+        seen = []
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(cli, "_cpus", lambda: parts)
+            seen.append((main(["verify", "--count", "6", *SPLIT_ARGS]), capsys.readouterr()))
+        assert seen[0] == (2, ("", f"error: no result for rand-n2k2-{bad}\n"))
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    @pytest.mark.parametrize("parts, first", [(2, "03"), (3, "04")])
+    def test_worker_that_dies_is_named(self, monkeypatch, capsys, parts, first):
+        parent = os.getpid()
+        real = cli.verify_main
+
+        def dying(rs, **kwargs):
+            if any(r.label == "rand-n2k2-05" for r in rs):
+                assert os.getpid() != parent, "the last part ran in this process"
+                os._exit(3)
+            return real(rs, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_main", dying)
+        monkeypatch.setattr(cli, "_cpus", lambda: parts)
+        assert main(["verify", "--count", "6", *SPLIT_ARGS]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the worker for instances rand-n2k2-{first} .. rand-n2k2-05 "
+            "ended with exit code 3 and no result\n"
+        )
+
+    @pytest.mark.parametrize("parts, inside", [(1, 3), (2, 1)])
+    def test_split_runs_blas_on_one_thread(self, monkeypatch, capsys, parts, inside):
+        # Two processes with a BLAS thread pool each would ask for more
+        # threads than there are CPUs; one part leaves BLAS as it is.
+        blas = cli._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not a loaded OpenBLAS")
+        get, set_ = blas
+        real = cli.verify_main
+
+        def checked(rs, **kwargs):
+            if get() != inside:
+                raise ValueError(f"BLAS on {get()} threads")
+            return real(rs, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_main", checked)
+        monkeypatch.setattr(cli, "_cpus", lambda: parts)
+        before = get()
+        set_(3)
+        try:
+            assert main(["verify", "--count", "4", *SPLIT_ARGS]) == 0
+            assert get() == 3
+        finally:
+            set_(before)
+        capsys.readouterr()
+
+    def test_one_part_without_fork(self, monkeypatch):
+        assert cli._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "fork")
+        assert cli._cpus() == 1
 
 
 class TestDeterminism:
@@ -664,15 +818,14 @@ def test_cli_import_loads_no_heavy_module():
     # and resident memory that every CLI call pays (xml.sax.saxutils alone
     # cost 2.8 MB of peak RSS).  What the interpreter's startup and numpy
     # load (pathlib loads urllib.parse) is the floor.
-    heavy = ("scipy", "urllib", "ssl", "email", "http", "xml")
-    src = str(Path(elemrange.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # The batch split forks with os alone: no process pool is imported.
+    heavy = ("scipy", "urllib", "ssl", "email", "http", "xml", "multiprocessing", "concurrent")
     code = (
         "import sys, numpy; floor = set(sys.modules); import elemrange.cli; "
         f"print(sorted(m for m in set(sys.modules) - floor if m.split('.')[0] in {heavy!r}))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", code], env=src_env(),
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert proc.stdout.strip() == "[]"

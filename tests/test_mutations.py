@@ -6,16 +6,18 @@ evaluates both sides through the objectives the ascents maximize, so a sign
 error in either objective must fail it.  The witnesses compute
 sum u*a_i u b_i term by term, apart from the GEMM both ascents share, so a
 fault in that kernel must fail the hull check.  An orbit objective built on
-the wrong operator must fail both the main formula and the hull check.
+the wrong operator must fail both the main formula and the hull check, and
+an orbit side that never leaves u = I must fail the main formula.
 """
 
 import numpy as np
 import pytest
 
-from elemrange import _batched
+from elemrange import _batched, orbit
 from elemrange.elemop import random_instance
 from elemrange.unitary_opt import (
     OptConfig,
+    OptReport,
     OrbitSupportObjective,
     ShiftedNormObjective,
     _at,
@@ -90,6 +92,24 @@ def _tuples_swapped(monkeypatch):
     monkeypatch.setattr(OrbitSupportObjective, "__init__", mutant)
 
 
+def _identity_only(monkeypatch):
+    """The orbit sweep keeps u = I in every direction, so the orbit region
+    is W(sum a_i b_i); the operator side's sweep runs unmutated."""
+    sweep = orbit._sweep
+
+    def mutant(objective_cls, rs, params, cfg, stream, warm):
+        if objective_cls is not OrbitSupportObjective:
+            return sweep(objective_cls, rs, params, cfg, stream, warm)
+        out = []
+        for r, thetas in zip(rs, params):
+            eyes = np.broadcast_to(np.eye(r.n, dtype=complex), (len(thetas), r.n, r.n))
+            h = np.real(np.exp(-1j * thetas) * orbit.orbit_witnesses(r, eyes, thetas))
+            out.append([OptReport(v, eye, 0, True, np.array([v])) for v, eye in zip(h, eyes)])
+        return out
+
+    monkeypatch.setattr(orbit, "_sweep", mutant)
+
+
 def _reports(n):
     rs = [random_instance(n, 2, np.random.default_rng([71, n, i])) for i in range(3)]
     return verify_main(rs, m=32, cfg=CFG)
@@ -123,3 +143,11 @@ def test_transposed_kernel_fails_hull_filling(monkeypatch, n):
     _kernel_transposed(monkeypatch)
     for check in _hull_filling(n):
         assert check.discrepancy > 10 * check.tolerance
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_identity_only_orbit_side_fails_main_formula(monkeypatch, n):
+    _identity_only(monkeypatch)
+    for rep in _reports(n):
+        check = rep.check("main_formula")
+        assert check.discrepancy > 2 * check.tolerance
