@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import itertools
 import os
 import pickle
@@ -372,25 +373,26 @@ def _run_batch(items, dims, labels, worker) -> list:
     child; their results come back in part order.  Every instance's result
     is the one it gets alone (README, "Batches of instances"), so the split
     moves no bit, and a child's exception is raised here as if its part had
-    run here.  While a run is split, BLAS runs on one thread.  ``taskset -c
-    0`` gives one part, no fork and BLAS as it is.
+    run here.  ``taskset -c 0`` gives one part and no fork.
     """
     out = []
     for _, run in itertools.groupby(zip(items, dims, labels), key=lambda t: t[1]):
         run = list(run)
         parts = min(_cpus(), len(run))
         bounds = [len(run) * i // parts for i in range(parts + 1)]
-        with _one_blas_thread() if parts > 1 else contextlib.nullcontext():
-            out.extend(_run_parts([run[lo:hi] for lo, hi in zip(bounds, bounds[1:])], worker))
+        out.extend(_run_parts([run[lo:hi] for lo, hi in zip(bounds, bounds[1:])], worker))
     return out
 
 
+@functools.cache
 def _openblas_threads():
     """The get and set functions of the thread count of the OpenBLAS that
     numpy loaded, or None where no loaded library provides them.
 
     The library is found by its path in /proc/self/maps (Linux); numpy's
     wheels name the functions scipy_openblas_{get,set}_num_threads64_.
+    The lookup takes about 0.3 ms, a few percent of a small run, so it is
+    made once per process.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -416,9 +418,12 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the block with BLAS on one thread, then restore its thread count.
 
-    A split run has one process per CPU, and a BLAS thread pool in each
-    would ask for more threads than there are CPUs.  Only numpy's OpenBLAS
-    is found (see _openblas_threads); any other BLAS is left as it is.
+    Every subcommand runs under it.  The matrices are small, so a BLAS
+    thread pool costs more than it saves even in one process, and a split
+    run has one process per CPU, where a pool in each would ask for more
+    threads than there are CPUs.  The forked children inherit the setting.
+    Only numpy's OpenBLAS is found (see _openblas_threads); any other BLAS
+    is left as it is.
     """
     blas = _openblas_threads()
     if blas is None:
@@ -603,7 +608,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        with _one_blas_thread():
+            return _HANDLERS[args.command](args)
     except (InstanceFormatError, RegionEmptyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

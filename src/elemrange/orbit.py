@@ -10,9 +10,16 @@ R as an element of B(M_n) through the ray limit
 whose finite-s evaluations g(s) decrease monotonically to h(theta); the
 last decrement of the schedule is reported as the residual bias bound.
 
-Both sides run the same sweep (``_sweep``): every direction's multistart
-as one grouped batch, then a second grouped pass that re-ascends each
-direction from its predecessor's maximizer on the circle.  The operator
+Both sides run the same cold sweep (``_sweep``): every direction's
+multistart as one grouped batch, then a second grouped pass that
+re-ascends each direction from its predecessor's maximizer on the circle.
+The operator side sweeps its whole grid.  The orbit side sweeps a coarse
+sub-grid of at least 8 directions and then doubles it: the maximizer of a
+support moves continuously with theta except across a face of the region,
+so each new midpoint starts from its two neighbours' maximizers, and from
+I and the flip permutation, instead of a multistart; next to a direction
+whose search found several maxima it takes the multistart's Haar starts
+too.  The whole grid is chain-polished once at the end.  The operator
 side's schedule of shifts is decided here alone, from the operator's scale.
 
 Both regions take a list of operators on one M_n and return one estimate
@@ -149,14 +156,17 @@ def _witnesses_at_own_angle(r: KTupleOperator, us: np.ndarray, thetas: np.ndarra
     return orbit_witnesses(r, us, thetas)
 
 
-def _sweep_starts(n: int, m: int, cfg: OptConfig, stream: int) -> list:
-    """Fresh multistart points for each of m directions, one block each.
+def _sweep_starts(n: int, m: int, cfg: OptConfig, stream: int, at=None) -> list:
+    """Fresh multistart points for the directions at (default: all) of an
+    m-grid, one block each.
 
-    The points depend only on cfg.seed and the stream, so they are drawn
-    once and shared by every instance.
+    The points depend only on cfg.seed, the stream and the direction's
+    index on the m-grid, so they are drawn once and shared by every
+    instance, and a sub-grid's blocks are those the whole grid gives it.
     """
     children = np.random.SeedSequence([cfg.seed, stream]).spawn(m)
-    return [default_starts(n, cfg.restarts, np.random.default_rng(c)) for c in children]
+    at = range(m) if at is None else at
+    return [default_starts(n, cfg.restarts, np.random.default_rng(children[j])) for j in at]
 
 
 # Iteration budget of the chained polish pass; partial ascents remain valid
@@ -164,42 +174,85 @@ def _sweep_starts(n: int, m: int, cfg: OptConfig, stream: int) -> list:
 _CHAIN_BUDGET = 30
 
 
-def _chain_polish(reports, objective_cls, rs, params, cfg: OptConfig):
+def _chain_polish(reports, objective_cls, rs, params, cfg: OptConfig, every: int = 1):
     """Grouped warm-continuation pass implementing direction chaining.
 
-    Direction j of every instance i, with parameter params[i][j],
-    re-ascends from one start, the maximizer of direction j - 1 on the
-    circle (direction 0 from direction m - 1), all in one batch; results
-    merge in by max.  A direction's own maximizer and any warm point were
-    already starts of the sweep, under the same objective, so they are not
-    ascended again.
+    Direction j of every instance i, for every j that is a multiple of
+    every, with parameter params[i][j], re-ascends from one start, the
+    maximizer of direction j - 1 on the circle (direction 0 from direction
+    m - 1), all in one batch; results merge in by max.  A direction's own
+    maximizer and any warm point were already starts of the sweep, under
+    the same objective, so they are not ascended again.
     """
     blocks = [
-        [(p, [reps[j - 1].maximizer]) for j, p in enumerate(ps)]
+        [(ps[j], [reps[j - 1].maximizer]) for j in range(0, len(ps), every)]
         for reps, ps in zip(reports, params)
     ]
     capped = replace(cfg, max_iterations=min(_CHAIN_BUDGET, cfg.max_iterations))
     polished = _maximize_blocks(objective_cls, rs, blocks, capped, coarse_first=False)
-    return [
-        [merge_reports(rep, pol) for rep, pol in zip(reps, pols)]
-        for reps, pols in zip(reports, polished)
-    ]
+    merged = [list(reps) for reps in reports]
+    for reps, pols in zip(merged, polished):
+        reps[::every] = [merge_reports(rep, pol) for rep, pol in zip(reps[::every], pols)]
+    return merged
 
 
-def _sweep(objective_cls, rs, params, cfg: OptConfig, stream: int, warm):
+def _sweep(objective_cls, rs, params, cfg: OptConfig, shared, warm):
     """Multistart over all m directions of every instance, then the chained
     polish, both as one grouped ascent; one report list per instance.
 
     params[i][j] is the objective's parameter of direction j of instance i,
-    and warm[i][j] a tuple of extra starts of it.
+    shared[j] its fresh starts (_sweep_starts) and warm[i][j] a tuple of
+    extra starts of it.
     """
-    shared = _sweep_starts(rs[0].n, len(params[0]), cfg, stream)
     blocks = [
         [(p, [*block, *extra]) for p, block, extra in zip(ps, shared, inst, strict=True)]
         for ps, inst in zip(params, warm)
     ]
     reports = _maximize_blocks(objective_cls, rs, blocks, cfg)
     return _chain_polish(reports, objective_cls, rs, params, cfg)
+
+
+def _midpoint_starts(left, right, fresh: list) -> list:
+    """The starts of a new midpoint of a doubled grid, from the reports of
+    its two neighbours and the fresh starts a sweep of the whole grid gives
+    it (I, the flip permutation, then the Haar starts): the neighbours'
+    maximizers, I and the flip, and the Haar starts too where either
+    neighbour's search found more than one maximum.
+
+    The neighbours are not enough.  For a derivation by normal matrices a
+    neighbour's maximizer is an exact critical point of the midpoint's
+    objective, where an ascent can stay: started from the neighbours alone,
+    a midpoint missed a vertex whose normal cone lies strictly between the
+    neighbours' angles.  Where the objective has several maxima, one that is
+    highest only between the two neighbours can be missed by all four
+    starts.  A neighbour's start values then differ by more than
+    EARLY_STOP_REL (1 + |h|), while starts that end on one maximum, at the
+    coarse tolerance, differ by about 1e-6 (1 + |h|).
+    """
+    several = any(rep.spread > EARLY_STOP_REL * (1.0 + abs(rep.value)) for rep in (left, right))
+    return [left.maximizer, right.maximizer, *(fresh if several else fresh[:2])]
+
+
+def _doubled(reports, rs, thetas: np.ndarray, step: int, cfg: OptConfig):
+    """Every instance's reports on the grid thetas[::2 step], doubled to
+    thetas[::step].
+
+    The new midpoint j, at thetas[step::2 step][j], lies between directions
+    j and j + 1 (mod the grid) and ascends from _midpoint_starts of theirs,
+    all midpoints of all instances in one grouped ascent.  The reports come
+    back in grid order.
+    """
+    m = len(thetas)
+    fresh = _sweep_starts(rs[0].n, m, cfg, _STREAM_ORBIT, range(step, m, 2 * step))
+    blocks = [
+        [
+            (t, _midpoint_starts(reps[j], reps[(j + 1) % len(reps)], fresh[j]))
+            for j, t in enumerate(thetas[step::2 * step])
+        ]
+        for reps in reports
+    ]
+    new = _maximize_blocks(OrbitSupportObjective, rs, blocks, cfg)
+    return [[rep for pair in zip(old, mid) for rep in pair] for old, mid in zip(reports, new)]
 
 
 def _orbit_estimate(r: KTupleOperator, reports, thetas: np.ndarray):
@@ -224,19 +277,40 @@ def orbit_region(
     point of W(sum u*a_i u b_i) at theta_j for that direction's maximizer
     u.  Witness points are certified members of the orbit union, so the
     region support in each direction is the larger of the optimized value
-    and the cloud's own support there.  The operators act on one M_n;
-    their sweeps run as one grouped ascent, and each estimate is the one
-    its operator gets alone.
+    and the cloud's own support there.
+
+    The optimized supports come from a cold sweep of the sub-grid
+    directions(m)[::2^j] of m/2^j >= 8 directions, with j as large as m
+    allows, then j doublings (``_doubled``) and a chained polish of the
+    whole grid; an m that cannot be halved to 8 or more directions (8, 10,
+    12, 14, any odd m) is swept whole.  Every direction's fresh starts are
+    the ones a sweep of the whole grid gives it.  The operators act on
+    one M_n; each phase runs as one grouped ascent, and each estimate is the
+    one its operator gets alone.
     """
     if m < 8:
         raise ValueError("orbit_region needs at least 8 directions")
     cfg = cfg or OptConfig()
     _batch_dim(rs)  # one M_n, or ValueError
     thetas = directions(m)
+    step = 1
+    while m % (2 * step) == 0 and m // (2 * step) >= 8:
+        step *= 2
+    shared = _sweep_starts(rs[0].n, m, cfg, _STREAM_ORBIT, range(0, m, step))
     reports = _sweep(
-        OrbitSupportObjective, rs, [thetas] * len(rs), cfg, _STREAM_ORBIT,
-        [[()] * m] * len(rs),
+        OrbitSupportObjective, rs, [thetas[::step]] * len(rs), cfg, shared,
+        [[()] * (m // step)] * len(rs),
     )
+    doubled = step > 1
+    while step > 1:
+        step //= 2
+        reports = _doubled(reports, rs, thetas, step, cfg)
+    if doubled:
+        # A direction of an earlier grid can reach its maximum only from a
+        # midpoint found after it: each re-ascends once from its predecessor
+        # on the whole grid, as in an undoubled sweep.  The last midpoints'
+        # predecessors were already their starts.
+        reports = _chain_polish(reports, OrbitSupportObjective, rs, [thetas] * len(rs), cfg, 2)
     return [_orbit_estimate(r, reps, thetas) for r, reps in zip(rs, reports)]
 
 
@@ -289,7 +363,7 @@ def banach_region(
     # Full multistart at the smallest shift, one grouped sweep.
     reports = _sweep(
         ShiftedNormObjective, rs, [-sched[0] * phases for sched in schedules], cfg,
-        _STREAM_BANACH, warm,
+        _sweep_starts(rs[0].n, m, cfg, _STREAM_BANACH), warm,
     )
 
     g_per_dir = [

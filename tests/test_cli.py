@@ -724,27 +724,49 @@ class TestSplit:
             "ended with exit code 3 and no result\n"
         )
 
-    @pytest.mark.parametrize("parts, inside", [(1, 3), (2, 1)])
-    def test_split_runs_blas_on_one_thread(self, monkeypatch, capsys, parts, inside):
-        # Two processes with a BLAS thread pool each would ask for more
-        # threads than there are CPUs; one part leaves BLAS as it is.
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("fov", "field_of_values"),
+            ("norm", "shifted_norm"),
+            ("range", "orbit_region"),
+            ("verify", "verify_main"),
+            ("derivation", "verify_derivation"),
+            ("projection", "verify_mult_projection"),
+        ],
+    )
+    def test_every_subcommand_runs_blas_on_one_thread(
+        self, monkeypatch, capsys, identity_path, command, name, parts
+    ):
+        # The matrices are small, so a BLAS thread pool costs more than it
+        # saves even in one process; two processes with a pool each would
+        # also ask for more threads than there are CPUs.
         blas = cli._openblas_threads()
         if blas is None:
             pytest.skip("numpy's BLAS is not a loaded OpenBLAS")
         get, set_ = blas
-        real = cli.verify_main
+        real = getattr(cli, name)
 
-        def checked(rs, **kwargs):
-            if get() != inside:
+        def checked(*args, **kwargs):
+            if get() != 1:
                 raise ValueError(f"BLAS on {get()} threads")
-            return real(rs, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "verify_main", checked)
+        argv = {
+            "fov": ["fov", identity_path, "--directions", "8"],
+            "norm": ["norm", identity_path, "--restarts", "1"],
+            "range": ["range", identity_path, "--side", "rhs", *SPLIT_ARGS],
+            "verify": ["verify", "--count", "4", *SPLIT_ARGS],
+            "derivation": ["derivation", "--count", "4", "--dim", "2", *SPLIT_ARGS],
+            "projection": ["projection", "--dim", "2", "--rank", "1", *SPLIT_ARGS],
+        }[command]
+        monkeypatch.setattr(cli, name, checked)
         monkeypatch.setattr(cli, "_cpus", lambda: parts)
         before = get()
         set_(3)
         try:
-            assert main(["verify", "--count", "4", *SPLIT_ARGS]) == 0
+            assert main(argv) == 0
             assert get() == 3
         finally:
             set_(before)

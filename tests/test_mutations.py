@@ -7,7 +7,10 @@ error in either objective must fail it.  The witnesses compute
 sum u*a_i u b_i term by term, apart from the GEMM both ascents share, so a
 fault in that kernel must fail the hull check.  An orbit objective built on
 the wrong operator must fail both the main formula and the hull check, and
-an orbit side that never leaves u = I must fail the main formula.
+an orbit side that never leaves u = I must fail the main formula.  The
+doubled orbit grid's mutants must fail the orbit tests that pin each part
+of it: the midpoints' I and flip, their Haar starts and the final chained
+polish.
 """
 
 import numpy as np
@@ -23,6 +26,8 @@ from elemrange.unitary_opt import (
     _at,
 )
 from elemrange.verify import INCLUSION_TOL, verify_inclusion, verify_main
+
+import test_orbit
 
 CFG = OptConfig(restarts=4, seed=0)
 INSTANCES = [(n, i) for n in (2, 3) for i in range(3)]
@@ -93,21 +98,23 @@ def _tuples_swapped(monkeypatch):
 
 
 def _identity_only(monkeypatch):
-    """The orbit sweep keeps u = I in every direction, so the orbit region
-    is W(sum a_i b_i); the operator side's sweep runs unmutated."""
-    sweep = orbit._sweep
+    """Every orbit ascent (the cold sweep, its chain polish and each
+    doubling) returns u = I in every direction, so the orbit region is
+    W(sum a_i b_i); the operator side's ascents run unmutated."""
+    maximize = orbit._maximize_blocks
 
-    def mutant(objective_cls, rs, params, cfg, stream, warm):
+    def mutant(objective_cls, rs, blocks, cfg, coarse_first=True):
         if objective_cls is not OrbitSupportObjective:
-            return sweep(objective_cls, rs, params, cfg, stream, warm)
+            return maximize(objective_cls, rs, blocks, cfg, coarse_first)
         out = []
-        for r, thetas in zip(rs, params):
+        for r, inst in zip(rs, blocks):
+            thetas = np.array([p for p, _ in inst])
             eyes = np.broadcast_to(np.eye(r.n, dtype=complex), (len(thetas), r.n, r.n))
             h = np.real(np.exp(-1j * thetas) * orbit.orbit_witnesses(r, eyes, thetas))
             out.append([OptReport(v, eye, 0, True, np.array([v])) for v, eye in zip(h, eyes)])
         return out
 
-    monkeypatch.setattr(orbit, "_sweep", mutant)
+    monkeypatch.setattr(orbit, "_maximize_blocks", mutant)
 
 
 def _reports(n):
@@ -151,3 +158,58 @@ def test_identity_only_orbit_side_fails_main_formula(monkeypatch, n):
     for rep in _reports(n):
         check = rep.check("main_formula")
         assert check.discrepancy > 2 * check.tolerance
+
+
+def _neighbours_only(monkeypatch):
+    """Each midpoint of a doubled orbit grid starts from its two
+    neighbours' maximizers alone, without I, the flip or Haar starts."""
+    monkeypatch.setattr(
+        orbit, "_midpoint_starts", lambda left, right, fresh: [left.maximizer, right.maximizer]
+    )
+
+
+def _no_haar_at_midpoints(monkeypatch):
+    """Each midpoint of a doubled orbit grid starts from its neighbours'
+    maximizers, I and the flip, whatever its neighbours' searches found."""
+    monkeypatch.setattr(
+        orbit, "_midpoint_starts",
+        lambda left, right, fresh: [left.maximizer, right.maximizer, *fresh[:2]],
+    )
+
+
+def _no_final_chain(monkeypatch):
+    """A doubled orbit grid is not chain-polished at the end."""
+    chain = orbit._chain_polish
+
+    def mutant(reports, objective_cls, rs, params, cfg, every=1):
+        if every == 2:
+            return reports
+        return chain(reports, objective_cls, rs, params, cfg, every)
+
+    monkeypatch.setattr(orbit, "_chain_polish", mutant)
+
+
+def test_neighbour_only_midpoints_miss_a_vertex(monkeypatch):
+    # The instance of test_orbit's test_vertex_between_two_coarse_angles_is_reached.
+    _neighbours_only(monkeypatch)
+    r, h = test_orbit.normal_derivation(np.random.default_rng(2), 2)
+    est = orbit.orbit_region([r], test_orbit.M, test_orbit.EDGE_CFG)[0]
+    assert np.abs(est.region.support - h).max() > 0.1
+
+
+DOUBLING = test_orbit.TestDoubling()
+
+
+@pytest.mark.parametrize(
+    "mutate, test",
+    [
+        (_no_haar_at_midpoints, lambda: DOUBLING.test_maximum_between_two_coarse_angles_is_reached()),
+        (_no_haar_at_midpoints, lambda: DOUBLING.test_diagonal_projection_reaches_its_curved_branch(3, 16)),
+        (_no_final_chain, lambda: DOUBLING.test_diagonal_projection_reaches_its_curved_branch(4, 32)),
+    ],
+    ids=["no_haar-two_maxima", "no_haar-projection", "no_final_chain-projection"],
+)
+def test_doubling_mutant_misses_a_maximum(monkeypatch, mutate, test):
+    mutate(monkeypatch)
+    with pytest.raises(AssertionError):
+        test()
