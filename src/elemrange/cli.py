@@ -205,27 +205,6 @@ def _estimate_fragment(inst: dict, side: str, est):
     inst["restart_spreads"] = [max(a, b) for a, b in zip(prior, spreads)]
 
 
-def _report_fragment(inst: dict, report):
-    inst["checks"] = [c.to_dict() for c in report.checks]
-    inst["diagnostics"] = report.diagnostics
-    for side in ("lhs", "rhs"):
-        est = report.artifacts.get(side)
-        if est is not None:
-            _estimate_fragment(inst, side, est)
-    oracle = report.artifacts.get("oracle")
-    if oracle is not None:
-        inst.setdefault("regions", {})["oracle"] = region_to_dict(oracle)
-
-
-def _result_shell(args) -> dict:
-    return {
-        "tool": {"name": "elemrange", "version": __version__},
-        "command": args.command,
-        "config": _config_echo(args),
-        "instances": [],
-    }
-
-
 def _to_stdout(write) -> None:
     """write(sys.stdout), then flush it.
 
@@ -275,30 +254,30 @@ def _check_lines(result: dict) -> tuple[list, int]:
     return lines, int(failures > 0)
 
 
-def _checked(args, heads, reports) -> int:
-    """Emit one instance per head, completed by its report, and print the checks."""
-    result = _result_shell(args)
+def _checked(heads, reports) -> list:
+    """The instance heads, each completed by its report's checks, diagnostics and regions."""
     for inst, rep in zip(heads, reports):
-        _report_fragment(inst, rep)
-        result["instances"].append(inst)
-    lines, code = _check_lines(result)
-    _emit(result, args, lines)
-    return code
+        inst["checks"] = [c.to_dict() for c in rep.checks]
+        inst["diagnostics"] = rep.diagnostics
+        for side in ("lhs", "rhs"):
+            est = rep.artifacts.get(side)
+            if est is not None:
+                _estimate_fragment(inst, side, est)
+        oracle = rep.artifacts.get("oracle")
+        if oracle is not None:
+            inst.setdefault("regions", {})["oracle"] = region_to_dict(oracle)
+    return heads
 
 
-def _cmd_fov(args) -> int:
+def _cmd_fov(args) -> tuple[list, tuple]:
     r = _labelled(args.instance)
     region = field_of_values(r.a[0], args.directions)
-    result = _result_shell(args)
-    result["instances"].append(
-        {
-            "label": r.label,
-            "instance": instance_to_dict(r),
-            "regions": {"fov": region_to_dict(region)},
-        }
-    )
-    _emit(result, args)
-    return 0
+    inst = {
+        "label": r.label,
+        "instance": instance_to_dict(r),
+        "regions": {"fov": region_to_dict(region)},
+    }
+    return [inst], ()
 
 
 def _shift(text: str | None) -> complex:
@@ -314,30 +293,26 @@ def _shift(text: str | None) -> complex:
     return complex(*parts)
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> tuple[list, tuple]:
     r = _labelled(args.instance)
     z = _shift(args.z)
     rep = shifted_norm([r], z, _config(args))[0]
-    result = _result_shell(args)
-    result["instances"].append(
-        {
-            "label": r.label,
-            "instance": instance_to_dict(r),
-            "diagnostics": {
-                "value": rep.value,
-                "z": [z.real, z.imag],
-                "iterations": rep.iterations,
-                "converged": rep.converged,
-                "restart_spread": rep.spread,
-                "start_values": [float(v) for v in rep.start_values],
-            },
-        }
-    )
-    _emit(result, args, [f"{r.label}: norm value {rep.value!r} (converged={rep.converged})"])
-    return 0
+    inst = {
+        "label": r.label,
+        "instance": instance_to_dict(r),
+        "diagnostics": {
+            "value": rep.value,
+            "z": [z.real, z.imag],
+            "iterations": rep.iterations,
+            "converged": rep.converged,
+            "restart_spread": rep.spread,
+            "start_values": [float(v) for v in rep.start_values],
+        },
+    }
+    return [inst], (f"{r.label}: norm value {rep.value!r} (converged={rep.converged})",)
 
 
-def _cmd_range(args) -> int:
+def _cmd_range(args) -> tuple[list, tuple]:
     r = _labelled(args.instance)
     cfg = _config(args)
     inst: dict = {"label": r.label, "instance": instance_to_dict(r)}
@@ -351,10 +326,7 @@ def _cmd_range(args) -> int:
             [r], args.directions, cfg, smax_factor=args.smax_factor, warm_starts=warm
         )[0]
         _estimate_fragment(inst, "lhs", lhs)
-    result = _result_shell(args)
-    result["instances"].append(inst)
-    _emit(result, args)
-    return 0
+    return [inst], ()
 
 
 def _cpus() -> int:
@@ -504,7 +476,7 @@ def _child(w: int, worker, items) -> None:
         os._exit(code)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[list, tuple]:
     cfg = _config(args)
     if args.instances:
         batch = [_labelled(p) for p in args.instances]
@@ -518,7 +490,7 @@ def _cmd_verify(args) -> int:
 
     reports = _run_batch(batch, [r.n for r in batch], [r.label for r in batch], worker)
     heads = [{"label": r.label, "instance": instance_to_dict(r)} for r in batch]
-    return _checked(args, heads, reports)
+    return _checked(heads, reports), ()
 
 
 def _as_derivation(r: KTupleOperator):
@@ -535,7 +507,7 @@ def _as_derivation(r: KTupleOperator):
     return r.a[0], -r.b[1]
 
 
-def _cmd_derivation(args) -> int:
+def _cmd_derivation(args) -> tuple[list, tuple]:
     cfg = _config(args)
     if args.instances:
         pairs = []
@@ -552,18 +524,15 @@ def _cmd_derivation(args) -> int:
     kwargs = {} if args.tol is None else {"tol_rel": args.tol}
 
     def worker(run):
-        return verify_derivation(
-            [(a, b) for a, b, _ in run], m=args.directions, cfg=cfg,
-            labels=[label for _, _, label in run], **kwargs,
-        )
+        return verify_derivation([(a, b) for a, b, _ in run], m=args.directions, cfg=cfg, **kwargs)
 
     reports = _run_batch(
         pairs, [a.shape[0] for a, _, _ in pairs], [label for _, _, label in pairs], worker
     )
-    return _checked(args, [{"label": label} for _, _, label in pairs], reports)
+    return _checked([{"label": label} for _, _, label in pairs], reports), ()
 
 
-def _cmd_projection(args) -> int:
+def _cmd_projection(args) -> tuple[list, tuple]:
     cfg = _config(args)
     items = []
     if args.instances:
@@ -592,7 +561,7 @@ def _cmd_projection(args) -> int:
     reports = _run_batch(
         items, [p.shape[0] for p, _ in items], [label for _, label in items], worker
     )
-    return _checked(args, [{"label": label} for _, label in items], reports)
+    return _checked([{"label": label} for _, label in items], reports), ()
 
 
 _HANDLERS = {
@@ -606,10 +575,22 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one result tail.  Its handler returns the
+    instance dicts and any status notes, and main writes the result and a
+    line per check once, inside the try, so a failed write also exits 2."""
     args = build_parser().parse_args(argv)
     try:
         with _one_blas_thread():
-            return _HANDLERS[args.command](args)
+            instances, notes = _HANDLERS[args.command](args)
+            result = {
+                "tool": {"name": "elemrange", "version": __version__},
+                "command": args.command,
+                "config": _config_echo(args),
+                "instances": instances,
+            }
+            lines, code = _check_lines(result)
+            _emit(result, args, [*notes, *lines])
+            return code
     except (InstanceFormatError, RegionEmptyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

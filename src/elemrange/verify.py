@@ -20,7 +20,7 @@ from .fov import field_of_values
 from .linalg import haar_unitaries
 from .orbit import DEFAULT_SMAX_FACTOR
 from .orbit import _orbit_matrices, banach_region, check_smax_factor, orbit_region
-from .region import directions, hausdorff, hull_of_points, minkowski_sum, negate
+from .region import cloud_supports, directions, hausdorff, minkowski_sum, negate
 from .unitary_opt import OptConfig, OrbitSupportObjective, ShiftedNormObjective
 
 # Direction count sized so a 20-instance main-formula batch at n=2, k=2
@@ -200,6 +200,8 @@ def verify_main(
 
 
 def _main_report(r, nrm, scale, lhs, rhs, m, tol) -> VerificationReport:
+    """verify_main's report on one operator.  orbit_hull_filling reads the
+    witness cloud's supports, which its hull has exactly; no polygon is built."""
     disc = hausdorff(lhs.region, rhs.region)
     residual = lhs.max_residual
     tolerance = tol if tol is not None else max(MAIN_TOL_REL * scale, 2.0 * residual)
@@ -209,8 +211,7 @@ def _main_report(r, nrm, scale, lhs, rhs, m, tol) -> VerificationReport:
         if len(g) >= 2:
             mono = max(mono, float(np.max(np.diff(g))))
 
-    hull = hull_of_points(rhs.samples, m)
-    hull_gap = hausdorff(hull, rhs.region)
+    hull_gap = float(np.max(np.abs(cloud_supports(rhs.samples, m) - rhs.region.support)))
 
     rep = VerificationReport(label=r.label or "main")
     rep.checks.append(CheckResult("main_formula", disc, tolerance))
@@ -231,7 +232,6 @@ def verify_derivation(
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
     tol_rel: float = DERIVATION_TOL_REL,
-    labels=None,
 ) -> list[VerificationReport]:
     """Orbit region of x -> a x - x b against the difference of fields of
     values, for each (a, b) in pairs.
@@ -239,26 +239,18 @@ def verify_derivation(
     The oracle region W(a) + (-W(b)) is computed by eigenvalue sweeps and
     Minkowski arithmetic only, independent of any unitary optimization.
     Negating W(b) rotates the grid by half a turn, so m must be even.
-    labels, when given, names each pair, one label per pair.  The pairs
-    share one n and their orbit sweeps run as one batch; each report is the
-    one its pair gets alone.
+    The pairs share one n and their orbit sweeps run as one batch; each
+    report, in the pairs' order, is the one its pair gets alone.
     """
     _require_even(m)
     cfg = cfg or DEFAULT_CFG
-    labels = labels if labels is not None else [None] * len(pairs)
-    if len(labels) != len(pairs):
-        raise ValueError(f"labels need one entry per pair, got {len(labels)} for {len(pairs)}")
-    deltas = [
-        KTupleOperator.derivation(a, b, label=label)
-        for (a, b), label in zip(pairs, labels)
-    ]
-    estimates = orbit_region(deltas, m, cfg)
+    estimates = orbit_region([KTupleOperator.derivation(a, b) for a, b in pairs], m, cfg)
     reports = []
-    for (a, b), label, est in zip(pairs, labels, estimates):
+    for (a, b), est in zip(pairs, estimates):
         oracle = minkowski_sum(field_of_values(a, m), negate(field_of_values(b, m)))
         disc = hausdorff(est.region, oracle)
         diam = max(oracle.diameter(), 1e-12)
-        rep = VerificationReport(label=label or "derivation")
+        rep = VerificationReport(label="derivation")
         rep.checks.append(CheckResult("derivation_difference", disc, tol_rel * diam))
         rep.diagnostics = {"oracle_diameter": diam, **_rollup({"rhs": est})}
         rep.artifacts = {"rhs": est, "oracle": oracle}

@@ -5,7 +5,9 @@ seeded instances that pass it unmutated.  The per-unitary inclusion check
 evaluates both sides through the objectives the ascents maximize, so a sign
 error in either objective must fail it.  The witnesses compute
 sum u*a_i u b_i term by term, apart from the GEMM both ascents share, so a
-fault in that kernel must fail the hull check.  An orbit objective built on
+fault in that kernel must fail the hull check; on the operator side, where
+no check sees it, it must break the exact transpose relation of
+test_orbit's TestExactSymmetries.  An orbit objective built on
 the wrong operator must fail both the main formula and the hull check, and
 an orbit side that never leaves u = I must fail the main formula.  The
 doubled orbit grid's mutants must fail the orbit tests that pin each part
@@ -18,6 +20,7 @@ import pytest
 
 from elemrange import _batched, orbit
 from elemrange.elemop import random_instance
+from elemrange.orbit import banach_region
 from elemrange.unitary_opt import (
     OptConfig,
     OptReport,
@@ -150,6 +153,26 @@ def test_transposed_kernel_fails_hull_filling(monkeypatch, n):
     _kernel_transposed(monkeypatch)
     for check in _hull_filling(n):
         assert check.discrepancy > 10 * check.tolerance
+
+
+def _operator_side_transpose_gaps(n):
+    """The transpose relation's gap on banach_region's supports alone, cold,
+    for the seeded instances of _reports."""
+    rs = [random_instance(n, 2, np.random.default_rng([71, n, i])) for i in range(3)]
+    est = banach_region([*rs, *map(test_orbit.transposed, rs)], test_orbit.M, CFG)
+    h = [e.region.support for e in est]
+    return [test_orbit.symmetry_gap(a, b) for a, b in zip(h[:3], h[3:])]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_unmutated_operator_side_keeps_the_transpose_relation(n):
+    assert max(_operator_side_transpose_gaps(n)) <= test_orbit.SYMMETRY_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transposed_kernel_breaks_the_operator_sides_transpose_relation(monkeypatch, n):
+    _kernel_transposed(monkeypatch)
+    assert min(_operator_side_transpose_gaps(n)) > 100 * test_orbit.SYMMETRY_TOL
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -153,18 +153,6 @@ class TestOrbitRegion:
         hull = hull_of_points(est.samples, M)
         assert hausdorff(hull, est.region) <= 1e-9 * est.scale
 
-    def test_unitary_conjugation_invariance(self, rng):
-        r = random_instance(2, 2, rng)
-        w = haar_unitary(2, rng)
-        wh = w.conj().T
-        conj = KTupleOperator(
-            np.stack([wh @ ai @ w for ai in r.a]),
-            np.stack([wh @ bi @ w for bi in r.b]),
-        )
-        est1 = orbit_region([r], M, CFG)[0]
-        est2 = orbit_region([conj], M, CFG)[0]
-        assert hausdorff(est1.region, est2.region) <= 2e-2 * est1.scale
-
     def test_translation_covariance(self, rng):
         r = random_instance(2, 2, rng)
         z = complex(rng.normal(), rng.normal())
@@ -658,3 +646,84 @@ def test_vertex_between_two_coarse_angles_is_reached():
     r, h = normal_derivation(np.random.default_rng(2), 2)
     est = orbit_region([r], M, EDGE_CFG)[0]
     assert np.abs(est.region.support - h).max() <= 1e-9 * (1.0 + np.abs(h).max())
+
+
+# Exact symmetries of V(R).  V(R) depends only on the map R, so conjugating
+# R by an isometry of M_n, or writing the same map with another tuple,
+# leaves it alone: both sides must follow at any n and k, with no closed
+# form needed.  Measured with the default config at M = 16 on 27 seeded
+# instances (n, k = 1-3), every relation held to 2.0e-14 * (1 + max|h|) on
+# the orbit side and 3.0e-12 on the operator side.
+SYMMETRY_CFG = OptConfig()
+SYMMETRY_TOL = 1e-9
+
+
+def transposed(r):
+    """(b^T, a^T): the map x -> R(x^T)^T, whose support is R's."""
+    return KTupleOperator(np.swapaxes(r.b, -1, -2), np.swapaxes(r.a, -1, -2))
+
+
+def symmetry_gap(h, g) -> float:
+    """max |h - g| relative to 1 + max|h|."""
+    return float(np.abs(h - g).max() / (1.0 + np.abs(h).max()))
+
+
+def _both_sides(rs):
+    """{side: supports per operator}, the operator side warm-started from
+    the orbit side's maximizers, as verify_main runs them."""
+    rhs = orbit_region(rs, M, SYMMETRY_CFG)
+    lhs = banach_region(rs, M, SYMMETRY_CFG, warm_starts=[est.maximizers for est in rhs])
+    return {"orbit": [e.region.support for e in rhs], "operator": [e.region.support for e in lhs]}
+
+
+@st.composite
+def gaussian_instances(draw):
+    """A random_instance with n and k in 1-3, and a generator for the
+    relation's own draws."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_instance(n, k, rng), rng
+
+
+SYMMETRY_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+
+class TestExactSymmetries:
+    @SYMMETRY_SETTINGS
+    @given(gaussian_instances())
+    def test_transpose(self, case):
+        r, _ = case
+        for side, (h, g) in _both_sides([r, transposed(r)]).items():
+            assert symmetry_gap(h, g) <= SYMMETRY_TOL, side
+
+    @SYMMETRY_SETTINGS
+    @given(gaussian_instances())
+    def test_adjoint(self, case):
+        # (b*, a*) is x -> R(x*)*, whose range is the conjugate of R's:
+        # h(theta_j) becomes h(theta_{-j}).
+        r, _ = case
+        adjoint = KTupleOperator(np.conj(transposed(r).a), np.conj(transposed(r).b))
+        mirror = -np.arange(M) % M
+        for side, (h, g) in _both_sides([r, adjoint]).items():
+            assert symmetry_gap(h, g[mirror]) <= SYMMETRY_TOL, side
+
+    @SYMMETRY_SETTINGS
+    @given(gaussian_instances())
+    def test_unitary_conjugation_invariance(self, case):
+        r, rng = case
+        w = haar_unitary(r.n, rng)
+        wh = w.conj().T
+        conj = KTupleOperator(wh @ r.a @ w, wh @ r.b @ w)
+        for side, (h, g) in _both_sides([r, conj]).items():
+            assert symmetry_gap(h, g) <= SYMMETRY_TOL, side
+
+    @SYMMETRY_SETTINGS
+    @given(gaussian_instances(), st.integers(2, 9))
+    def test_padding(self, case, copies):
+        # (a/c || ... || a/c, b || ... || b), c copies, is the same map with
+        # k c terms, up to k c = n^2 (or 2k where n^2 is smaller).
+        r, _ = case
+        c = min(copies, max(2, r.n**2 // r.k))
+        padded = KTupleOperator(np.concatenate([r.a / c] * c), np.concatenate([r.b] * c))
+        h, g = (est.region.support for est in orbit_region([r, padded], M, SYMMETRY_CFG))
+        assert symmetry_gap(h, g) <= SYMMETRY_TOL

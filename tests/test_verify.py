@@ -181,18 +181,6 @@ class TestVerifyDerivation:
         with pytest.raises(ValueError, match="even"):
             verify_derivation([(np.eye(2), np.eye(2))], m=9, cfg=CFG)[0]
 
-    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c", "d"]])
-    def test_rejects_labels_not_one_per_pair(self, monkeypatch, labels):
-        # zip would drop the pairs past a short list; the check must fail
-        # before the orbit sweep runs.
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("orbit sweep ran")
-
-        monkeypatch.setattr(verify_mod, "orbit_region", no_sweep)
-        pairs = [(np.eye(2), np.eye(2))] * 3
-        with pytest.raises(ValueError, match="labels"):
-            verify_derivation(pairs, m=M, cfg=CFG, labels=labels)
-
 
 class TestVerifyMultProjection:
     def test_identity_projection(self):
