@@ -702,7 +702,8 @@ class TestExactSymmetries:
         # (b*, a*) is x -> R(x*)*, whose range is the conjugate of R's:
         # h(theta_j) becomes h(theta_{-j}).
         r, _ = case
-        adjoint = KTupleOperator(np.conj(transposed(r).a), np.conj(transposed(r).b))
+        t = transposed(r)
+        adjoint = KTupleOperator(t.a.conj(), t.b.conj())
         mirror = -np.arange(M) % M
         for side, (h, g) in _both_sides([r, adjoint]).items():
             assert symmetry_gap(h, g[mirror]) <= SYMMETRY_TOL, side
