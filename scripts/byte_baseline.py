@@ -15,8 +15,10 @@ package and ``perfbench/workloads.py``, so two records of different trees
 run on the same bytes.
 
 ``--compare A B`` lists every file that differs between two records and,
-for a JSON result, the largest support change relative to 1 + max|h| and
-the checks whose ``passed`` flag changed.  It exits 1 when a file differs.
+for a JSON result, the largest support change and the largest witness-point
+move, both relative to 1 + max|h|, the largest change of any check's
+discrepancy, and the checks whose ``passed`` flag changed.  It exits 1 when
+a file differs.
 
 The set covers every subcommand and format, m = 8, 16, 64 and 720, n = 2-4,
 the seed-1 batches 0 and 1 of the three benchmark workloads, diagonal and
@@ -184,20 +186,34 @@ def _result(path: Path):
     return doc if isinstance(doc, dict) and "instances" in doc else None
 
 
-def _support_change(a: dict, b: dict) -> tuple[float, list]:
-    """The largest support change over every region of every instance,
-    relative to 1 + max|h| of that region in a; and the checks whose
-    passed flag differs."""
-    worst, flipped = 0.0, []
+def _changes(a: dict, b: dict) -> tuple:
+    """(support, witness, discrepancy, flipped) between two results.
+
+    support is the largest support change over every region of every
+    instance, relative to 1 + max|h| of that region in a; witness the
+    largest distance a witness point moved, relative to 1 + max|h| over
+    its instance's regions in a; discrepancy the largest change of any
+    check's discrepancy; flipped the checks whose passed flag differs.
+    witness and discrepancy are None when no instance carries witnesses or
+    checks.
+    """
+    support, witness, discrepancy, flipped = [0.0], [], [], []
     for ia, ib in zip(a["instances"], b["instances"]):
+        top = 0.0
         for side, ra in ia.get("regions", {}).items():
             ha = np.array([h for _, h in ra["support"]])
             hb = np.array([h for _, h in ib["regions"][side]["support"]])
-            worst = max(worst, float(np.max(np.abs(ha - hb))) / (1.0 + float(np.max(np.abs(ha)))))
+            top = max(top, float(np.max(np.abs(ha))))
+            support.append(float(np.max(np.abs(ha - hb))) / (1.0 + float(np.max(np.abs(ha)))))
+        if "witnesses" in ia:
+            moved = np.hypot(*(np.array(ia["witnesses"]) - np.array(ib["witnesses"])).T)
+            witness.append(float(np.max(moved, initial=0.0)) / (1.0 + top))
         for ca, cb in zip(ia.get("checks", []), ib.get("checks", [])):
+            discrepancy.append(abs(ca["discrepancy"] - cb["discrepancy"]))
             if ca["passed"] != cb["passed"]:
                 flipped.append(f"{ia['label']}: {ca['name']}")
-    return worst, flipped
+    return (max(support), max(witness, default=None), max(discrepancy, default=None),
+            flipped)
 
 
 def compare(a_dir: Path, b_dir: Path) -> int:
@@ -212,9 +228,15 @@ def compare(a_dir: Path, b_dir: Path) -> int:
         if ra is None or rb is None:
             print(f"{name}: differs")
             continue
-        worst, flipped = _support_change(ra, rb)
-        print(f"{name}: differs; largest support change {worst:.2e} x (1 + max|h|)"
-              + (f"; passed flag changed: {', '.join(flipped)}" if flipped else ""))
+        support, witness, discrepancy, flipped = _changes(ra, rb)
+        line = f"{name}: differs; largest support change {support:.2e} x (1 + max|h|)"
+        if witness is not None:
+            line += f"; largest witness move {witness:.2e} x (1 + max|h|)"
+        if discrepancy is not None:
+            line += f"; largest discrepancy change {discrepancy:.2e}"
+        if flipped:
+            line += f"; passed flag changed: {', '.join(flipped)}"
+        print(line)
     same = sum(files_a.get(f) == digest for f, digest in files_b.items())
     print(f"{len(differ)} file(s) differ, {same} identical")
     return int(bool(differ))

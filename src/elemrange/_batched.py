@@ -12,9 +12,11 @@ BLAS call per matrix; larger n falls back to numpy.linalg and ``@``.  At
 every n the top singular pair comes from the top eigenpair of the Gram
 matrix G*G and one product G v, never from an SVD.  The closed forms and
 the Gram matrix rescale rows of extreme magnitude by exact powers of two,
-so they hold over the whole floating-point range.  All kernels are pure and
-deterministic, and every kernel but ``ElementaryMatrix`` gives each row the
-bits it gets alone.
+so they hold over the whole floating-point range.  The ascent's retraction
+is the Cayley map, one small solve per trial (a closed form at n = 2),
+which needs no rescaling under the ascent's step cap.  All kernels are pure
+and deterministic, and every kernel but ``ElementaryMatrix`` gives each row
+the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -206,7 +208,11 @@ def top_eigh(h):
 
 
 def eigh_full(h):
-    """Full eigendecomposition (ascending) of each Hermitian matrix."""
+    """Full eigendecomposition (ascending) of each Hermitian matrix.
+
+    The program no longer calls it; the tests check it, and the benchmark's
+    kernel timings look it up by name.
+    """
     if h.shape[-1] == 2:
         return _rescaled(_eigh_full2, h, _EIG2_WINDOW)
     return np.linalg.eigh(h)
@@ -237,14 +243,38 @@ def top_svd(g):
 
 
 def skew_exp_factors(k):
-    """Eigendecomposition of iK (Hermitian) for a stack of skew-Hermitian K.
+    """The step-independent factor H = K/2 of the Cayley retraction along a
+    stack of skew-Hermitian directions K (see ``apply_skew_exp``).
 
-    Returns (lam, V) with exp(t*K) = V diag(exp(-i*t*lam)) V*.
+    This kernel and ``apply_skew_exp`` keep the names of the exponential
+    retraction that the Cayley map replaced, which the benchmark's kernel
+    timings look up.
     """
-    return eigh_full(1j * k)
+    return 0.5 * k
 
 
-def apply_skew_exp(u, lam, v, t):
-    """u @ exp(t*K) from the factors of ``skew_exp_factors``; t has shape (B,)."""
-    phases = np.exp(-1j * t[:, None] * lam)
-    return mm(u, mm(v * phases[:, None, :], np.conj(np.swapaxes(v, -1, -2))))
+def apply_skew_exp(u, h, t):
+    """The Cayley retraction u (I - tH)^-1 (I + tH), with H = K/2 from
+    ``skew_exp_factors``; t has shape (B,).
+
+    For skew-Hermitian K this is u times the Cayley transform of tK, a
+    unitary that agrees with exp(tK) to second order in t.  It is formed as
+    2 Z - u with Z (I - tH) = u: one small solve per trial and no product.
+    I - tH has eigenvalues 1 - i mu with mu real, so its determinant has
+    modulus at least 1, and while t |H| is of order one (the ascent caps
+    t |K|_F at pi) no entry overflows, so the n = 2 closed form, the
+    adjugate over the determinant, needs no rescaling.  Every other n calls
+    np.linalg.solve, one LAPACK solve per row; either way each row's bits
+    depend on that row alone.
+    """
+    x = t[:, None, None] * h
+    if u.shape[-1] == 2:
+        m00, m11 = 1.0 - x[:, 0, 0], 1.0 - x[:, 1, 1]
+        scale = 2.0 / (m00 * m11 - x[:, 0, 1] * x[:, 1, 0])
+        adj = np.empty_like(x)
+        adj[:, 0, 0], adj[:, 0, 1] = scale * m11, scale * x[:, 0, 1]
+        adj[:, 1, 0], adj[:, 1, 1] = scale * x[:, 1, 0], scale * m00
+        return mm(u, adj) - u
+    eye = np.eye(u.shape[-1], dtype=complex)
+    z = np.linalg.solve(eye - np.swapaxes(x, -1, -2), np.swapaxes(u, -1, -2))
+    return 2.0 * np.swapaxes(z, -1, -2) - u

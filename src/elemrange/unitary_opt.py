@@ -9,9 +9,11 @@ in the Lie algebra.  Vector transport is then the identity (Huang,
 Gallivan & Absil, SIAM J. Optim. 2015), so every start keeps its last
 _MEMORY pairs (s, y) as skew matrices and the two-loop recursion maps K
 to a direction D under the inner product Re tr(X*Y).  The retraction is
-the exact matrix exponential u <- u exp(tD), and t is chosen by Armijo
-backtracking from t = 1; a start whose D is not an ascent direction steps
-along K instead.  A start stores its pair when its step is accepted,
+the Cayley map u <- u (I - tD/2)^-1 (I + tD/2), which keeps u unitary at
+the cost of one small solve per trial (Wen & Yin, Math. Program. 2013),
+and t is chosen by Armijo backtracking from t = 1, capped at
+t |D|_F <= pi; a start whose D is not an ascent direction steps along K
+instead.  A start stores its pair when its step is accepted,
 with K at its new point, as in textbook L-BFGS.  The first trial of each
 step is evaluated with its gradient, so a start accepted there costs one
 decomposition per step; later trials are value-only, and the starts
@@ -277,7 +279,7 @@ class _History:
         y = k_old - k_new
         sy = _dot(s, y)
         yy = _dot(y, y)
-        keep = sy > _CURVATURE * np.sqrt(_dot(s, s) * yy)
+        keep = sy > _CURVATURE * np.sqrt(_dot(s, s)) * np.sqrt(yy)
         rows = loc[keep]
         self.head[rows] = (self.head[rows] + 1) % _MEMORY
         slot = self.head[rows], rows
@@ -380,15 +382,19 @@ class _Ascent:
         idx, loc, k, gn2 = idx[~hit], loc[~hit], k[~hit], gn2[~hit]
         # Every row takes the two-loop direction D (gamma K for a row with no
         # stored pair) with a first trial of t = 1, unless D is not an ascent
-        # direction, when it falls back to D = K.
+        # direction, when it falls back to D = K.  The test multiplies the
+        # two norms: the product of their squares overflows once K exceeds
+        # about 1e77.
         d = history.direction(loc, k)
-        slope = _dot(k, d)
-        fallback = ~(slope > _ASCENT * np.sqrt(gn2 * _dot(d, d)))
+        slope, dd = _dot(k, d), _dot(d, d)
+        fallback = ~(slope > _ASCENT * np.sqrt(gn2) * np.sqrt(dd))
         d[fallback] = k[fallback]
-        slope[fallback] = gn2[fallback]
-        lam, vv = _batched.skew_exp_factors(d)
-        # Cap the step so one retraction never rotates past half a turn.
-        t = np.minimum(1.0, np.pi / (np.max(np.abs(lam), axis=1) + 1e-300))
+        slope[fallback] = dd[fallback] = gn2[fallback]
+        h = _batched.skew_exp_factors(d)
+        # Cap the step at t |D|_F <= pi, which bounds every angle of the
+        # Cayley factor below 2 atan(pi/2) and keeps tD of order one at any
+        # scale of the operator.
+        t = np.minimum(1.0, np.pi / (np.sqrt(dd) + 1e-300))
         # at holds the positions in idx of the rows still backtracking, which
         # have not moved, so u holds their start; d[at] is scaled by t on
         # acceptance, so that it holds the accepted step.
@@ -396,7 +402,7 @@ class _Ascent:
         late = np.zeros(idx.size, dtype=bool)
         for j in range(_MAX_BACKTRACKS):
             rows = idx[at]
-            trial = _batched.apply_skew_exp(u[rows], lam, vv, t)
+            trial = _batched.apply_skew_exp(u[rows], h, t)
             if j == 0:
                 ft, e = self.objective.value_and_grad(trial, rows)
             else:
@@ -418,7 +424,7 @@ class _Ascent:
             stalled = ~ok & (t < _MIN_STEP)
             done[rows[stalled]] = True
             rest = ~ok & ~stalled
-            at, lam, vv, slope, t = at[rest], lam[rest], vv[rest], slope[rest], t[rest]
+            at, h, slope, t = at[rest], h[rest], slope[rest], t[rest]
             if at.size == 0:
                 break
         done[idx[at]] = True  # backtracking budget exhausted: stall

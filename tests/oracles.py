@@ -5,8 +5,8 @@ kernel paths: dense parameter grids over SU(2), random unit-sphere
 sampling, interval arithmetic, closed-form ellipse families, and
 single-matrix numpy and scipy linear algebra (Hermitian parts, eigenpairs,
 spectral norms, the operator applied term by term and its Kronecker
-matricization, and the derivative along a curve u exp(tK)).  Only input
-validation is shared with the package.
+matricization, the derivative along a curve u exp(tK), and the Cayley
+transform).  Only input validation is shared with the package.
 """
 
 from __future__ import annotations
@@ -106,6 +106,13 @@ def finite_difference_directional(objective, u, k, h: float = 1e-4) -> float:
     fp = float(objective.value((u @ expm(h * k))[None])[0])
     fm = float(objective.value((u @ expm(-h * k))[None])[0])
     return (fp - fm) / (2.0 * h)
+
+
+def cayley(k, t: float) -> np.ndarray:
+    """The Cayley transform (I - tK/2)^-1 (I + tK/2) of one matrix K."""
+    x = 0.5 * t * np.asarray(k)
+    eye = np.eye(x.shape[0])
+    return np.linalg.solve(eye - x, eye + x)
 
 
 def su2_grid(n_t: int = 33, n_phase: int = 32) -> np.ndarray:

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from elemrange import _batched
 from elemrange.elemop import KTupleOperator
+from elemrange.linalg import haar_unitaries
 
-from oracles import apply_tuple, matricize, vec
+from oracles import apply_tuple, cayley, matricize, vec
 
 
 def _random_hermitian(rng, b, n):
@@ -81,25 +82,45 @@ def test_sigma_max_matches_svd(rng):
         ).max() <= 1e-12
 
 
+def _random_skew(rng, b, n):
+    k = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
+    return (k - np.conj(np.swapaxes(k, -1, -2))) / 2
+
+
 def test_skew_exp_unitary(rng):
-    k = rng.standard_normal((32, 2, 2)) + 1j * rng.standard_normal((32, 2, 2))
-    k = (k - np.conj(np.swapaxes(k, -1, -2))) / 2
-    lam, v = _batched.skew_exp_factors(k)
-    t = rng.uniform(-2, 2, size=32)
-    u = _batched.apply_skew_exp(np.broadcast_to(np.eye(2), (32, 2, 2)).astype(complex), lam, v, t)
-    eye = np.eye(2)
-    err = np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - eye).max()
-    assert err <= 1e-12
+    # The Cayley retraction of a unitary is unitary, at every n and step.
+    for n in range(1, 6):
+        k = _random_skew(rng, 32, n)
+        t = rng.uniform(-2, 2, size=32)
+        u = _batched.apply_skew_exp(haar_unitaries(n, 32, rng), _batched.skew_exp_factors(k), t)
+        err = np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(n)).max()
+        assert err <= 1e-14
 
 
 def test_skew_exp_matches_series(rng):
+    # The Cayley retraction agrees with exp(tK) through second order in t;
+    # their third-order terms differ by t^3 K^3 / 12, and the rest is
+    # below (t |K|)^4 / 6.
     from scipy.linalg import expm
 
-    k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    k = (k - k.conj().T) / 2
-    lam, v = _batched.skew_exp_factors(k[None])
-    got = _batched.apply_skew_exp(np.eye(2, dtype=complex)[None], lam, v, np.array([0.7]))[0]
-    assert np.abs(got - expm(0.7 * k)).max() <= 1e-12
+    for n in (2, 3):
+        k = _random_skew(rng, 1, n)[0]
+        t = 1e-2
+        eye = np.eye(n, dtype=complex)[None]
+        got = _batched.apply_skew_exp(eye, _batched.skew_exp_factors(k[None]), np.array([t]))[0]
+        rest = got - expm(t * k) - t**3 * np.linalg.matrix_power(k, 3) / 12
+        assert np.abs(rest).max() <= (t * np.linalg.norm(k)) ** 4 / 6
+
+
+def test_cayley_closed_form_matches_solve(rng):
+    # The n = 2 adjugate form against the single-matrix solve, at steps up
+    # to the ascent's cap t |K|_F = pi.
+    k = _random_skew(rng, 64, 2)
+    t = rng.uniform(-np.pi, np.pi, size=64) / np.linalg.norm(k, axis=(1, 2))
+    u = haar_unitaries(2, 64, rng)
+    got = _batched.apply_skew_exp(u, _batched.skew_exp_factors(k), t)
+    want = np.stack([ui @ cayley(ki, ti) for ui, ki, ti in zip(u, k, t)])
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
 
 
 _SCALES = st.sampled_from([0.0, 1e-6, 1.0, 1e6])
@@ -194,6 +215,30 @@ def test_mm_row_bits_do_not_depend_on_the_stack(count, seed, scale, adjoint):
         assert np.array_equal(_batched.mm(a[i : i + 1], b[i : i + 1]), full[i : i + 1])
     cut = count // 2
     assert np.array_equal(_batched.mm(a[cut:], b[cut:]), full[cut:])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-150, 1.0, 1e150]),
+)
+def test_cayley_row_bits_do_not_depend_on_the_stack(n, count, seed, scale):
+    # As for mm: a row's retraction is the same alone or inside any stack,
+    # at steps up to the ascent's cap t |K|_F = pi.
+    rng = np.random.default_rng(seed)
+    k = _random_skew(rng, count, n)
+    t = np.minimum(1.0, np.pi / (scale * np.linalg.norm(k, axis=(1, 2)) + 1e-300))
+    t *= rng.uniform(-1, 1, count)
+    u = haar_unitaries(n, count, rng)
+    h = _batched.skew_exp_factors(scale * k)
+    full = _batched.apply_skew_exp(u, h, t)
+    for i in range(count):
+        assert np.array_equal(_batched.apply_skew_exp(u[i : i + 1], h[i : i + 1], t[i : i + 1]),
+                              full[i : i + 1])
+    cut = count // 2
+    assert np.array_equal(_batched.apply_skew_exp(u[cut:], h[cut:], t[cut:]), full[cut:])
 
 
 def _rel_norm(x, size):

@@ -1,4 +1,4 @@
-"""Smoke test of scripts/byte_baseline.py on two commands of its set.
+"""Smoke test of scripts/byte_baseline.py on three commands of its set.
 
 The full set takes about half a minute and runs outside the test suite:
     python scripts/byte_baseline.py OUT [--src SRC]
@@ -22,7 +22,7 @@ def _script():
 def test_compare_names_a_moved_support(tmp_path, capsys):
     bb = _script()
     a, b = tmp_path / "a", tmp_path / "b"
-    assert bb.main([str(a), "--only", "fov-r2", "error-bad-z"]) == 0
+    assert bb.main([str(a), "--only", "fov-r2", "error-bad-z", "derivation-default"]) == 0
     assert (a / "runs" / "error-bad-z" / "exit_code").read_text() == "2\n"
     shutil.copytree(a, b)
     files = len(bb._hashes(a))
@@ -43,3 +43,22 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
         f"{1e-3 / (1 + top):.2e} x (1 + max|h|)"
     )
     assert summary == f"1 file(s) differ, {files - 1} identical"
+
+    # A moved witness and a changed discrepancy are reported with the
+    # support change on a result that carries them.
+    result = b / "runs" / "derivation-default" / "stdout"
+    doc = json.loads(result.read_text())
+    inst = doc["instances"][1]
+    top = max(abs(h) for region in inst["regions"].values() for _, h in region["support"])
+    inst["witnesses"][3][0] += 3e-4
+    inst["witnesses"][3][1] -= 4e-4
+    inst["checks"][0]["discrepancy"] += 2e-6
+    result.write_text(json.dumps(doc))
+    assert bb.main(["--compare", str(a), str(b)]) == 1
+    derivation, line, summary = capsys.readouterr().out.splitlines()
+    assert derivation == (
+        "runs/derivation-default/stdout: differs; largest support change 0.00e+00 x (1 + max|h|)"
+        f"; largest witness move {5e-4 / (1 + top):.2e} x (1 + max|h|)"
+        "; largest discrepancy change 2.00e-06"
+    )
+    assert summary == f"2 file(s) differ, {files - 2} identical"

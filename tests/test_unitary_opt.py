@@ -1,11 +1,11 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from elemrange import unitary_opt
 from elemrange.elemop import random_instance
@@ -20,7 +20,7 @@ from elemrange.unitary_opt import (
     tangent_project,
 )
 
-from oracles import directional_derivative, finite_difference_directional, is_unitary
+from oracles import cayley, directional_derivative, finite_difference_directional, is_unitary
 
 
 def random_skew(rng, n):
@@ -440,21 +440,21 @@ def spy_retraction(monkeypatch):
         seen.append(d.copy())
         return factors(d)
 
-    def spy_retract(u, lam, v, t):
+    def spy_retract(u, h, t):
         seen.append(t.copy())
-        return retract(u, lam, v, t)
+        return retract(u, h, t)
 
     monkeypatch.setattr(unitary_opt._batched, "skew_exp_factors", spy_factors)
     monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", spy_retract)
     return seen
 
 
-def fresh_ascent(rng, n=3, restarts=4):
-    """An ascent of one orbit objective from the default starts, its rows,
-    and a fresh L-BFGS history for them, holding K at every row, as the
-    ascent's first step finds them."""
+def fresh_ascent(rng, n=3, restarts=4, scale=1.0):
+    """An ascent of one orbit objective, of an operator of the given scale,
+    from the default starts, its rows, and a fresh L-BFGS history for them,
+    holding K at every row, as the ascent's first step finds them."""
     r = random_instance(n, 2, rng)
-    obj = OrbitSupportObjective([(r.a, r.b)], 0.9)
+    obj = OrbitSupportObjective([(scale * r.a, r.b)], 0.9)
     state = unitary_opt._Ascent(obj, np.stack(default_starts(n, restarts, rng)))
     idx, history = np.arange(state.nb), unitary_opt._History(state.nb, n)
     state.fval[idx], history.k[idx] = state._gradient(idx)
@@ -510,7 +510,7 @@ class TestLbfgsStep:
     def test_non_ascent_direction_falls_back_to_k(self, rng, monkeypatch):
         # Both rows hold a pair; row 0's two-loop direction is -K, which is
         # not an ascent direction, so it retracts along K; row 1 keeps its
-        # direction 2K.  Both take a first trial of t = 1.
+        # direction 2K.  Each takes a first trial of t = min(1, pi / |D|_F).
         n = 3
         r = random_instance(n, 2, rng)
         obj = OrbitSupportObjective([(r.a, r.b)], 0.9)
@@ -525,8 +525,8 @@ class TestLbfgsStep:
         seen = spy_retraction(monkeypatch)
         state._step(idx, idx, 0.0, history)
         assert np.array_equal(seen[0], np.stack([k[0], 2 * k[1]]))
-        lam = np.linalg.eigvalsh(1j * seen[0])
-        tmax = np.pi / np.abs(lam).max(axis=1)
+        tmax = np.pi / np.linalg.norm(seen[0], axis=(1, 2))
+        assert tmax[1] < 1.0  # the cap binds on row 1
         assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
 
     def test_first_step_is_initial_step_along_k(self, rng, monkeypatch):
@@ -538,9 +538,21 @@ class TestLbfgsStep:
         seen = spy_retraction(monkeypatch)
         state._step(idx, idx, 0.0, history)
         assert np.array_equal(seen[0], unitary_opt._INITIAL_STEP * k)
-        lam = np.linalg.eigvalsh(1j * seen[0])
-        tmax = np.pi / np.abs(lam).max(axis=1)
+        tmax = np.pi / np.linalg.norm(seen[0], axis=(1, 2))
         assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
+
+    def test_first_step_keeps_its_direction_at_large_scale(self, rng, monkeypatch):
+        # At 1e100 the product of |K|^2 and |D|^2 overflows; the ascent
+        # test multiplies the norms instead, so no row falls back to K and
+        # every row takes its two-loop direction _INITIAL_STEP K.
+        state, idx, history = fresh_ascent(rng, scale=1e100)
+        k = history.k.copy()
+        assert np.all(np.linalg.norm(k, axis=(1, 2)) > 1e90)
+        seen = spy_retraction(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state._step(idx, idx, 0.0, history)
+        assert np.array_equal(seen[0], unitary_opt._INITIAL_STEP * k)
 
     def test_pair_is_stored_when_its_step_is_accepted(self, rng):
         # Every row that moved holds the pair of its step and K at its new
@@ -589,11 +601,12 @@ class TestLbfgsStep:
         assert np.array_equal(history.k[late], k)
         assert np.array_equal(state.fval[late], fval)
         assert np.array_equal(np.count_nonzero(history.rho[:, late], axis=0), np.ones(late.size))
-        # The pair is (the accepted step, the change of K along it).
+        # The pair is (the accepted step S, the change of K along it), and
+        # the row moved by the Cayley retraction along S.
         newest = history.head[late], late
         assert np.array_equal(history.y[newest], k_start[late] - k)
         for row, step in zip(late, history.s[newest]):
-            assert np.allclose(start[row] @ expm(step), state.u[row], rtol=0, atol=1e-12)
+            assert np.allclose(start[row] @ cayley(step, 1.0), state.u[row], rtol=0, atol=1e-14)
 
     def test_history_memory_is_bounded_by_slabs(self, monkeypatch):
         # Each slab of instances runs all its iterations with an L-BFGS
