@@ -22,7 +22,7 @@ a file differs.
 
 The set covers every subcommand and format, m = 8, 16, 64 and 720, n = 2-4,
 the seed-1 batches 0 and 1 of the three benchmark workloads, diagonal and
-rank-one projections, mixed n in one batch, and six error exits.  A full
+rank-one projections, mixed n in one batch, and seven error exits.  A full
 record takes about half a minute on two CPUs.
 """
 
@@ -125,6 +125,7 @@ def commands(batches: dict) -> dict:
         "error-missing-file": ["verify", _in("missing.json")],
         "error-not-projection": ["projection", _in("half.json")],
         "error-not-derivation": ["derivation", r2],
+        "error-not-multiplication": ["projection", r2],
         "error-bad-z": ["norm", r2, "--z", "1,2,3"],
         "error-bad-out": ["range", r2, "--out", "no-such-dir/result.json"],
     }

@@ -5,7 +5,7 @@ The unitary ascent engine evaluates objectives on stacks of shape
 are applied as one matrix product against the n^2 x n^2 matrix of R
 (``ElementaryMatrix``), B n^4 multiply-adds per call whatever the tuple
 length k; a stack may hold the operands of several instances, each
-multiplied by its own matrix.  For n = 2 the eigenproblems have closed
+multiplied by its own matrix.  For n = 2 the top eigenpairs have closed
 forms that are an order of magnitude faster than per-matrix LAPACK calls,
 and stacked products (``mm``) are broadcast multiply-adds, which avoid one
 BLAS call per matrix; larger n falls back to numpy.linalg and ``@``.  At
@@ -159,20 +159,6 @@ def _top_eigh2(h):
     return mid + disc, _top_vec2(half, disc, h01)
 
 
-def _eigh_full2(h):
-    mid, half, disc, h01 = _eig2_parts(h)
-    vtop = _top_vec2(half, disc, h01)
-    lam = np.empty(mid.shape + (2,))
-    lam[..., 0] = mid - disc
-    lam[..., 1] = mid + disc
-    # The orthogonal complement of the top eigenvector is the bottom one.
-    vecs = np.empty(mid.shape + (2, 2), dtype=complex)
-    vecs[..., 0, 0] = -np.conj(vtop[..., 1])
-    vecs[..., 1, 0] = np.conj(vtop[..., 0])
-    vecs[..., :, 1] = vtop
-    return lam, vecs
-
-
 def _sigma_max_gram(g):
     return (np.sqrt(np.maximum(eigvals_max(_gram(g)), 0.0)),)
 
@@ -208,13 +194,12 @@ def top_eigh(h):
 
 
 def eigh_full(h):
-    """Full eigendecomposition (ascending) of each Hermitian matrix.
+    """Full eigendecomposition (ascending) of each Hermitian matrix, by
+    LAPACK at every n.
 
     The program no longer calls it; the tests check it, and the benchmark's
     kernel timings look it up by name.
     """
-    if h.shape[-1] == 2:
-        return _rescaled(_eigh_full2, h, _EIG2_WINDOW)
     return np.linalg.eigh(h)
 
 

@@ -37,6 +37,7 @@ from .verify import (
     DEFAULT_CFG,
     DEFAULT_DIRECTIONS,
     DEFAULT_SMAX_FACTOR,
+    _derivation_pair,
     _require_projection,
     random_batch,
     verify_derivation,
@@ -193,6 +194,16 @@ def _labelled(path: str) -> KTupleOperator:
     return r
 
 
+def _read_batch(paths, check=lambda r: None) -> list[KTupleOperator]:
+    """The labelled operators of the instance files, each passed to check
+    as it is read, so that a bad file is an error before any work."""
+    batch = []
+    for path in paths:
+        batch.append(_labelled(path))
+        check(batch[-1])
+    return batch
+
+
 def _estimate_fragment(inst: dict, side: str, est):
     inst.setdefault("regions", {})[side] = region_to_dict(est.region)
     if side == "rhs":
@@ -337,8 +348,9 @@ def _cpus() -> int:
     return 1
 
 
-def _run_batch(items, dims, labels, worker) -> list:
-    """Map worker(run) -> one result per item over runs of items on one n.
+def _run_batch(batch, worker) -> list:
+    """Map worker(run) -> one result per operator over runs of the batch's
+    operators on one n.
 
     Each run is split into P = min(_cpus(), len(run)) contiguous, near-equal
     parts.  Part 0 runs in this process and each other part in a forked
@@ -348,7 +360,7 @@ def _run_batch(items, dims, labels, worker) -> list:
     run here.  ``taskset -c 0`` gives one part and no fork.
     """
     out = []
-    for _, run in itertools.groupby(zip(items, dims, labels), key=lambda t: t[1]):
+    for _, run in itertools.groupby(batch, key=lambda r: r.n):
         run = list(run)
         parts = min(_cpus(), len(run))
         bounds = [len(run) * i // parts for i in range(parts + 1)]
@@ -411,8 +423,8 @@ def _one_blas_thread():
 
 
 def _run_parts(parts, worker) -> list:
-    """worker over each part of (item, n, label) triples, concatenated: the
-    first part here, every other one in a forked child."""
+    """worker over each part, a list of operators, concatenated: the first
+    part here, every other one in a forked child."""
     children = []  # (pid, reader of its pipe), in part order, until reaped
     try:
         for part in parts[1:]:
@@ -424,10 +436,10 @@ def _run_parts(parts, worker) -> list:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(w, worker, [item for item, _, _ in part])
+                _child(w, worker, part)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        out = list(worker([item for item, _, _ in parts[0]]))
+        out = list(worker(parts[0]))
         for part in parts[1:]:
             pid, reader = children[0]
             with reader:
@@ -437,7 +449,7 @@ def _run_parts(parts, worker) -> list:
             if not data:
                 how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
                 raise ChildProcessError(
-                    f"the worker for instances {part[0][2]} .. {part[-1][2]} "
+                    f"the worker for instances {part[0].label} .. {part[-1].label} "
                     f"ended with {how} and no result"
                 )
             kind, value = pickle.loads(data)
@@ -479,7 +491,7 @@ def _child(w: int, worker, items) -> None:
 def _cmd_verify(args) -> tuple[list, tuple]:
     cfg = _config(args)
     if args.instances:
-        batch = [_labelled(p) for p in args.instances]
+        batch = _read_batch(args.instances)
     else:
         batch = random_batch(args.count, args.dim, args.tuples, args.seed)
 
@@ -488,80 +500,46 @@ def _cmd_verify(args) -> tuple[list, tuple]:
             run, m=args.directions, cfg=cfg, smax_factor=args.smax_factor, tol=args.tol
         )
 
-    reports = _run_batch(batch, [r.n for r in batch], [r.label for r in batch], worker)
     heads = [{"label": r.label, "instance": instance_to_dict(r)} for r in batch]
-    return _checked(heads, reports), ()
-
-
-def _as_derivation(r: KTupleOperator):
-    eye = np.eye(r.n)
-    if (
-        r.k != 2
-        or float(np.abs(r.a[1] - eye).max()) > 1e-12
-        or float(np.abs(r.b[0] - eye).max()) > 1e-12
-    ):
-        raise InstanceFormatError(
-            f"instance '{r.label}' does not encode x -> Ax - xB "
-            "(need k=2, a=(A, I), b=(I, -B))"
-        )
-    return r.a[0], -r.b[1]
+    return _checked(heads, _run_batch(batch, worker)), ()
 
 
 def _cmd_derivation(args) -> tuple[list, tuple]:
     cfg = _config(args)
     if args.instances:
-        pairs = []
-        for path in args.instances:
-            r = _labelled(path)
-            a, b = _as_derivation(r)
-            pairs.append((a, b, r.label))
+        batch = _read_batch(args.instances, _derivation_pair)
     else:
-        pairs = []
+        batch = []
         for i in range(args.count):
             r = random_instance(args.dim, 1, np.random.default_rng([args.seed, 131, i]))
-            pairs.append((r.a[0], r.b[0], f"derivation-n{args.dim}-{i:02d}"))
+            label = f"derivation-n{args.dim}-{i:02d}"
+            batch.append(KTupleOperator.derivation(r.a[0], r.b[0], label=label))
 
     kwargs = {} if args.tol is None else {"tol_rel": args.tol}
 
     def worker(run):
-        return verify_derivation([(a, b) for a, b, _ in run], m=args.directions, cfg=cfg, **kwargs)
+        return verify_derivation(run, m=args.directions, cfg=cfg, **kwargs)
 
-    reports = _run_batch(
-        pairs, [a.shape[0] for a, _, _ in pairs], [label for _, _, label in pairs], worker
-    )
-    return _checked([{"label": label} for _, _, label in pairs], reports), ()
+    return _checked([{"label": r.label} for r in batch], _run_batch(batch, worker)), ()
 
 
 def _cmd_projection(args) -> tuple[list, tuple]:
     cfg = _config(args)
-    items = []
     if args.instances:
-        for path in args.instances:
-            r = _labelled(path)
-            if r.k != 1 or float(np.abs(r.a[0] - r.b[0]).max()) > 1e-12:
-                raise InstanceFormatError(
-                    f"instance '{r.label}' does not encode x -> p x p (need k=1, a=b=(p,))"
-                )
-            _require_projection(r.a[0], f"instance '{r.label}'")
-            items.append((r.a[0], r.label))
+        batch = _read_batch(args.instances, _require_projection)
     else:
         if not 0 <= args.rank <= args.dim:
             raise ValueError(f"--rank must be in 0..{args.dim}, got {args.rank}")
-        p = np.zeros((args.dim, args.dim), dtype=complex)
-        for i in range(args.rank):
-            p[i, i] = 1.0
-        items.append((p, f"projection-n{args.dim}r{args.rank}"))
+        p = np.diag((np.arange(args.dim) < args.rank).astype(complex))
+        label = f"projection-n{args.dim}r{args.rank}"
+        batch = [KTupleOperator.multiplication(p, p, label=label)]
 
     def worker(run):
         return verify_mult_projection(
-            [p for p, _ in run], m=args.directions, cfg=cfg,
-            smax_factor=args.smax_factor, tol=args.tol,
+            run, m=args.directions, cfg=cfg, smax_factor=args.smax_factor, tol=args.tol
         )
 
-    reports = _run_batch(
-        items, [p.shape[0] for p, _ in items], [label for _, label in items], worker
-    )
-    return _checked([{"label": label} for _, label in items], reports), ()
+    return _checked([{"label": r.label} for r in batch], _run_batch(batch, worker)), ()
 
 
 _HANDLERS = {

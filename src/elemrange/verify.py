@@ -105,13 +105,36 @@ def _require_even(m: int) -> None:
         raise ValueError(f"need an even number of directions, got {m}")
 
 
-def _require_projection(p: np.ndarray, name: str = "input") -> None:
-    """Raise ValueError, naming the input, unless p = p* = p^2 to 1e-10."""
+def _named(r: KTupleOperator) -> str:
+    return "an unlabelled operator" if r.label is None else f"instance '{r.label}'"
+
+
+def _derivation_pair(r: KTupleOperator):
+    """(A, B) of an operator that encodes x -> Ax - xB as a = (A, I),
+    b = (I, -B) to 1e-12; ValueError, naming the operator, otherwise."""
+    eye = np.eye(r.n)
+    if (
+        r.k != 2
+        or float(np.abs(r.a[1] - eye).max()) > 1e-12
+        or float(np.abs(r.b[0] - eye).max()) > 1e-12
+    ):
+        raise ValueError(
+            f"{_named(r)} does not encode x -> Ax - xB (need k=2, a=(A, I), b=(I, -B))"
+        )
+    return r.a[0], -r.b[1]
+
+
+def _require_projection(r: KTupleOperator) -> None:
+    """Raise ValueError, naming the operator, unless it is x -> p x p with
+    a = b = (p,) to 1e-12 and p = p* = p^2 to 1e-10."""
+    p = r.a[0]
+    if r.k != 1 or float(np.abs(p - r.b[0]).max()) > 1e-12:
+        raise ValueError(f"{_named(r)} does not encode x -> p x p (need k=1, a=b=(p,))")
     if (
         float(np.abs(p - p.conj().T).max()) > 1e-10
         or float(np.abs(p @ p - p).max()) > 1e-10
     ):
-        raise ValueError(f"{name} is not an orthogonal projection (p = p* = p^2)")
+        raise ValueError(f"{_named(r)} is not an orthogonal projection (p = p* = p^2)")
 
 
 def random_batch(count: int, n: int, k: int, seed: int) -> list[KTupleOperator]:
@@ -228,29 +251,31 @@ def _main_report(r, nrm, scale, lhs, rhs, m, tol) -> VerificationReport:
 
 
 def verify_derivation(
-    pairs,
+    rs: list[KTupleOperator],
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
     tol_rel: float = DERIVATION_TOL_REL,
 ) -> list[VerificationReport]:
-    """Orbit region of x -> a x - x b against the difference of fields of
-    values, for each (a, b) in pairs.
+    """Orbit region of each derivation x -> Ax - xB against the difference
+    of fields of values W(A) + (-W(B)).
 
-    The oracle region W(a) + (-W(b)) is computed by eigenvalue sweeps and
-    Minkowski arithmetic only, independent of any unitary optimization.
-    Negating W(b) rotates the grid by half a turn, so m must be even.
-    The pairs share one n and their orbit sweeps run as one batch; each
-    report, in the pairs' order, is the one its pair gets alone.
+    Each operator must encode its derivation as a = (A, I), b = (I, -B)
+    (KTupleOperator.derivation); all are checked before any optimization.
+    The oracle region is computed by eigenvalue sweeps and Minkowski
+    arithmetic only, independent of any unitary optimization.  Negating
+    W(B) rotates the grid by half a turn, so m must be even.  The operators
+    act on one M_n and their orbit sweeps run as one batch; each report is
+    the one its operator gets alone.
     """
     _require_even(m)
+    pairs = [_derivation_pair(r) for r in rs]
     cfg = cfg or DEFAULT_CFG
-    estimates = orbit_region([KTupleOperator.derivation(a, b) for a, b in pairs], m, cfg)
     reports = []
-    for (a, b), est in zip(pairs, estimates):
+    for r, (a, b), est in zip(rs, pairs, orbit_region(rs, m, cfg)):
         oracle = minkowski_sum(field_of_values(a, m), negate(field_of_values(b, m)))
         disc = hausdorff(est.region, oracle)
         diam = max(oracle.diameter(), 1e-12)
-        rep = VerificationReport(label="derivation")
+        rep = VerificationReport(label=r.label or "derivation")
         rep.checks.append(CheckResult("derivation_difference", disc, tol_rel * diam))
         rep.diagnostics = {"oracle_diameter": diam, **_rollup({"rhs": est})}
         rep.artifacts = {"rhs": est, "oracle": oracle}
@@ -259,27 +284,26 @@ def verify_derivation(
 
 
 def verify_mult_projection(
-    ps,
+    rs: list[KTupleOperator],
     m: int = DEFAULT_DIRECTIONS,
     cfg: OptConfig | None = None,
     smax_factor: float = DEFAULT_SMAX_FACTOR,
     tol: float | None = None,
 ) -> list[VerificationReport]:
-    """Both regions of the two-sided multiplication by each orthogonal projection.
+    """Both regions of each two-sided multiplication x -> p x p by an
+    orthogonal projection p.
 
-    Rejects inputs that are not orthogonal projections before any
-    optimization; reports the region gap plus the support values at angles
-    0 and pi (pi is a grid direction only for even m) and the hermitian_check
-    diagnostics of the orbit region.  The projections act on one M_n and
-    run as one verify_main batch; smax_factor and tol are those of
-    verify_main.
+    Each operator must be KTupleOperator.multiplication(p, p) with p an
+    orthogonal projection; all are checked before any optimization.
+    Reports the region gap plus the support values at angles 0 and pi (pi
+    is a grid direction only for even m) and the hermitian_check
+    diagnostics of the orbit region.  The operators act on one M_n and run
+    as one verify_main batch; smax_factor and tol are those of verify_main.
     """
     _require_even(m)
-    ps = [np.asarray(p, dtype=complex) for p in ps]
-    for p in ps:
-        _require_projection(p)
+    for r in rs:
+        _require_projection(r)
     cfg = cfg or DEFAULT_CFG
-    rs = [KTupleOperator.multiplication(p, p, label="projection-mult") for p in ps]
     reports = verify_main(rs, m=m, cfg=cfg, smax_factor=smax_factor, tol=tol)
     for r, rep in zip(rs, reports):
         rhs = rep.artifacts["rhs"]

@@ -85,7 +85,7 @@ def test_criterion_02_derivation_oracle():
         rng = np.random.default_rng([202, i])
         a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
         b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        rep = verify_derivation([(a, b)], tol_rel=1e-2)[0]
+        rep = verify_derivation([KTupleOperator.derivation(a, b)], tol_rel=1e-2)[0]
         chk = rep.check("derivation_difference")
         worst = max(worst, chk.discrepancy / chk.tolerance)
         ok &= chk.passed
@@ -198,7 +198,9 @@ def test_criterion_07_union_hull_convexity(main_batch):
 def test_criterion_08_projection_multiplication():
     m = DEFAULT_DIRECTIONS
     p = np.diag([1.0, 0.0])
-    rep = verify_mult_projection([p], m=m, cfg=DEFAULT_CFG)[0]
+    rep = verify_mult_projection(
+        [KTupleOperator.multiplication(p, p)], m=m, cfg=DEFAULT_CFG
+    )[0]
     h0 = rep.diagnostics["support_rhs_0"]
     hpi = rep.diagnostics["support_rhs_pi"]
     oracle0 = projection_mult_support(0.0)

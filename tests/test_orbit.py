@@ -147,6 +147,17 @@ class TestOrbitRegion:
         est = orbit_region([r], M, CFG)[0]
         assert est.region.contains(est.samples, slack=1e-6 * est.scale)
 
+    @pytest.mark.parametrize("diag", [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
+    def test_witness_cloud_repairs_missed_supports(self, diag):
+        # On x -> p x p by these projections at m = 720 the default ascent
+        # stops short: the witness cloud's support exceeds the optimized one
+        # by 3.3e-3 (1 + max|h|) in some directions.  Taking their max puts
+        # every witness inside the region; measured to 1.2e-15 (1 + max|h|).
+        p = np.diag(diag)
+        est = orbit_region([KTupleOperator.multiplication(p, p)], 720, OptConfig())[0]
+        top = 1.0 + float(np.max(np.abs(est.region.support)))
+        assert est.region.contains(est.samples, slack=1e-12 * top)
+
     def test_witness_hull_fills_region(self, rng):
         r = random_instance(2, 2, rng)
         est = orbit_region([r], M, CFG)[0]

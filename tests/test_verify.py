@@ -20,6 +20,12 @@ from oracles import rectangle_support
 
 CFG = OptConfig(restarts=4, seed=0)
 M = 16
+derivation = KTupleOperator.derivation
+
+
+def projection(p, label=None):
+    """x -> p x p."""
+    return KTupleOperator.multiplication(p, p, label=label)
 
 
 class TestCheckResult:
@@ -130,13 +136,14 @@ class TestVerifyMain:
 
 class TestVerifyDerivation:
     def test_identity_pair_is_zero_region(self):
-        rep = verify_derivation([(np.eye(2), np.eye(2))], m=M, cfg=CFG)[0]
+        rep = verify_derivation([derivation(np.eye(2), np.eye(2))], m=M, cfg=CFG)[0]
         assert rep.passed
         rhs = rep.artifacts["rhs"].region
         assert np.abs(rhs.support).max() <= 1e-6
 
     def test_exact_rectangle(self):
-        rep = verify_derivation([(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]))], m=M, cfg=CFG)[0]
+        delta = derivation(np.diag([0.0, 1.0]), np.diag([0.0, 1.0j]))
+        rep = verify_derivation([delta], m=M, cfg=CFG)[0]
         assert rep.passed
         oracle = rep.artifacts["oracle"]
         expected = np.array([rectangle_support(t) for t in directions(M)])
@@ -144,7 +151,7 @@ class TestVerifyDerivation:
 
     def test_symmetric_segment(self):
         a = np.diag([0.0, 1.0])
-        rep = verify_derivation([(a, a)], m=M, cfg=CFG)[0]
+        rep = verify_derivation([derivation(a, a)], m=M, cfg=CFG)[0]
         assert rep.passed
         rhs = rep.artifacts["rhs"].region
         # W(A) - W(A) = [-1, 1]: real, symmetric, contains 0.
@@ -157,8 +164,8 @@ class TestVerifyDerivation:
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         w = haar_unitary(2, rng)
         wh = w.conj().T
-        rep1 = verify_derivation([(a, b)], m=M, cfg=CFG)[0]
-        rep2 = verify_derivation([(wh @ a @ w, wh @ b @ w)], m=M, cfg=CFG)[0]
+        rep1 = verify_derivation([derivation(a, b)], m=M, cfg=CFG)[0]
+        rep2 = verify_derivation([derivation(wh @ a @ w, wh @ b @ w)], m=M, cfg=CFG)[0]
         d1 = rep1.check("derivation_difference").discrepancy
         d2 = rep2.check("derivation_difference").discrepancy
         tol = rep1.check("derivation_difference").tolerance
@@ -168,7 +175,7 @@ class TestVerifyDerivation:
         for n in (2, 3):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            rep = verify_derivation([(a, b)], m=M, cfg=CFG)[0]
+            rep = verify_derivation([derivation(a, b)], m=M, cfg=CFG)[0]
             assert rep.passed
 
     def test_rejects_odd_directions(self, monkeypatch):
@@ -179,38 +186,65 @@ class TestVerifyDerivation:
 
         monkeypatch.setattr(verify_mod, "orbit_region", no_sweep)
         with pytest.raises(ValueError, match="even"):
-            verify_derivation([(np.eye(2), np.eye(2))], m=9, cfg=CFG)[0]
+            verify_derivation([derivation(np.eye(2), np.eye(2))], m=9, cfg=CFG)[0]
+
+    def test_rejects_non_derivation(self, monkeypatch):
+        # Every operator is checked before the orbit sweep runs, and the
+        # error names the one that is not (A, I), (I, -B).
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("orbit sweep ran")
+
+        monkeypatch.setattr(verify_mod, "orbit_region", no_sweep)
+        rs = [derivation(np.eye(2), np.eye(2)), KTupleOperator.identity(2, label="id2")]
+        with pytest.raises(ValueError, match=r"^instance 'id2' does not encode x -> Ax - xB"):
+            verify_derivation(rs, m=M, cfg=CFG)
 
 
 class TestVerifyMultProjection:
     def test_identity_projection(self):
-        rep = verify_mult_projection([np.eye(2)], m=M, cfg=CFG)[0]
+        rep = verify_mult_projection([projection(np.eye(2))], m=M, cfg=CFG)[0]
         assert rep.passed
         assert rep.diagnostics["support_rhs_0"] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_projection(self):
-        rep = verify_mult_projection([np.zeros((2, 2))], m=M, cfg=CFG)[0]
+        rep = verify_mult_projection([projection(np.zeros((2, 2)))], m=M, cfg=CFG)[0]
         assert rep.passed
         assert abs(rep.diagnostics["support_rhs_0"]) <= 1e-10
 
     def test_rank_one_supports(self):
-        rep = verify_mult_projection([np.diag([1.0, 0.0])], m=M, cfg=CFG)[0]
+        rep = verify_mult_projection([projection(np.diag([1.0, 0.0]))], m=M, cfg=CFG)[0]
         assert rep.diagnostics["support_rhs_0"] == pytest.approx(1.0, abs=1e-3)
         assert rep.diagnostics["support_rhs_pi"] == pytest.approx(0.125, abs=1e-3)
 
     def test_rejects_non_projection(self, monkeypatch):
+        with pytest.raises(ValueError, match="^an unlabelled operator is not"):
+            verify_mult_projection([projection(np.diag([0.5, 0.0]))], m=M, cfg=CFG)[0]
         with pytest.raises(ValueError):
-            verify_mult_projection([np.diag([0.5, 0.0])], m=M, cfg=CFG)[0]
-        with pytest.raises(ValueError):
-            verify_mult_projection([np.array([[0.0, 1.0], [0.0, 0.0]])], m=M, cfg=CFG)[0]
+            nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+            verify_mult_projection([projection(nilpotent)], m=M, cfg=CFG)[0]
 
         # Every entry is checked before the batch runs.
         def no_verify(*args, **kwargs):
             raise AssertionError("verification ran")
 
         monkeypatch.setattr(verify_mod, "verify_main", no_verify)
-        with pytest.raises(ValueError, match="projection"):
-            verify_mult_projection([np.eye(2), np.diag([0.5, 0.0])], m=M, cfg=CFG)
+        rs = [projection(np.eye(2)), projection(np.diag([0.5, 0.0]), label="half")]
+        message = r"^instance 'half' is not an orthogonal projection \(p = p\* = p\^2\)$"
+        with pytest.raises(ValueError, match=message):
+            verify_mult_projection(rs, m=M, cfg=CFG)
+
+    def test_rejects_non_multiplication(self, monkeypatch):
+        # A k = 2 operator is not x -> p x p, even when its matrices are
+        # projections; the error names it before any verification runs.
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verification ran")
+
+        monkeypatch.setattr(verify_mod, "verify_main", no_verify)
+        p = np.diag([1.0, 0.0])
+        r = KTupleOperator(np.stack([p, p]), np.stack([p, p]), label="k2")
+        message = r"^instance 'k2' does not encode x -> p x p \(need k=1, a=b=\(p,\)\)$"
+        with pytest.raises(ValueError, match=message):
+            verify_mult_projection([projection(np.eye(2)), r], m=M, cfg=CFG)
 
     def test_rejects_odd_directions(self, monkeypatch):
         # Direction m // 2 is pi only for even m.
@@ -219,7 +253,13 @@ class TestVerifyMultProjection:
 
         monkeypatch.setattr(verify_mod, "verify_main", no_verify)
         with pytest.raises(ValueError, match="even"):
-            verify_mult_projection([np.diag([1.0, 0.0])], m=9, cfg=CFG)[0]
+            verify_mult_projection([projection(np.diag([1.0, 0.0]))], m=9, cfg=CFG)[0]
+
+
+def test_reports_carry_their_operators_labels():
+    d = verify_derivation([derivation(np.eye(2), np.eye(2), label="d")], m=M, cfg=CFG)[0]
+    p = verify_mult_projection([projection(np.eye(2), label="p")], m=M, cfg=CFG)[0]
+    assert (d.label, p.label) == ("d", "p")
 
 
 class TestHermitianCheck:
@@ -245,7 +285,7 @@ class TestHermitianCheck:
         # verify_mult_projection reads the Hermitian diagnostics off its own
         # orbit estimate; they are those of a separate hermitian_check.
         p = np.diag([1.0, 0.0])
-        proj = verify_mult_projection([p], m=M, cfg=CFG)[0]
+        proj = verify_mult_projection([projection(p)], m=M, cfg=CFG)[0]
         fresh = hermitian_check([KTupleOperator.multiplication(p, p)], m=M, cfg=CFG)[0]
         assert proj.diagnostics["hermitian"] == fresh.check("real_range").passed
         for key in ("imaginary_extent", "sampled_asymmetry"):
