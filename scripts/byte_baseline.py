@@ -15,8 +15,9 @@ package and ``perfbench/workloads.py``, so two records of different trees
 run on the same bytes.
 
 ``--compare A B`` lists every file that differs between two records and,
-for a JSON result, the largest support change and the largest witness-point
-move, both relative to 1 + max|h|, the largest change of any check's
+for a JSON result, the largest fall and the largest rise of the supports of
+each region side (lhs, rhs, oracle, fov) and the largest witness-point
+move, all relative to 1 + max|h|, the largest change of any check's
 discrepancy, and the checks whose ``passed`` flag changed.  It exits 1 when
 a file differs.
 
@@ -188,24 +189,27 @@ def _result(path: Path):
 
 
 def _changes(a: dict, b: dict) -> tuple:
-    """(support, witness, discrepancy, flipped) between two results.
+    """(moves, witness, discrepancy, flipped) between two results.
 
-    support is the largest support change over every region of every
-    instance, relative to 1 + max|h| of that region in a; witness the
-    largest distance a witness point moved, relative to 1 + max|h| over
-    its instance's regions in a; discrepancy the largest change of any
-    check's discrepancy; flipped the checks whose passed flag differs.
-    witness and discrepancy are None when no instance carries witnesses or
-    checks.
+    moves maps each region side present (lhs, rhs, oracle, fov) to
+    (fall, rise): the largest amount by which one of that side's supports
+    fell, and rose, from a to b over every instance, relative to
+    1 + max|h| of its region in a.  witness is the largest distance a
+    witness point moved, relative to 1 + max|h| over its instance's
+    regions in a; discrepancy the largest change of any check's
+    discrepancy; flipped the checks whose passed flag differs.  witness
+    and discrepancy are None when no instance carries witnesses or checks.
     """
-    support, witness, discrepancy, flipped = [0.0], [], [], []
+    moves, witness, discrepancy, flipped = {}, [], [], []
     for ia, ib in zip(a["instances"], b["instances"]):
         top = 0.0
         for side, ra in ia.get("regions", {}).items():
             ha = np.array([h for _, h in ra["support"]])
             hb = np.array([h for _, h in ib["regions"][side]["support"]])
             top = max(top, float(np.max(np.abs(ha))))
-            support.append(float(np.max(np.abs(ha - hb))) / (1.0 + float(np.max(np.abs(ha)))))
+            rel = (hb - ha) / (1.0 + float(np.max(np.abs(ha))))
+            fall, rise = moves.get(side, (0.0, 0.0))
+            moves[side] = (max(fall, float(np.max(-rel))), max(rise, float(np.max(rel))))
         if "witnesses" in ia:
             moved = np.hypot(*(np.array(ia["witnesses"]) - np.array(ib["witnesses"])).T)
             witness.append(float(np.max(moved, initial=0.0)) / (1.0 + top))
@@ -213,8 +217,7 @@ def _changes(a: dict, b: dict) -> tuple:
             discrepancy.append(abs(ca["discrepancy"] - cb["discrepancy"]))
             if ca["passed"] != cb["passed"]:
                 flipped.append(f"{ia['label']}: {ca['name']}")
-    return (max(support), max(witness, default=None), max(discrepancy, default=None),
-            flipped)
+    return moves, max(witness, default=None), max(discrepancy, default=None), flipped
 
 
 def compare(a_dir: Path, b_dir: Path) -> int:
@@ -229,8 +232,10 @@ def compare(a_dir: Path, b_dir: Path) -> int:
         if ra is None or rb is None:
             print(f"{name}: differs")
             continue
-        support, witness, discrepancy, flipped = _changes(ra, rb)
-        line = f"{name}: differs; largest support change {support:.2e} x (1 + max|h|)"
+        moves, witness, discrepancy, flipped = _changes(ra, rb)
+        line = f"{name}: differs"
+        for side, (fall, rise) in sorted(moves.items()):
+            line += f"; {side} supports fell {fall:.2e}, rose {rise:.2e} x (1 + max|h|)"
         if witness is not None:
             line += f"; largest witness move {witness:.2e} x (1 + max|h|)"
         if discrepancy is not None:

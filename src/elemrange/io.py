@@ -128,23 +128,19 @@ def region_to_dict(region: SupportRegion) -> dict:
     }
 
 
-def _native(obj):
-    if isinstance(obj, dict):
-        return {key: _native(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(val) for val in obj]
-    if isinstance(obj, np.ndarray):
-        return _native(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+def _json_default(obj):
+    """json's hook for what it cannot write itself: numpy scalars and arrays
+    become Python values and lists, complex numbers [re, im] pairs."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, complex):
         return _pair(obj)
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps_result(result: dict) -> str:
     """Deterministic JSON: sorted keys, stable float repr, no timestamps."""
-    return json.dumps(_native(result), indent=2, sort_keys=True)
+    return json.dumps(result, indent=2, sort_keys=True, default=_json_default)
 
 
 def dump_result(result: dict, fh) -> None:
@@ -153,7 +149,7 @@ def dump_result(result: dict, fh) -> None:
     The text goes out piece by piece and is never held whole: for a large
     batch, the whole text and its pieces would set the peak memory of a run.
     """
-    json.dump(_native(result), fh, indent=2, sort_keys=True)
+    json.dump(result, fh, indent=2, sort_keys=True, default=_json_default)
     fh.write("\n")
 
 

@@ -49,7 +49,7 @@ from .unitary_opt import (
     merge_reports,
 )
 
-EARLY_STOP_REL = 1e-4
+SEVERAL_MAXIMA_REL = 1e-4
 DEFAULT_SMAX_FACTOR = 64.0
 
 # Fixed stream tags so every derived random stream is a pure function of
@@ -63,9 +63,10 @@ class RangeEstimate:
     """A computed region plus the diagnostics that qualify it.
 
     g_schedules and s_schedule are present for the operator (ray-limit)
-    side; samples is the witness cloud of the orbit side, one boundary
-    point of W(sum u*a_i u b_i) per direction, at that direction's
-    maximizer u.
+    side: g_schedules[j] holds direction j's g at every shift of
+    s_schedule, which has at least two.  samples is the witness cloud of
+    the orbit side, one boundary point of W(sum u*a_i u b_i) per
+    direction, at that direction's maximizer u.
     """
 
     region: SupportRegion
@@ -93,7 +94,7 @@ class RangeEstimate:
     @property
     def max_residual(self) -> float:
         res = self.residuals
-        if res is None or len(res) == 0:
+        if res is None:
             return 0.0
         return float(np.max(np.maximum(res, 0.0)))
 
@@ -226,10 +227,12 @@ def _midpoint_starts(left, right, fresh: list) -> list:
     neighbours' angles.  Where the objective has several maxima, one that is
     highest only between the two neighbours can be missed by all four
     starts.  A neighbour's start values then differ by more than
-    EARLY_STOP_REL (1 + |h|), while starts that end on one maximum, at the
-    coarse tolerance, differ by about 1e-6 (1 + |h|).
+    SEVERAL_MAXIMA_REL (1 + |h|), while starts that end on one maximum, at
+    the coarse tolerance, differ by about 1e-6 (1 + |h|).
     """
-    several = any(rep.spread > EARLY_STOP_REL * (1.0 + abs(rep.value)) for rep in (left, right))
+    several = any(
+        rep.spread > SEVERAL_MAXIMA_REL * (1.0 + abs(rep.value)) for rep in (left, right)
+    )
     return [left.maximizer, right.maximizer, *(fresh if several else fresh[:2])]
 
 
@@ -327,18 +330,17 @@ def banach_region(
 
     The shifts of operator i are ``default_s_schedule(scales[i],
     smax_factor)``, with scales[i] defaulting to ``russo_dye_norm`` of it
-    plus 1; a direction stops early once its g decrement falls under
-    EARLY_STOP_REL * scales[i].  warm_starts, when given, holds one list
-    per operator of one unitary per direction (for example the orbit
-    side's maximizers), added to every schedule optimization of that
-    direction.  This is an outer approximation of the operator's numerical
+    plus 1.  Every direction runs the whole schedule, so every g ends on
+    the same two shifts.  warm_starts, when given, holds one list per
+    operator of one unitary per direction (for example the orbit side's
+    maximizers), added to every schedule optimization of that direction.
+    This is an outer approximation of the operator's numerical
     range whenever the per-direction norm optimizations reach their
     suprema; undershoot is reported through residuals and restart spreads.
 
     The operators act on one M_n.  The first shift is one grouped sweep of
-    all of them; every later shift advances all their still-active
-    directions as one grouped ascent, and each estimate is the one its
-    operator gets alone.
+    all of them; every later shift advances all their directions as one
+    grouped ascent, and each estimate is the one its operator gets alone.
     """
     if m < 8:
         raise ValueError("banach_region needs at least 8 directions")
@@ -370,31 +372,18 @@ def banach_region(
         [[rep.value - sched[0]] for rep in reps]
         for reps, sched in zip(reports, schedules)
     ]
-    active = [list(range(m)) for _ in rs]
-    # Remaining shifts are warm continuations of the active directions of
-    # every operator, one grouped ascent per shift; a direction freezes once
-    # its g decrement falls under its operator's early stop.  An operator
-    # with no active direction left has no rows.
+    # Each later shift re-ascends every direction of every operator from its
+    # maximizer at the previous shift and its warm start, one grouped ascent
+    # per shift.
     for t in range(1, len(schedules[0])):
-        if not any(active):
-            break
         blocks = [
-            [
-                (z, [reports[i][j].maximizer, *warm[i][j]])
-                for j, z in zip(act, -sched[t] * phases[act])
-            ]
-            for i, (act, sched) in enumerate(zip(active, schedules))
+            [(z, [rep.maximizer, *extra]) for rep, extra, z in zip(reps, ws, -sched[t] * phases)]
+            for reps, ws, sched in zip(reports, warm, schedules)
         ]
-        cont = _maximize_blocks(ShiftedNormObjective, rs, blocks, cfg, coarse_first=False)
-        for i, reps in enumerate(cont):
-            still = []
-            for j, rep in zip(active[i], reps):
-                g = g_per_dir[i][j]
-                g.append(rep.value - schedules[i][t])
-                reports[i][j] = rep
-                if abs(g[-2] - g[-1]) >= EARLY_STOP_REL * scales[i]:
-                    still.append(j)
-            active[i] = still
+        reports = _maximize_blocks(ShiftedNormObjective, rs, blocks, cfg, coarse_first=False)
+        for gs, reps, sched in zip(g_per_dir, reports, schedules):
+            for g, rep in zip(gs, reps):
+                g.append(rep.value - sched[t])
 
     return [
         RangeEstimate(

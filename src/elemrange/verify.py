@@ -229,10 +229,7 @@ def _main_report(r, nrm, scale, lhs, rhs, m, tol) -> VerificationReport:
     residual = lhs.max_residual
     tolerance = tol if tol is not None else max(MAIN_TOL_REL * scale, 2.0 * residual)
 
-    mono = 0.0
-    for g in lhs.g_schedules:
-        if len(g) >= 2:
-            mono = max(mono, float(np.max(np.diff(g))))
+    mono = max(0.0, float(np.max(np.diff(lhs.g_schedules))))
 
     hull_gap = float(np.max(np.abs(cloud_supports(rhs.samples, m) - rhs.region.support)))
 

@@ -39,13 +39,13 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
     assert bb.main(["--compare", str(a), str(b)]) == 1
     line, summary = capsys.readouterr().out.splitlines()
     assert line == (
-        "runs/fov-r2/stdout: differs; largest support change "
+        "runs/fov-r2/stdout: differs; fov supports fell 0.00e+00, rose "
         f"{1e-3 / (1 + top):.2e} x (1 + max|h|)"
     )
     assert summary == f"1 file(s) differ, {files - 1} identical"
 
     # A moved witness and a changed discrepancy are reported with the
-    # support change on a result that carries them.
+    # supports' moves on a result that carries them.
     result = b / "runs" / "derivation-default" / "stdout"
     doc = json.loads(result.read_text())
     inst = doc["instances"][1]
@@ -56,9 +56,27 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
     result.write_text(json.dumps(doc))
     assert bb.main(["--compare", str(a), str(b)]) == 1
     derivation, line, summary = capsys.readouterr().out.splitlines()
+    unmoved = "supports fell 0.00e+00, rose 0.00e+00 x (1 + max|h|)"
     assert derivation == (
-        "runs/derivation-default/stdout: differs; largest support change 0.00e+00 x (1 + max|h|)"
+        f"runs/derivation-default/stdout: differs; oracle {unmoved}; rhs {unmoved}"
         f"; largest witness move {5e-4 / (1 + top):.2e} x (1 + max|h|)"
         "; largest discrepancy change 2.00e-06"
     )
     assert summary == f"2 file(s) differ, {files - 2} identical"
+
+    # A fall on one side and a rise on another are reported apart, each as
+    # its largest over the instances, relative to its own region.
+    tops = {}
+    for i, side, delta in [(0, "rhs", -2e-4), (1, "oracle", 3e-5), (1, "rhs", -1e-4)]:
+        region = doc["instances"][i]["regions"][side]
+        tops[i, side] = 1 + max(abs(h) for _, h in region["support"])
+        region["support"][2][1] += delta
+    result.write_text(json.dumps(doc))
+    assert bb.main(["--compare", str(a), str(b)]) == 1
+    derivation = capsys.readouterr().out.splitlines()[0]
+    fall = max(2e-4 / tops[0, "rhs"], 1e-4 / tops[1, "rhs"])
+    assert derivation.startswith(
+        f"runs/derivation-default/stdout: differs; oracle supports fell 0.00e+00, rose "
+        f"{3e-5 / tops[1, 'oracle']:.2e} x (1 + max|h|); rhs supports fell {fall:.2e}, "
+        "rose 0.00e+00 x (1 + max|h|); largest witness move"
+    )

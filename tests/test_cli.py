@@ -861,6 +861,18 @@ class TestResultSerialization:
         assert doc == {"a": 2, "b": 1.5, "c": [1.0, 2.0], "d": [1.0, 2.0]}
         assert list(doc) == ["a", "b", "c", "d"]
 
+    def test_numpy_leaves_become_plain_values(self):
+        # json writes np.float64 as the float it subclasses; the hook turns
+        # every other numpy leaf into its Python value, inside lists too.
+        result = {"flag": np.bool_(True), "f32": np.float32(0.1),
+                  "z": np.array([1 + 2j, -0.5j]), "nested": [(np.int32(3), np.False_)]}
+        doc = json.loads(dumps_result(result))
+        assert doc == {"flag": True, "f32": float(np.float32(0.1)),
+                       "z": [[1.0, 2.0], [0.0, -0.5]], "nested": [[3, False]]}
+        assert type(doc["flag"]) is bool
+        with pytest.raises(TypeError, match="set"):
+            dumps_result({"x": {1}})
+
     def test_dump_result_streams_the_dumps_text(self):
         result = {"z": [1.5, np.float64(2.0)], "a": {"m": np.arange(3), "c": 1 - 2j}}
         fh = io.StringIO()

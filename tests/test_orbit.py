@@ -2,14 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elemrange import orbit, unitary_opt
 from elemrange.elemop import KTupleOperator, random_instance, russo_dye_norm
 from elemrange.linalg import haar_unitaries, haar_unitary
 from elemrange.orbit import (
-    EARLY_STOP_REL,
+    SEVERAL_MAXIMA_REL,
     banach_region,
     default_s_schedule,
     orbit_region,
@@ -210,18 +210,17 @@ class TestOrbitRegion:
 
     @pytest.mark.parametrize("zero_at", [0, 1, 2])
     def test_stopped_operator_leaves_the_batch_bits_alone(self, zero_at):
-        # The zero operator's g is 0 at every shift, so all its directions
-        # stop after the second shift; at every later shift it contributes
-        # no rows, and its offset repeats the next one.  Each estimate is
-        # still the one its operator gets alone, wherever the zero sits.
+        # The zero operator's g is 0 at every shift, up to roundoff, so it
+        # stops moving after the first shift, yet it runs every shift beside
+        # operators that do move.  Each estimate is still the one its
+        # operator gets alone, wherever the zero sits.
         ops = [random_instance(3, 2, np.random.default_rng([19, i])) for i in range(2)]
         ops.insert(zero_at, KTupleOperator(np.zeros((2, 3, 3)), np.zeros((2, 3, 3))))
         warm = [list(haar_unitaries(3, 8, np.random.default_rng([20, i]))) for i in range(3)]
         batch = banach_region(ops, 8, CFG, scales=[3.0] * 3, warm_starts=warm)
         for i, (r, many) in enumerate(zip(ops, batch)):
             one = banach_region([r], 8, CFG, scales=[3.0], warm_starts=[warm[i]])[0]
-            shifts = max(len(g) for g in many.g_schedules)
-            assert shifts == 2 if i == zero_at else shifts > 2
+            assert {len(g) for g in many.g_schedules} == {len(many.s_schedule)}
             assert np.array_equal(one.region.support, many.region.support)
             assert all(map(np.array_equal, one.g_schedules, many.g_schedules))
             assert np.array_equal(np.stack(one.maximizers), np.stack(many.maximizers))
@@ -263,21 +262,28 @@ class TestBanachRegion:
             (random_instance(2, 2, np.random.default_rng(3)), 100.0),
             (KTupleOperator.identity(2), 64.0),
         ],
-        ids=["default", "non-power", "early-stop"],
+        ids=["default", "non-power", "identity"],
     )
     def test_derived_fields(self, r, smax_factor):
         est = banach_region([r], M, CFG, smax_factor=smax_factor)[0]
-        if r.k == 1:
-            # The identity's ray at theta = 0 is exact, so it freezes early.
-            assert len(est.g_schedules[0]) < len(est.s_schedule)
         for j, g in enumerate(est.g_schedules):
-            assert len(g) >= 2
+            assert len(g) == len(est.s_schedule)
             assert est.residuals[j] == g[-2] - g[-1]
-            if len(g) < len(est.s_schedule):
-                assert abs(est.residuals[j]) < EARLY_STOP_REL * est.scale
+        if r.k == 1:
+            # The identity's ray at theta = 0 is exact at every shift.
+            assert est.residuals[0] == 0.0
         assert len(est.maximizers) == M
         for u, rep in zip(est.maximizers, est.reports):
             assert np.array_equal(u, rep.maximizer)
+
+    def test_every_direction_runs_the_whole_schedule(self):
+        # Directions whose g stops moving early (all of the zero operator's,
+        # the identity's at theta = 0) still end on the last two shifts, as
+        # every direction of the random operators beside them does.
+        ops = [random_instance(2, 2, np.random.default_rng([29, i])) for i in range(2)]
+        ops += [KTupleOperator(np.zeros((1, 2, 2)), np.zeros((1, 2, 2))), KTupleOperator.identity(2)]
+        for est in banach_region(ops, M, CFG):
+            assert [len(g) for g in est.g_schedules] == [len(est.s_schedule)] * M
 
     def test_rejects_warm_starts_of_the_wrong_shape(self):
         # One list per operator, of one unitary per direction.
@@ -387,7 +393,7 @@ class TestDoubling:
         # more runs them alone.  Each doubling starts every new midpoint from
         # the maximizers of its two neighbours, then its fresh I and flip,
         # and its fresh Haar starts too where a neighbour's start values lie
-        # more than EARLY_STOP_REL (1 + |h|) apart.  Last, every direction of
+        # more than SEVERAL_MAXIMA_REL (1 + |h|) apart.  Last, every direction of
         # the grid before the last doubling re-ascends from its predecessor on
         # the whole grid.
         ops = [random_instance(2, 2, np.random.default_rng([23, i])) for i in range(2)]
@@ -443,7 +449,7 @@ class TestDoubling:
                 for j, (_, starts) in enumerate(inst):
                     left, right = reps[j], reps[(j + 1) % len(reps)]
                     own = fresh[step + 2 * step * j]
-                    if any(r.spread > EARLY_STOP_REL * (1 + abs(r.value)) for r in (left, right)):
+                    if any(r.spread > SEVERAL_MAXIMA_REL * (1 + abs(r.value)) for r in (left, right)):
                         several += 1
                     else:
                         own = own[:2]
@@ -697,12 +703,19 @@ def gaussian_instances(draw):
     return random_instance(n, k, rng), rng
 
 
+def n4k4(seed):
+    """An n = 4, k = 4 case of gaussian_instances, which draws n and k up to 3."""
+    rng = np.random.default_rng([4, 4, seed])
+    return random_instance(4, 4, rng), rng
+
+
 SYMMETRY_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
 
 
 class TestExactSymmetries:
     @SYMMETRY_SETTINGS
     @given(gaussian_instances())
+    @example(n4k4(0))
     def test_transpose(self, case):
         r, _ = case
         for side, (h, g) in _both_sides([r, transposed(r)]).items():
@@ -710,6 +723,7 @@ class TestExactSymmetries:
 
     @SYMMETRY_SETTINGS
     @given(gaussian_instances())
+    @example(n4k4(1))
     def test_adjoint(self, case):
         # (b*, a*) is x -> R(x*)*, whose range is the conjugate of R's:
         # h(theta_j) becomes h(theta_{-j}).
@@ -722,6 +736,7 @@ class TestExactSymmetries:
 
     @SYMMETRY_SETTINGS
     @given(gaussian_instances())
+    @example(n4k4(2))
     def test_unitary_conjugation_invariance(self, case):
         r, rng = case
         w = haar_unitary(r.n, rng)
@@ -732,6 +747,7 @@ class TestExactSymmetries:
 
     @SYMMETRY_SETTINGS
     @given(gaussian_instances(), st.integers(1, M - 1))
+    @example(n4k4(3), 5)
     def test_rotation(self, case, turn):
         # e^{i phi} R has the range e^{i phi} V(R); at phi = 2 pi turn / M,
         # h(theta_j) becomes h(theta_{j - turn}).
@@ -743,6 +759,7 @@ class TestExactSymmetries:
 
     @SYMMETRY_SETTINGS
     @given(gaussian_instances())
+    @example(n4k4(4))
     def test_reparametrization(self, case):
         # (a C, C^-1 b) for C in GL(k) writes the same map with another
         # tuple: sum_i (a C)_i x (C^-1 b)_i = sum_i a_i x b_i.
@@ -755,6 +772,7 @@ class TestExactSymmetries:
 
     @SYMMETRY_SETTINGS
     @given(gaussian_instances(), st.integers(2, 9))
+    @example(n4k4(5), 4)
     def test_padding(self, case, copies):
         # (a/c || ... || a/c, b || ... || b), c copies, is the same map with
         # k c terms, up to k c = n^2 (or 2k where n^2 is smaller).

@@ -21,6 +21,10 @@ from oracles import rectangle_support
 CFG = OptConfig(restarts=4, seed=0)
 M = 16
 derivation = KTupleOperator.derivation
+# Fails until the ascent runs at the operator's scale; drop it when it passes.
+ITEM_3 = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: the gradient tolerances do not read the operator's scale"
+)
 
 
 def projection(p, label=None):
@@ -177,6 +181,21 @@ class TestVerifyDerivation:
             b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rep = verify_derivation([derivation(a, b)], m=M, cfg=CFG)[0]
             assert rep.passed
+
+    @pytest.mark.parametrize(
+        "scale", [1.0, 1e-6, pytest.param(1e-9, marks=ITEM_3), pytest.param(1e-12, marks=ITEM_3)]
+    )
+    def test_scaled_pairs(self, scale):
+        # ROADMAP item 3's four n = 3 pairs.  Worst discrepancy/tolerance
+        # ratios: 3.9e-13 at scale 1, 4.3e-4 at 1e-6, 53.6 at 1e-9 and 55.7 at
+        # 1e-12, where the ascent stops before it converges.
+        rng = np.random.default_rng(3)
+        pairs = [
+            tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in "ab")
+            for _ in range(4)
+        ]
+        reps = verify_derivation([derivation(scale * a, scale * b) for a, b in pairs], M, CFG)
+        assert all(rep.passed for rep in reps)
 
     def test_rejects_odd_directions(self, monkeypatch):
         # The oracle negates W(b), a half-turn grid rotation that needs even
