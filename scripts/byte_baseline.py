@@ -18,13 +18,16 @@ run on the same bytes.
 for a JSON result, the largest fall and the largest rise of the supports of
 each region side (lhs, rhs, oracle, fov) and the largest witness-point
 move, all relative to 1 + max|h|, the largest change of any check's
-discrepancy, and the checks whose ``passed`` flag changed.  It exits 1 when
-a file differs.
+discrepancy, and the checks whose ``passed`` flag changed.  It also counts
+the other leaves of the result that differ, such as a diagnostic or a
+vertex, and lists the first three as ``path: old -> new``.  It exits 1
+when a file differs.
 
-The set covers every subcommand and format, m = 8, 16, 64 and 720, n = 2-4,
-the seed-1 batches 0 and 1 of the three benchmark workloads, diagonal and
-rank-one projections, mixed n in one batch, and seven error exits.  A full
-record takes about half a minute on two CPUs.
+The set of 46 commands covers every subcommand and format, m = 8, 16, 64
+and 720, n = 2-4, an operator scaled by 2^200, the seed-1 batches 0 and 1
+of the three benchmark workloads, diagonal and rank-one projections, mixed
+n in one batch, and seven error exits.  A full record takes about half a
+minute on two CPUs.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -65,6 +69,10 @@ def write_inputs(directory: Path) -> dict:
     for n in (2, 3, 4):
         r = random_instance(n, 2, np.random.default_rng([1, n]))
         write_instance(r, directory / f"r{n}.json")
+    # r3 times 2^200, which scales V(R) exactly, so a rule that reads an
+    # absolute size, such as a step floor, moves these results.
+    r3 = random_instance(3, 2, np.random.default_rng([1, 3]))
+    write_instance(KTupleOperator(2.0**200 * r3.a, r3.b), directory / "r3-big.json")
     rng = np.random.default_rng([1, 7])
     projections = {"p10": np.diag([1.0, 0.0]), "p01": np.diag([0.0, 1.0]),
                    "p110": np.diag([1.0, 1.0, 0.0]), "half": np.diag([0.5, 0.0])}
@@ -101,6 +109,7 @@ def commands(batches: dict) -> dict:
         "range-r3-rhs": ["range", r3, "--side", "rhs"],
         "range-r4-rhs": ["range", r4, "--side", "rhs"],
         "range-r3-lhs-m64": ["range", r3, "--side", "lhs", "--directions", "64"],
+        "range-r3-big-m16": ["range", _in("r3-big.json"), "--directions", "16"],
         "range-r2-m16-csv": ["range", r2, "--directions", "16", "--format", "csv"],
         "range-r2-m64-svg": ["range", r2, "--directions", "64", "--format", "svg"],
         "verify-default": ["verify"],
@@ -220,6 +229,37 @@ def _changes(a: dict, b: dict) -> tuple:
     return moves, max(witness, default=None), max(discrepancy, default=None), flipped
 
 
+def _leaves(x, path: str = ""):
+    """(path, value) of every scalar in a parsed JSON tree, in document
+    order; a path reads like instances[7].diagnostics.rhs_iterations_max."""
+    if isinstance(x, dict):
+        for key, value in x.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(x, list):
+        for i, value in enumerate(x):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, x
+
+
+# The leaves _changes reports: supports, witnesses and check discrepancies.
+_REPORTED = re.compile(
+    r"instances\[\d+\]\.(regions\.\w+\.support\[|witnesses\[|checks\[\d+\]\.discrepancy$)"
+)
+
+
+def _other_leaves(a: dict, b: dict) -> list:
+    """['path: old -> new'] for every leaf that differs between two results
+    outside the ones _changes reports; a missing leaf reads 'absent'."""
+    la, lb = dict(_leaves(a)), dict(_leaves(b))
+    out = []
+    for path in [*la, *(p for p in lb if p not in la)]:
+        old, new = (json.dumps(d[path]) if path in d else "absent" for d in (la, lb))
+        if old != new and not _REPORTED.match(path):
+            out.append(f"{path}: {old} -> {new}")
+    return out
+
+
 def compare(a_dir: Path, b_dir: Path) -> int:
     """Print the files that differ between two records; 1 if any does."""
     files_a, files_b = _hashes(a_dir), _hashes(b_dir)
@@ -242,6 +282,9 @@ def compare(a_dir: Path, b_dir: Path) -> int:
             line += f"; largest discrepancy change {discrepancy:.2e}"
         if flipped:
             line += f"; passed flag changed: {', '.join(flipped)}"
+        others = _other_leaves(ra, rb)
+        if others:
+            line += f"; {len(others)} other leaf(s) differ: {', '.join(others[:3])}"
         print(line)
     same = sum(files_a.get(f) == digest for f, digest in files_b.items())
     print(f"{len(differ)} file(s) differ, {same} identical")

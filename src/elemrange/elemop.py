@@ -48,6 +48,8 @@ class KTupleOperator:
             )
         if a.shape[0] < 1:
             raise ValueError("tuple length k must be >= 1")
+        if a.shape[1] < 1:
+            raise ValueError("matrix dimension n must be >= 1")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("operator tuples have non-finite entries")
         object.__setattr__(self, "a", a)

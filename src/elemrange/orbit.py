@@ -25,8 +25,8 @@ side's schedule of shifts is decided here alone, from the operator's scale.
 Both regions take a list of operators on one M_n and return one estimate
 per operator.  Each phase runs one grouped ascent for all of them: the
 rows of an operator are contiguous, the objectives apply each operator by
-its own GEMM on exactly its own rows, and the ascent keeps every
-iteration budget per operator, so each estimate is bit-identical to the
+its own GEMM on exactly its own rows, and the ascent gives every start
+an iteration budget of its own, so each estimate is bit-identical to the
 one its operator gets alone.  The witness cloud and the region stay per
 operator.
 """
@@ -190,7 +190,7 @@ def _chain_polish(reports, objective_cls, rs, params, cfg: OptConfig, every: int
         for reps, ps in zip(reports, params)
     ]
     capped = replace(cfg, max_iterations=min(_CHAIN_BUDGET, cfg.max_iterations))
-    polished = _maximize_blocks(objective_cls, rs, blocks, capped, coarse_first=False)
+    polished = _maximize_blocks(objective_cls, rs, blocks, capped)
     merged = [list(reps) for reps in reports]
     for reps, pols in zip(merged, polished):
         reps[::every] = [merge_reports(rep, pol) for rep, pol in zip(reps[::every], pols)]
@@ -380,7 +380,7 @@ def banach_region(
             [(z, [rep.maximizer, *extra]) for rep, extra, z in zip(reps, ws, -sched[t] * phases)]
             for reps, ws, sched in zip(reports, warm, schedules)
         ]
-        reports = _maximize_blocks(ShiftedNormObjective, rs, blocks, cfg, coarse_first=False)
+        reports = _maximize_blocks(ShiftedNormObjective, rs, blocks, cfg)
         for gs, reps, sched in zip(g_per_dir, reports, schedules):
             for g, rep in zip(gs, reps):
                 g.append(rep.value - sched[t])

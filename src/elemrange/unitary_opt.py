@@ -13,8 +13,11 @@ the Cayley map u <- u (I - tD/2)^-1 (I + tD/2), which keeps u unitary at
 the cost of one small solve per trial (Wen & Yin, Math. Program. 2013),
 and t is chosen by Armijo backtracking from t = 1, capped at
 t |D|_F <= pi; a start whose D is not an ascent direction steps along K
-instead.  A start stores its pair when its step is accepted,
-with K at its new point, as in textbook L-BFGS.  The first trial of each
+instead.  A start stalls when the _MAX_BACKTRACKS trials of one step all
+fail; they count from the capped t, so that rule does not read the
+operator's scale.  Every stopping rule reads its own start's state alone.
+A start stores its pair when its step is accepted, with K at its new
+point, as in textbook L-BFGS.  The first trial of each
 step is evaluated with its gradient, so a start accepted there costs one
 decomposition per step; later trials are value-only, and the starts
 accepted at one of them take their gradient in one call after the search.
@@ -26,19 +29,20 @@ a whole sweep of related subproblems runs as one batch; the grouped
 driver then aggregates per subproblem.  Every start first ascends to a
 coarse gradient tolerance; only the two best starts of each subproblem
 then ascend to full precision, since the aggregate is their maximum.
+Each start has one iteration budget over both passes.
 Values found are always certified lower bounds on the supremum; restart
 agreement is the (empirical) quality signal, and the restart spread
 compares those two polished values with the other starts' coarse ones.
 
 One batch may also hold the sweeps of several instances (operators).
 The objectives then apply each instance's operator to its own rows, one
-GEMM per instance, and the driver keeps every iteration budget per
-instance; _maximize_blocks lays out every such batch from per-instance
-lists of start blocks.  The rows are split once into slabs of whole
-instances of at most _SLAB_ENTRIES matrix entries (or of one instance),
-and each slab runs all its iterations, with an L-BFGS history of its own,
-before the next one starts; that bounds a batch's peak memory.  Every per-row kernel and
-every inner product is independent of the rows beside it, so an
+GEMM per instance, and no start's budget reads another start;
+_maximize_blocks lays out every such batch from per-instance lists of
+start blocks.  The rows are split once into slabs of whole instances of
+at most _SLAB_ENTRIES matrix entries (or of one instance), and each slab
+runs all its iterations, with an L-BFGS history of its own, before the
+next one starts; that bounds a batch's peak memory.  Every per-row kernel
+and every inner product is independent of the rows beside it, so an
 instance's reports are bit-identical whether it runs alone or in a batch,
 whatever the slabs.
 """
@@ -68,13 +72,12 @@ _ASCENT = 1e-10
 
 # The initial gamma of the L-BFGS scaling gamma I, which makes the first
 # step of a row with no stored pair _INITIAL_STEP K; then the Armijo line
-# search: backtracking factor, sufficient-increase constant, most trials per
-# step, and the step below which a row stalls.
+# search: backtracking factor, sufficient-increase constant, and most trials
+# per step, after which a row stalls.
 _INITIAL_STEP = 0.5
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
-_MIN_STEP = 1e-13
 
 # Cap on a slab, rows * n^2 matrix entries: the row-sized temporaries of one
 # step and the slab's L-BFGS history, not its arithmetic, set a batch's peak
@@ -88,8 +91,8 @@ class OptConfig:
 
     restarts counts the Haar-random starts; the identity and the flip
     permutation are always added as deterministic starts.  max_iterations
-    caps the steps of any one start, per instance, over both passes; a step
-    is one iteration however many trials its line search takes.  seed seeds
+    caps the steps of any one start over both passes; a step is one
+    iteration however many trials its line search takes.  seed seeds
     the Haar starts and every sampled check.  The gradient tolerances, the
     L-BFGS memory and the Armijo line-search constants are fixed module
     constants.
@@ -325,11 +328,11 @@ class _Ascent:
         self.converged = np.zeros(self.nb, dtype=bool)
         self.iterations = np.zeros(self.nb, dtype=int)
 
-    def run(self, active: np.ndarray, gtol: float, budget) -> None:
+    def run(self, active: np.ndarray, gtol: float, max_iterations: int) -> None:
         """Ascend the given elements until gradient tolerance or budget.
 
-        budget is one iteration count for every element or one per element;
-        an element takes part in the first budget[i] iterations only.  The
+        Each element steps until it has taken max_iterations steps over
+        every run so far, so its budget reads its own count alone.  The
         elements run in slabs of whole instances, one slab after another,
         each with an L-BFGS history of its own that is freed after it.
         """
@@ -337,11 +340,10 @@ class _Ascent:
         done = self.done
         done[active] = False
         self.converged[active] = False
-        budget = np.broadcast_to(budget, (self.nb,))
         cap = _SLAB_ENTRIES // self.u[0].size
         for slab in _slabs(active, self.owner, cap):
             history = _History(slab.size, self.u.shape[-1])
-            own = budget[slab]
+            own = max_iterations - self.iterations[slab]
             for it in range(int(own.max(initial=0))):
                 loc = np.flatnonzero(~done[slab] & (own > it))
                 if loc.size == 0:
@@ -369,7 +371,8 @@ class _Ascent:
         The first trial is evaluated with its gradient, so a row accepted
         there stores its pair at once.  Later trials are evaluated with the
         value alone; the rows accepted at one of them take their gradient in
-        one call after the search, and then store their pair.
+        one call after the search, and then store their pair.  A row whose
+        _MAX_BACKTRACKS trials all fail stalls: it stops for good.
         """
         u, fval, done = self.u, self.fval, self.done
         k = history.k[loc]
@@ -421,10 +424,7 @@ class _Ascent:
             if j == 0:
                 del e  # freed before the value-only backtracks
             t *= _BACKTRACK
-            stalled = ~ok & (t < _MIN_STEP)
-            done[rows[stalled]] = True
-            rest = ~ok & ~stalled
-            at, h, slope, t = at[rest], h[rest], slope[rest], t[rest]
+            at, h, slope, t = at[~ok], h[~ok], slope[~ok], t[~ok]
             if at.size == 0:
                 break
         done[idx[at]] = True  # backtracking budget exhausted: stall
@@ -456,12 +456,13 @@ def maximize_grouped(
     values of the others.  Without it, every start ascends to
     _GRADIENT_TOL at once.
 
-    The elements may belong to several instances: instance i owns the
+    Each start takes at most cfg.max_iterations steps over both passes, so
+    a polished start's fine pass gets what its own coarse pass left.  The
+    elements may belong to several instances: instance i owns the
     contiguous elements from objective.offsets[i] on, and no group spans
-    two instances.  Every budget is per instance, so each instance's
-    reports are bit-identical to those of a call on that instance alone:
-    the fine pass of instance i gets max_iterations minus the most coarse
-    iterations of any of its starts.
+    two instances.  No start's budget reads another start, so each
+    instance's reports are bit-identical to those of a call on that
+    instance alone.
     """
     groups = np.asarray(groups)
     ngroups = int(groups.max()) + 1
@@ -475,10 +476,7 @@ def maximize_grouped(
         by_value = np.lexsort((-state.fval, groups))
         ranked = groups[by_value]
         rank = np.arange(state.nb) - np.searchsorted(ranked, ranked)
-        polished = by_value[rank < _POLISHED]
-        used = np.zeros(len(objective.offsets), dtype=int)
-        np.maximum.at(used, state.owner, state.iterations)
-        state.run(polished, _GRADIENT_TOL, cfg.max_iterations - used[state.owner])
+        state.run(by_value[rank < _POLISHED], _GRADIENT_TOL, cfg.max_iterations)
     else:
         state.run(np.arange(state.nb), _GRADIENT_TOL, cfg.max_iterations)
 
@@ -501,7 +499,7 @@ def maximize_grouped(
     return reports
 
 
-def _maximize_blocks(objective_cls, rs, blocks, cfg: OptConfig, coarse_first: bool = True):
+def _maximize_blocks(objective_cls, rs, blocks, cfg: OptConfig):
     """maximize_grouped over per-instance lists of start blocks; one report
     list per instance.
 
@@ -510,7 +508,9 @@ def _maximize_blocks(objective_cls, rs, blocks, cfg: OptConfig, coarse_first: bo
     of its subproblem (an angle, a shift) and its start list.  Groups are
     numbered over the instances in order, instance i's rows start at
     offsets[i] (an instance with no groups repeats the next offset), and
-    the objective is objective_cls(tuples, p per row, offsets).
+    the objective is objective_cls(tuples, p per row, offsets).  The coarse
+    pass runs when some block has more than _POLISHED starts: it only
+    picks which starts to polish, and with fewer every start is polished.
     """
     starts, params, groups, offsets = [], [], [], []
     for inst in blocks:
@@ -522,6 +522,7 @@ def _maximize_blocks(objective_cls, rs, blocks, cfg: OptConfig, coarse_first: bo
     groups = np.asarray(groups, dtype=int)
     tuples = [(r.a, r.b) for r in rs]
     objective = objective_cls(tuples, np.asarray(params)[groups], np.asarray(offsets))
+    coarse_first = bool(np.any(np.bincount(groups) > _POLISHED))
     reports = iter(maximize_grouped(objective, groups, starts, cfg, coarse_first))
     return [[next(reports) for _ in inst] for inst in blocks]
 

@@ -18,7 +18,7 @@ from . import _batched
 from .elemop import KTupleOperator, random_instance, russo_dye_norm
 from .fov import field_of_values
 from .linalg import haar_unitaries
-from .orbit import DEFAULT_SMAX_FACTOR
+from .orbit import DEFAULT_SMAX_FACTOR, default_s_schedule
 from .orbit import _orbit_matrices, banach_region, check_smax_factor, orbit_region
 from .region import cloud_supports, directions, hausdorff, minkowski_sum, negate
 from .unitary_opt import OptConfig, OrbitSupportObjective, ShiftedNormObjective
@@ -29,7 +29,6 @@ DEFAULT_DIRECTIONS = 64
 DEFAULT_CFG = OptConfig()
 
 INCLUSION_TOL = 1e-10
-INCLUSION_S_FACTORS = (8.0, 16.0, 32.0, 64.0)
 HERMITIAN_SAMPLES = 32
 MAIN_TOL_REL = 2e-2
 DERIVATION_TOL_REL = 1e-2
@@ -155,8 +154,8 @@ def verify_inclusion(
 ) -> VerificationReport:
     """Exact per-unitary directional inequality, checked on random unitaries.
 
-    For every sampled u, grid direction theta, and shift s in
-    INCLUSION_S_FACTORS times a norm bound, the matrix inequality
+    For every sampled u, grid direction theta, and shift s of
+    default_s_schedule at a norm bound, the matrix inequality
     lambda_max(Herm(e^{-i theta} sum u*a_i u b_i)) <= |R(u) + s e^{i theta} u| - s
     holds exactly; the discrepancy is the worst violation observed,
     independent of any optimization, against INCLUSION_TOL.  Both sides
@@ -170,7 +169,7 @@ def verify_inclusion(
     cfg = cfg or DEFAULT_CFG
     us = haar_unitaries(r.n, n_samples, np.random.default_rng([cfg.seed, 31]))
     srough = 1.0 + float(np.sum(_batched.sigma_max(r.a) * _batched.sigma_max(r.b)))
-    svals = srough * np.asarray(INCLUSION_S_FACTORS)
+    svals = default_s_schedule(srough)
     th = directions(m)
     tuples = [(r.a, r.b)]
 

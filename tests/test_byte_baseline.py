@@ -80,3 +80,34 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
         f"{3e-5 / tops[1, 'oracle']:.2e} x (1 + max|h|); rhs supports fell {fall:.2e}, "
         "rose 0.00e+00 x (1 + max|h|); largest witness move"
     )
+
+    # A result whose supports, witnesses and discrepancies are all the same
+    # but whose diagnostics moved names the moved leaves, the first three
+    # with their old and new values.
+    shutil.copy(a / "runs" / "derivation-default" / "stdout", result)
+    doc = json.loads(result.read_text())
+    diagnostics = doc["instances"][1]["diagnostics"]
+    old = diagnostics["rhs_iterations_max"]
+    diagnostics["rhs_iterations_max"] = old + 13
+    result.write_text(json.dumps(doc))
+    assert bb.main(["--compare", str(a), str(b)]) == 1
+    derivation = capsys.readouterr().out.splitlines()[0]
+    assert derivation == (
+        f"runs/derivation-default/stdout: differs; oracle {unmoved}; rhs {unmoved}"
+        "; largest witness move 0.00e+00 x (1 + max|h|); largest discrepancy change 0.00e+00"
+        "; 1 other leaf(s) differ: "
+        f"instances[1].diagnostics.rhs_iterations_max: {old} -> {old + 13}"
+    )
+    # Every moved leaf is counted, and the first three in the file's order
+    # (its keys are sorted) are listed.
+    before = {**diagnostics, "rhs_iterations_max": old}
+    for key in diagnostics:
+        diagnostics[key] = "moved"
+    result.write_text(json.dumps(doc))
+    assert bb.main(["--compare", str(a), str(b)]) == 1
+    derivation = capsys.readouterr().out.splitlines()[0]
+    listed = ", ".join(
+        f'instances[1].diagnostics.{key}: {json.dumps(before[key])} -> "moved"'
+        for key in sorted(before)[:3]
+    )
+    assert derivation.endswith(f"; {len(before)} other leaf(s) differ: {listed}")

@@ -21,6 +21,11 @@ class TestKTupleOperator:
         with pytest.raises(ValueError):
             KTupleOperator(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
 
+    def test_rejects_empty_matrices(self):
+        # A 0 x 0 tuple would fail only deep inside the orbit side's Haar draws.
+        with pytest.raises(ValueError, match="dimension n must be >= 1"):
+            KTupleOperator(np.zeros((1, 0, 0)), np.zeros((1, 0, 0)))
+
     def test_single_matrix_promotes(self):
         r = KTupleOperator(np.eye(2), np.eye(2))
         assert r.k == 1 and r.n == 2

@@ -106,9 +106,9 @@ def _identity_only(monkeypatch):
     W(sum a_i b_i); the operator side's ascents run unmutated."""
     maximize = orbit._maximize_blocks
 
-    def mutant(objective_cls, rs, blocks, cfg, coarse_first=True):
+    def mutant(objective_cls, rs, blocks, cfg):
         if objective_cls is not OrbitSupportObjective:
-            return maximize(objective_cls, rs, blocks, cfg, coarse_first)
+            return maximize(objective_cls, rs, blocks, cfg)
         out = []
         for r, inst in zip(rs, blocks):
             thetas = np.array([p for p, _ in inst])

@@ -399,7 +399,9 @@ class TestDoubling:
         ops = [random_instance(2, 2, np.random.default_rng([23, i])) for i in range(2)]
         cfg = OptConfig(restarts=3, max_iterations=20)
         maximize, doubled = orbit._maximize_blocks, orbit._doubled
+        grouped = unitary_opt.maximize_grouped
         calls, inside = [], []  # calls: (grid being doubled or None, blocks, coarse_first)
+        passes = []  # the coarse_first of each maximize_grouped call
 
         def spy_doubled(reports, *args):
             inside.append(reports)
@@ -408,10 +410,16 @@ class TestDoubling:
             finally:
                 inside.pop()
 
-        def spy_maximize(objective_cls, rs, blocks, cfg, coarse_first=True):
-            calls.append((inside[-1] if inside else None, blocks, coarse_first))
-            return maximize(objective_cls, rs, blocks, cfg, coarse_first)
+        def spy_grouped(objective, groups, starts, cfg, coarse_first=True):
+            passes.append(coarse_first)
+            return grouped(objective, groups, starts, cfg, coarse_first)
 
+        def spy_maximize(objective_cls, rs, blocks, cfg):
+            reports = maximize(objective_cls, rs, blocks, cfg)
+            calls.append((inside[-1] if inside else None, blocks, passes.pop()))
+            return reports
+
+        monkeypatch.setattr(unitary_opt, "maximize_grouped", spy_grouped)
         monkeypatch.setattr(orbit, "_doubled", spy_doubled)
         monkeypatch.setattr(orbit, "_maximize_blocks", spy_maximize)
         orbit_region(ops, m, cfg)
@@ -686,11 +694,13 @@ def symmetry_gap(h, g) -> float:
     return float(np.abs(h - g).max() / (1.0 + np.abs(h).max()))
 
 
-def _both_sides(rs):
+def _both_sides(rs, scales=None):
     """{side: supports per operator}, the operator side warm-started from
     the orbit side's maximizers, as verify_main runs them."""
     rhs = orbit_region(rs, M, SYMMETRY_CFG)
-    lhs = banach_region(rs, M, SYMMETRY_CFG, warm_starts=[est.maximizers for est in rhs])
+    lhs = banach_region(
+        rs, M, SYMMETRY_CFG, scales=scales, warm_starts=[est.maximizers for est in rhs]
+    )
     return {"orbit": [e.region.support for e in rhs], "operator": [e.region.support for e in lhs]}
 
 
@@ -769,6 +779,19 @@ class TestExactSymmetries:
         b = np.einsum("ij,jxy->ixy", np.linalg.inv(c), r.b)
         for side, (h, g) in _both_sides([r, KTupleOperator(a, b)]).items():
             assert symmetry_gap(h, g) <= SYMMETRY_TOL, side
+
+    @SYMMETRY_SETTINGS
+    @given(gaussian_instances(), st.sampled_from([50, 200, 330]))
+    @example(n4k4(6), 330)
+    def test_power_of_two_scaling(self, case, e):
+        # 2^e R has the range 2^e V(R), and a power of two scales every
+        # entry exactly.  With the operator side's shifts scaled too, a
+        # stopping rule that reads an absolute step size shows here.
+        r, _ = case
+        scale = russo_dye_norm([r], SYMMETRY_CFG)[0].value + 1.0
+        big = KTupleOperator(2.0**e * r.a, r.b)
+        for side, (h, g) in _both_sides([r, big], [scale, 2.0**e * scale]).items():
+            assert symmetry_gap(h, g / 2.0**e) <= SYMMETRY_TOL, side
 
     @SYMMETRY_SETTINGS
     @given(gaussian_instances(), st.integers(2, 9))

@@ -87,10 +87,11 @@ def one_group(objective, cfg, starts=None):
 def three_instances(kind, n):
     """(solo, batched, cfg) for three instances of two groups each: solo
     holds the six reports of the instances run alone, and batched() runs
-    them in one call.  The budget, set per n, binds."""
+    them in one call.  The budget, set per n, binds on some groups and not
+    on others."""
     rng = np.random.default_rng(12345)
     ops = [random_instance(n, 2, rng) for _ in range(3)]
-    cfg = OptConfig(restarts=3, seed=5, max_iterations={2: 16, 4: 30}[n])
+    cfg = OptConfig(restarts=3, seed=5, max_iterations={2: 19, 4: 54}[n])
     block = np.stack(default_starts(n, cfg.restarts, np.random.default_rng(5)))
     thetas = np.array([0.4, 2.0])
     params = np.array([1.5 - 0.5j, -2.0j])
@@ -210,12 +211,35 @@ class TestMaximizeGrouped:
     def test_instances_match_solo_runs(self, kind, n):
         # Instances stacked in one call, each with its own operator, must get
         # the bits of a call on that instance alone: one GEMM per instance
-        # on its own rows, and a fine-pass budget per instance.  The budget
-        # binds, and the instances' coarse passes use different counts.
+        # on its own rows, and an iteration budget per start.  The budget
+        # binds on some groups, and others converge before it.
         solo, batched, cfg = three_instances(kind, n)
         iterations = {rep.iterations for rep in solo}
         assert len(iterations) > 1 and cfg.max_iterations in iterations
         assert_same_reports(batched(), solo)
+
+    def test_budget_is_per_start(self):
+        # Group 0 starts next to its maximizer, so its coarse pass stops at
+        # once and its fine pass needs several steps; group 1 climbs from
+        # Haar starts and spends the whole budget in its coarse pass.  Group
+        # 0 must get the report it gets alone: its fine budget is the
+        # budget its own starts have left, whatever group 1 spends.
+        r = random_instance(3, 2, np.random.default_rng(41))
+        thetas = np.array([0.5, 2.5])
+        best = one_group(OrbitSupportObjective([(r.a, r.b)], thetas[0]), OptConfig(seed=1))
+        rng = np.random.default_rng(2)
+        near = [best.maximizer @ cayley(random_skew(rng, 3), 1e-3) for _ in range(3)]
+        hard = default_starts(3, 4, np.random.default_rng(8))
+        cfg = OptConfig(restarts=4, seed=3, max_iterations=12)
+
+        def run(*blocks):
+            groups = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+            objective = OrbitSupportObjective([(r.a, r.b)], thetas[groups])
+            return maximize_grouped(objective, groups, np.concatenate(blocks), cfg)
+
+        (alone,), (easy, climb) = run(near), run(near, hard)
+        assert alone.iterations > 1 and climb.iterations == cfg.max_iterations
+        assert_same_reports([easy], [alone])
 
     @pytest.mark.parametrize("kind", ["orbit", "norm"])
     @pytest.mark.parametrize("n", [2, 4])
@@ -295,9 +319,9 @@ class TestMaximizeGrouped:
         calls = []
         run = unitary_opt._Ascent.run
 
-        def spy(self, active, gtol, budget):
+        def spy(self, active, gtol, max_iterations):
             calls.append((np.sort(active), self.fval.copy()))
-            return run(self, active, gtol, budget)
+            return run(self, active, gtol, max_iterations)
 
         monkeypatch.setattr(unitary_opt._Ascent, "run", spy)
         reports = maximize_grouped(
