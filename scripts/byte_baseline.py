@@ -18,16 +18,19 @@ run on the same bytes.
 for a JSON result, the largest fall and the largest rise of the supports of
 each region side (lhs, rhs, oracle, fov) and the largest witness-point
 move, all relative to 1 + max|h|, the largest change of any check's
-discrepancy, and the checks whose ``passed`` flag changed.  It also counts
-the other leaves of the result that differ, such as a diagnostic or a
-vertex, and lists the first three as ``path: old -> new``.  It exits 1
-when a file differs.
+discrepancy, and the checks whose ``passed`` flag changed.  Where they
+moved, it prints the largest fall and rise of the restart spreads (each
+direction's and the ``*_restart_spread_max`` diagnostics), relative to
+1 + max|h|, and the largest change of any ``*_iterations_max``
+diagnostic.  It also counts the other leaves of the result that differ,
+such as a diagnostic or a vertex, and lists the first three as
+``path: old -> new``.  It exits 1 when a file differs.
 
-The set of 46 commands covers every subcommand and format, m = 8, 16, 64
-and 720, n = 2-4, an operator scaled by 2^200, the seed-1 batches 0 and 1
-of the three benchmark workloads, diagonal and rank-one projections, mixed
-n in one batch, and seven error exits.  A full record takes about half a
-minute on two CPUs.
+The set of 47 commands covers every subcommand and format, m = 8, 16, 64
+and 720, n = 2-4, an operator scaled by 2^200, a two-shift ray schedule
+(``--smax-factor 16``), the seed-1 batches 0 and 1 of the three benchmark
+workloads, diagonal and rank-one projections, mixed n in one batch, and
+seven error exits.  A full record takes about half a minute on two CPUs.
 """
 
 from __future__ import annotations
@@ -120,6 +123,8 @@ def commands(batches: dict) -> dict:
         "verify-csv": ["verify", "--count", "4", "--format", "csv", *fast],
         "verify-svg": ["verify", "--count", "3", "--format", "svg", *fast],
         "verify-tol0-fails": ["verify", "--count", "3", "--tol", "0", *fast],
+        # A two-shift ray schedule: its one later shift starts from the first.
+        "verify-smax16": ["verify", "--count", "4", "--smax-factor", "16", *fast],
         "derivation-default": ["derivation"],
         "derivation-n3-m32-csv": ["derivation", "--dim", "3", "--count", "4",
                                   "--directions", "32", "--format", "csv"],
@@ -198,7 +203,8 @@ def _result(path: Path):
 
 
 def _changes(a: dict, b: dict) -> tuple:
-    """(moves, witness, discrepancy, flipped) between two results.
+    """(moves, witness, discrepancy, flipped, spreads, iterations) between
+    two results.
 
     moves maps each region side present (lhs, rhs, oracle, fov) to
     (fall, rise): the largest amount by which one of that side's supports
@@ -208,8 +214,13 @@ def _changes(a: dict, b: dict) -> tuple:
     regions in a; discrepancy the largest change of any check's
     discrepancy; flipped the checks whose passed flag differs.  witness
     and discrepancy are None when no instance carries witnesses or checks.
+    spreads is (fall, rise) of the restart spreads (each direction's, and
+    the ``*_restart_spread_max`` diagnostics), relative to 1 + max|h| as
+    for the witnesses, and iterations the largest change of any
+    ``*_iterations_max`` diagnostic; both are 0 where none moved.
     """
     moves, witness, discrepancy, flipped = {}, [], [], []
+    spreads, iterations = (0.0, 0.0), 0
     for ia, ib in zip(a["instances"], b["instances"]):
         top = 0.0
         for side, ra in ia.get("regions", {}).items():
@@ -222,11 +233,22 @@ def _changes(a: dict, b: dict) -> tuple:
         if "witnesses" in ia:
             moved = np.hypot(*(np.array(ia["witnesses"]) - np.array(ib["witnesses"])).T)
             witness.append(float(np.max(moved, initial=0.0)) / (1.0 + top))
+        da, db = ia.get("diagnostics", {}), ib.get("diagnostics", {})
+        for old, new in [
+            *zip(ia.get("restart_spreads", []), ib.get("restart_spreads", [])),
+            *((v, db[key]) for key, v in da.items() if key.endswith("_restart_spread_max")),
+        ]:
+            rel = (new - old) / (1.0 + top)
+            spreads = (max(spreads[0], -rel), max(spreads[1], rel))
+        for key, old in da.items():
+            if key.endswith("_iterations_max"):
+                iterations = max(iterations, abs(db[key] - old))
         for ca, cb in zip(ia.get("checks", []), ib.get("checks", [])):
             discrepancy.append(abs(ca["discrepancy"] - cb["discrepancy"]))
             if ca["passed"] != cb["passed"]:
                 flipped.append(f"{ia['label']}: {ca['name']}")
-    return moves, max(witness, default=None), max(discrepancy, default=None), flipped
+    return (moves, max(witness, default=None), max(discrepancy, default=None), flipped,
+            spreads, iterations)
 
 
 def _leaves(x, path: str = ""):
@@ -242,9 +264,12 @@ def _leaves(x, path: str = ""):
         yield path, x
 
 
-# The leaves _changes reports: supports, witnesses and check discrepancies.
+# The leaves _changes reports: supports, witnesses, check discrepancies,
+# restart spreads and the *_restart_spread_max and *_iterations_max
+# diagnostics.
 _REPORTED = re.compile(
-    r"instances\[\d+\]\.(regions\.\w+\.support\[|witnesses\[|checks\[\d+\]\.discrepancy$)"
+    r"instances\[\d+\]\.(regions\.\w+\.support\[|witnesses\[|checks\[\d+\]\.discrepancy$"
+    r"|restart_spreads\[|diagnostics\.\w+_(restart_spread_max|iterations_max)$)"
 )
 
 
@@ -272,7 +297,7 @@ def compare(a_dir: Path, b_dir: Path) -> int:
         if ra is None or rb is None:
             print(f"{name}: differs")
             continue
-        moves, witness, discrepancy, flipped = _changes(ra, rb)
+        moves, witness, discrepancy, flipped, spreads, iterations = _changes(ra, rb)
         line = f"{name}: differs"
         for side, (fall, rise) in sorted(moves.items()):
             line += f"; {side} supports fell {fall:.2e}, rose {rise:.2e} x (1 + max|h|)"
@@ -282,6 +307,11 @@ def compare(a_dir: Path, b_dir: Path) -> int:
             line += f"; largest discrepancy change {discrepancy:.2e}"
         if flipped:
             line += f"; passed flag changed: {', '.join(flipped)}"
+        if any(spreads):
+            fall, rise = spreads
+            line += f"; restart spreads fell {fall:.2e}, rose {rise:.2e} x (1 + max|h|)"
+        if iterations:
+            line += f"; largest iterations_max change {iterations}"
         others = _other_leaves(ra, rb)
         if others:
             line += f"; {len(others)} other leaf(s) differ: {', '.join(others[:3])}"

@@ -21,6 +21,8 @@ I and the flip permutation, instead of a multistart; next to a direction
 whose search found several maxima it takes the multistart's Haar starts
 too.  The whole grid is chain-polished once at the end.  The operator
 side's schedule of shifts is decided here alone, from the operator's scale.
+After its first-shift sweep, every later shift of every direction ascends
+from that direction's first-shift maximizer, all in one grouped ascent.
 
 Both regions take a list of operators on one M_n and return one estimate
 per operator.  Each phase runs one grouped ascent for all of them: the
@@ -63,16 +65,16 @@ class RangeEstimate:
     """A computed region plus the diagnostics that qualify it.
 
     g_schedules and s_schedule are present for the operator (ray-limit)
-    side: g_schedules[j] holds direction j's g at every shift of
-    s_schedule, which has at least two.  samples is the witness cloud of
-    the orbit side, one boundary point of W(sum u*a_i u b_i) per
+    side: g_schedules is an (m, S) array whose row j holds direction j's g
+    at every shift of s_schedule, which has S >= 2.  samples is the witness
+    cloud of the orbit side, one boundary point of W(sum u*a_i u b_i) per
     direction, at that direction's maximizer u.
     """
 
     region: SupportRegion
     reports: list
     scale: float
-    g_schedules: list | None = None
+    g_schedules: np.ndarray | None = None
     s_schedule: np.ndarray | None = None
     samples: np.ndarray | None = None
 
@@ -82,10 +84,10 @@ class RangeEstimate:
 
     @property
     def residuals(self) -> np.ndarray | None:
-        """Last decrement g[-2] - g[-1] of each direction's ray schedule."""
+        """Last decrement g[:, -2] - g[:, -1] of each direction's ray schedule."""
         if self.g_schedules is None:
             return None
-        return np.array([g[-2] - g[-1] for g in self.g_schedules])
+        return self.g_schedules[:, -2] - self.g_schedules[:, -1]
 
     @property
     def restart_spreads(self) -> np.ndarray:
@@ -317,6 +319,22 @@ def orbit_region(
     return [_orbit_estimate(r, reps, thetas) for r, reps in zip(rs, reports)]
 
 
+def _check_per_operator(rs, m: int, scales, warm_starts) -> None:
+    """Reject scales or warm_starts that do not fit the operators and the
+    m-grid, naming the operator by its label, else its index."""
+    for name, given in (("scales", scales), ("warm_starts", warm_starts)):
+        if given is not None and len(given) != len(rs):
+            raise ValueError(
+                f"{name} needs one entry per operator: got {len(given)} for {len(rs)}"
+            )
+    for i, (r, ws) in enumerate(zip(rs, warm_starts or ())):
+        shapes = sorted({np.shape(u) for u in ws})
+        if len(ws) != m or shapes != [(r.n, r.n)]:
+            name = repr(r.label) if r.label else f"operator {i}"
+            raise ValueError(f"warm_starts of {name} need {m} {r.n}x{r.n} matrices, one per "
+                             f"direction: got {len(ws)} of shapes {shapes}")
+
+
 def banach_region(
     rs: list[KTupleOperator],
     m: int = 64,
@@ -333,65 +351,57 @@ def banach_region(
     plus 1.  Every direction runs the whole schedule, so every g ends on
     the same two shifts.  warm_starts, when given, holds one list per
     operator of one unitary per direction (for example the orbit side's
-    maximizers), added to every schedule optimization of that direction.
-    This is an outer approximation of the operator's numerical
+    maximizers), added to every schedule optimization of that direction;
+    scales and warm_starts that do not fit are a ValueError before any
+    work.  This is an outer approximation of the operator's numerical
     range whenever the per-direction norm optimizations reach their
     suprema; undershoot is reported through residuals and restart spreads.
 
     The operators act on one M_n.  The first shift is one grouped sweep of
-    all of them; every later shift advances all their directions as one
-    grouped ascent, and each estimate is the one its operator gets alone.
+    all of them.  Every later shift s_1 ... s_{S-1} of every direction of
+    every operator is then one block of a single grouped ascent, shift-major
+    within each operator, with parameter -s_t e^{i theta_j} and two starts:
+    direction j's first-shift maximizer and its warm start.  Each estimate's
+    g_schedules is the (m, S) array g[:, t] = value - s_t, its region is that
+    of g[:, -1] and its reports those of the last shift, whose restart spread
+    compares the ascent from the first-shift maximizer with the one from the
+    warm start.  Each estimate is the one its operator gets alone.
     """
     if m < 8:
         raise ValueError("banach_region needs at least 8 directions")
     check_smax_factor(smax_factor)
     cfg = cfg or OptConfig()
     _batch_dim(rs)  # one M_n, or ValueError
+    _check_per_operator(rs, m, scales, warm_starts)
     if scales is None:
         scales = [rep.value + 1.0 for rep in russo_dye_norm(rs, cfg)]
-    if len(scales) != len(rs) or (
-        warm_starts is not None and len(warm_starts) != len(rs)
-    ):
-        raise ValueError("scales and warm_starts need one entry per operator")
     scales = [float(s) for s in scales]
     schedules = [default_s_schedule(s, smax_factor) for s in scales]
     phases = np.exp(1j * directions(m))
 
-    if warm_starts is None:
-        warm = [[()] * m] * len(rs)
-    else:
+    warm = [[()] * m] * len(rs)
+    if warm_starts is not None:
         warm = [[(u,) for u in ws] for ws in warm_starts]
 
     # Full multistart at the smallest shift, one grouped sweep.
-    reports = _sweep(
+    first = _sweep(
         ShiftedNormObjective, rs, [-sched[0] * phases for sched in schedules], cfg,
         _sweep_starts(rs[0].n, m, cfg, _STREAM_BANACH), warm,
     )
-
-    g_per_dir = [
-        [[rep.value - sched[0]] for rep in reps]
-        for reps, sched in zip(reports, schedules)
+    # Every later shift of every direction of every operator, shift-major,
+    # re-ascends from that direction's first-shift maximizer and its warm
+    # start, all in one grouped ascent.
+    blocks = [
+        [(z, [rep.maximizer, *x]) for s in sched[1:] for rep, x, z in zip(reps, ws, -s * phases)]
+        for reps, ws, sched in zip(first, warm, schedules)
     ]
-    # Each later shift re-ascends every direction of every operator from its
-    # maximizer at the previous shift and its warm start, one grouped ascent
-    # per shift.
-    for t in range(1, len(schedules[0])):
-        blocks = [
-            [(z, [rep.maximizer, *extra]) for rep, extra, z in zip(reps, ws, -sched[t] * phases)]
-            for reps, ws, sched in zip(reports, warm, schedules)
-        ]
-        reports = _maximize_blocks(ShiftedNormObjective, rs, blocks, cfg)
-        for gs, reps, sched in zip(g_per_dir, reports, schedules):
-            for g, rep in zip(gs, reps):
-                g.append(rep.value - sched[t])
+    later = _maximize_blocks(ShiftedNormObjective, rs, blocks, cfg)
 
-    return [
-        RangeEstimate(
-            region=region_from_supports(np.array([g[-1] for g in gs])),
-            reports=reps,
-            scale=scale,
-            g_schedules=[np.array(g) for g in gs],
-            s_schedule=sched,
-        )
-        for reps, gs, scale, sched in zip(reports, g_per_dir, scales, schedules)
-    ]
+    estimates = []
+    for reps, more, scale, sched in zip(first, later, scales, schedules):
+        g = np.array([rep.value for rep in [*reps, *more]]).reshape(len(sched), m).T - sched
+        estimates.append(RangeEstimate(
+            region=region_from_supports(g[:, -1]), reports=more[-m:], scale=scale,
+            g_schedules=g, s_schedule=sched,
+        ))
+    return estimates

@@ -81,14 +81,34 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
         "rose 0.00e+00 x (1 + max|h|); largest witness move"
     )
 
-    # A result whose supports, witnesses and discrepancies are all the same
-    # but whose diagnostics moved names the moved leaves, the first three
-    # with their old and new values.
+    # Moved restart spreads (a direction's and a side's maximum) and a moved
+    # iteration count are reported apart from the other leaves: the spreads'
+    # largest fall and rise relative to 1 + max|h|, the count's change.
+    shutil.copy(a / "runs" / "derivation-default" / "stdout", result)
+    doc = json.loads(result.read_text())
+    inst = doc["instances"][1]
+    top = max(abs(h) for region in inst["regions"].values() for _, h in region["support"])
+    inst["restart_spreads"][4] += 2e-5
+    inst["diagnostics"]["rhs_restart_spread_max"] -= 3e-6
+    inst["diagnostics"]["rhs_iterations_max"] += 13
+    result.write_text(json.dumps(doc))
+    assert bb.main(["--compare", str(a), str(b)]) == 1
+    derivation = capsys.readouterr().out.splitlines()[0]
+    assert derivation == (
+        f"runs/derivation-default/stdout: differs; oracle {unmoved}; rhs {unmoved}"
+        "; largest witness move 0.00e+00 x (1 + max|h|); largest discrepancy change 0.00e+00"
+        f"; restart spreads fell {3e-6 / (1 + top):.2e}, rose {2e-5 / (1 + top):.2e}"
+        " x (1 + max|h|); largest iterations_max change 13"
+    )
+
+    # A result whose supports, witnesses, discrepancies, spreads and
+    # iteration counts are all the same but whose other diagnostics moved
+    # names the moved leaves, the first three with their old and new values.
     shutil.copy(a / "runs" / "derivation-default" / "stdout", result)
     doc = json.loads(result.read_text())
     diagnostics = doc["instances"][1]["diagnostics"]
-    old = diagnostics["rhs_iterations_max"]
-    diagnostics["rhs_iterations_max"] = old + 13
+    old = diagnostics["oracle_diameter"]
+    diagnostics["oracle_diameter"] = old + 1
     result.write_text(json.dumps(doc))
     assert bb.main(["--compare", str(a), str(b)]) == 1
     derivation = capsys.readouterr().out.splitlines()[0]
@@ -96,18 +116,33 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
         f"runs/derivation-default/stdout: differs; oracle {unmoved}; rhs {unmoved}"
         "; largest witness move 0.00e+00 x (1 + max|h|); largest discrepancy change 0.00e+00"
         "; 1 other leaf(s) differ: "
-        f"instances[1].diagnostics.rhs_iterations_max: {old} -> {old + 13}"
+        f"instances[1].diagnostics.oracle_diameter: {json.dumps(old)} -> {json.dumps(old + 1)}"
     )
     # Every moved leaf is counted, and the first three in the file's order
     # (its keys are sorted) are listed.
-    before = {**diagnostics, "rhs_iterations_max": old}
-    for key in diagnostics:
-        diagnostics[key] = "moved"
+    shutil.copy(a / "runs" / "derivation-default" / "stdout", result)
+    doc = json.loads(result.read_text())
+    moved = []
+    for i, inst in enumerate(doc["instances"]):
+        for key in sorted(inst["diagnostics"]):
+            if not key.endswith(("_restart_spread_max", "_iterations_max")):
+                moved.append(f"instances[{i}].diagnostics.{key}: "
+                             f'{json.dumps(inst["diagnostics"][key])} -> "moved"')
+                inst["diagnostics"][key] = "moved"
     result.write_text(json.dumps(doc))
     assert bb.main(["--compare", str(a), str(b)]) == 1
     derivation = capsys.readouterr().out.splitlines()[0]
-    listed = ", ".join(
-        f'instances[1].diagnostics.{key}: {json.dumps(before[key])} -> "moved"'
-        for key in sorted(before)[:3]
+    assert len(moved) > 3
+    assert derivation.endswith(f"; {len(moved)} other leaf(s) differ: {', '.join(moved[:3])}")
+
+
+def test_the_set_has_a_two_shift_schedule():
+    # --smax-factor 16 gives the shifts 8 and 16 times the scale: one later
+    # shift, which starts from the first shift's maximizers.
+    bb = _script()
+    cmds = bb.commands({f"{w}-b{b}": ["x.json"] for w in bb.workloads.WORKLOADS for b in (0, 1)})
+    assert len(cmds) == 47
+    assert cmds["verify-smax16"] == (
+        ["verify", "--count", "4", "--smax-factor", "16", "--directions", "16",
+         "--restarts", "4"], None,
     )
-    assert derivation.endswith(f"; {len(before)} other leaf(s) differ: {listed}")

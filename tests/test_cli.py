@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -111,6 +112,32 @@ class TestInstanceFormat:
             doc[field] = value
         where = r"\[re, im\]" if field == "pair" else f"field '{field}'"
         with pytest.raises(InstanceFormatError, match=where):
+            parse_instance_dict(doc)
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ("a0", [[[1, 0], [0, 0]]], "a[0]: expected 2 rows"),
+            ("a0", [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]], "a[0]: non-finite entry"),
+            ("top", [IDENTITY_DOC], "top level: expected an object"),
+            ("b", None, "field 'b' is missing"),
+            ("label", 7, "field 'label': expected a string"),
+        ],
+        ids=["rows", "nan", "top-level", "missing", "label"],
+    )
+    def test_rejections_name_what_is_wrong(self, where, value, message):
+        doc = json.loads(json.dumps(IDENTITY_DOC))
+        if where == "a0":
+            doc["a"][0] = value
+        elif where == "top":
+            doc = value
+        elif value is None:
+            del doc[where]
+        else:
+            doc[where] = value
+        # json writes NaN and reads it back, so the parser must catch it.
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
             parse_instance_dict(doc)
 
     def test_boolean_dimension_is_2(self, tmp_path, capsys):
@@ -872,6 +899,34 @@ class TestResultSerialization:
         assert type(doc["flag"]) is bool
         with pytest.raises(TypeError, match="set"):
             dumps_result({"x": {1}})
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_result_trees_hold_only_plain_values(
+        self, identity_path, derivation_path, monkeypatch, capsys, command
+    ):
+        # dump_csv writes repr(value), which numpy 2 prints as np.float64(...),
+        # and the JSON writer's default hook would hide such a leaf from the
+        # JSON bytes, so every handler must build its tree from plain values.
+        emit, results = cli._emit, []
+
+        def spy_emit(result, *args):
+            results.append(result)
+            return emit(result, *args)
+
+        monkeypatch.setattr(cli, "_emit", spy_emit)
+        instance = derivation_path if command == "derivation" else identity_path
+        assert main([command, instance, *COMMAND_ARGS[command]]) == 0
+        capsys.readouterr()
+        plain = (dict, list, str, int, float, bool, type(None))
+        stack = [("result", results[0])]
+        while stack:
+            path, x = stack.pop()
+            assert type(x) in plain, f"{path} is a {type(x).__name__}"
+            if isinstance(x, dict):
+                assert all(type(key) is str for key in x), path
+                stack.extend((f"{path}.{key}", v) for key, v in x.items())
+            elif isinstance(x, list):
+                stack.extend((f"{path}[{i}]", v) for i, v in enumerate(x))
 
     def test_dump_result_streams_the_dumps_text(self):
         result = {"z": [1.5, np.float64(2.0)], "a": {"m": np.arange(3), "c": 1 - 2j}}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,20 @@ class TestKTupleOperator:
         # A 0 x 0 tuple would fail only deep inside the orbit side's Haar draws.
         with pytest.raises(ValueError, match="dimension n must be >= 1"):
             KTupleOperator(np.zeros((1, 0, 0)), np.zeros((1, 0, 0)))
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (np.zeros((1, 1, 2, 2)), "a and b must be stacks of square matrices"),
+            (np.zeros((0, 2, 2)), "tuple length k must be >= 1"),
+            (np.array([[[1.0, 0.0], [np.nan, 1.0]]]), "operator tuples have non-finite entries"),
+        ],
+        ids=["4-d", "k=0", "nan"],
+    )
+    def test_rejections_name_what_is_wrong(self, a, message):
+        b = np.zeros(a.shape)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KTupleOperator(a, b)
 
     def test_single_matrix_promotes(self):
         r = KTupleOperator(np.eye(2), np.eye(2))

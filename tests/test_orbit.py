@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -292,6 +293,93 @@ class TestBanachRegion:
         for warm in ([[eye] * M] * 2, [[eye] * (M - 1)], [[eye] * (M + 1)]):
             with pytest.raises(ValueError):
                 banach_region([r], M, CFG, scales=[2.0], warm_starts=warm)
+
+    @pytest.mark.parametrize(
+        "scales, warm, message",
+        [
+            (None, "one", "warm_starts needs one entry per operator: got 1 for 2"),
+            ([2.0], "fit", "scales needs one entry per operator: got 1 for 2"),
+            (None, "short", "warm_starts of operator 1 need 16 2x2 matrices, one per "
+                            "direction: got 15 of shapes [(2, 2)]"),
+            (None, "3x3", "warm_starts of 'b' need 16 2x2 matrices, one per "
+                          "direction: got 16 of shapes [(2, 2), (3, 3)]"),
+        ],
+    )
+    def test_rejects_unfitting_inputs_before_any_work(self, monkeypatch, scales, warm, message):
+        # The error names the operator, by its label if it has one, and no
+        # grouped ascent runs first, not even the norm's.
+        eye = np.eye(2, dtype=complex)
+        label = "b" if warm == "3x3" else None
+        ops = [KTupleOperator.identity(2), KTupleOperator.identity(2, label=label)]
+        warm_starts = {
+            "one": [[eye] * M],
+            "fit": [[eye] * M] * 2,
+            "short": [[eye] * M, [eye] * (M - 1)],
+            "3x3": [[eye] * M, [eye] * (M - 1) + [np.eye(3)]],
+        }[warm]
+        grouped, ascents = unitary_opt.maximize_grouped, []
+
+        def spy_grouped(*args):
+            ascents.append(args)
+            return grouped(*args)
+
+        monkeypatch.setattr(unitary_opt, "maximize_grouped", spy_grouped)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            banach_region(ops, M, CFG, scales=scales, warm_starts=warm_starts)
+        assert ascents == []
+
+    def test_later_shifts_are_one_grouped_continuation(self, monkeypatch):
+        # After the norm, the default four shifts take three grouped ascents
+        # of the shifted norm: the first-shift sweep, its chained polish and
+        # one continuation of every later shift.  Operator i's continuation
+        # blocks are shift-major, block (t, j) with parameter
+        # -s_t e^{i theta_j} and the starts (first-shift maximizer of
+        # direction j, warm start j).
+        ops = [random_instance(2, 2, np.random.default_rng([37, i])) for i in range(2)]
+        warm = [list(haar_unitaries(2, 8, np.random.default_rng([38, i]))) for i in range(2)]
+        grouped, norm = unitary_opt.maximize_grouped, orbit.russo_dye_norm
+        calls = []  # (objective, groups, starts, reports)
+
+        def spy_grouped(objective, groups, starts, *args, **kwargs):
+            out = grouped(objective, groups, starts, *args, **kwargs)
+            calls.append((objective, np.asarray(groups), np.stack(starts), out))
+            return out
+
+        def spy_norm(*args):
+            out = norm(*args)
+            calls.clear()
+            return out
+
+        monkeypatch.setattr(unitary_opt, "maximize_grouped", spy_grouped)
+        monkeypatch.setattr(orbit, "russo_dye_norm", spy_norm)
+        ests = banach_region(ops, 8, CFG, warm_starts=warm)
+        assert len(calls) == 3
+        assert all(type(c[0]) is unitary_opt.ShiftedNormObjective for c in calls)
+        (_, _, _, swept), (_, _, _, polished), (objective, groups, starts, later) = calls
+        first = [unitary_opt.merge_reports(a, b) for a, b in zip(swept, polished)]
+        phases = np.exp(1j * directions(8))
+        assert np.array_equal(groups, np.repeat(np.arange(2 * 3 * 8), 2))
+        for i, est in enumerate(ests):
+            s = est.s_schedule
+            assert len(s) == 4 and est.g_schedules.shape == (8, 4)
+            g = est.g_schedules
+            assert np.array_equal(g[:, 0], [rep.value - s[0] for rep in first[8 * i:8 * i + 8]])
+            for t in range(1, 4):
+                for j in range(8):
+                    group = 24 * i + 8 * (t - 1) + j
+                    assert objective.z[2 * group] == objective.z[2 * group + 1]
+                    assert objective.z[2 * group] == (-s[t] * phases)[j]
+                    assert np.array_equal(starts[2 * group], first[8 * i + j].maximizer)
+                    assert np.array_equal(starts[2 * group + 1], warm[i][j])
+                    assert g[j, t] == later[group].value - s[t]
+            assert [rep.value for rep in est.reports] == [
+                rep.value for rep in later[24 * i + 16:24 * i + 24]
+            ]
+            assert np.array_equal(est.residuals, g[:, -2] - g[:, -1])
+
+    def test_rejects_tiny_grid(self):
+        with pytest.raises(ValueError, match="^banach_region needs at least 8 directions$"):
+            banach_region([KTupleOperator.identity(2)], 7, CFG)
 
     def test_orbit_side_has_no_residuals(self):
         est = orbit_region([KTupleOperator.identity(2)], M, CFG)[0]

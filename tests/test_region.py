@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,19 @@ def disks_region(disks, m: int):
 
 def disk_region(z: complex, r: float, m=8):
     return disks_region([(z, r)], m)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: hull_of_points([1.0, np.inf * 1j], 8), "point cloud has non-finite entries"),
+        (lambda: region_from_supports([1.0, 1.0, np.nan, 1.0]), "support samples must be finite"),
+    ],
+    ids=["point-cloud", "supports"],
+)
+def test_non_finite_inputs_are_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestRegionFromSupports:

@@ -49,6 +49,13 @@ class TestCheckResult:
             assert chk["passed"] == (chk["discrepancy"] <= chk["tolerance"])
 
 
+    def test_report_check_of_an_unknown_name_is_a_key_error(self):
+        rep = verify_mod.VerificationReport(label="x", checks=[CheckResult("a", 0.0, 1.0)])
+        assert rep.check("a").name == "a"
+        with pytest.raises(KeyError, match="^'b'$"):
+            rep.check("b")
+
+
 class TestVerifyInclusion:
     def test_identity_operator(self):
         rep = verify_inclusion(KTupleOperator.identity(2), n_samples=20, cfg=CFG)
