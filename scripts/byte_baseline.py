@@ -16,7 +16,8 @@ run on the same bytes.
 
 ``--compare A B`` lists every file that differs between two records and,
 for a JSON result, the largest fall and the largest rise of the supports of
-each region side (lhs, rhs, oracle, fov) and the largest witness-point
+each region side (lhs, rhs, oracle, fov), with the count of its supports
+that fell by more than MISS_REL (a miss), and the largest witness-point
 move, all relative to 1 + max|h|, the largest change of any check's
 discrepancy, and the checks whose ``passed`` flag changed.  Where they
 moved, it prints the largest fall and rise of the restart spreads (each
@@ -54,6 +55,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 from elemrange.elemop import KTupleOperator, random_instance  # noqa: E402
 from elemrange.io import write_instance  # noqa: E402
+
+# A support that falls by more than this, relative to 1 + max|h| of its
+# region, counts as a miss: the ascents' own stopping precision is about
+# 1e-9 (1 + max|h|) on the operator side.
+MISS_REL = 1e-9
 
 BLAS_ONE_THREAD = {
     "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
@@ -207,9 +213,10 @@ def _changes(a: dict, b: dict) -> tuple:
     two results.
 
     moves maps each region side present (lhs, rhs, oracle, fov) to
-    (fall, rise): the largest amount by which one of that side's supports
-    fell, and rose, from a to b over every instance, relative to
-    1 + max|h| of its region in a.  witness is the largest distance a
+    (fall, rise, misses): the largest amount by which one of that side's
+    supports fell, and rose, from a to b over every instance, relative to
+    1 + max|h| of its region in a, and how many fell by more than MISS_REL
+    of it.  witness is the largest distance a
     witness point moved, relative to 1 + max|h| over its instance's
     regions in a; discrepancy the largest change of any check's
     discrepancy; flipped the checks whose passed flag differs.  witness
@@ -228,8 +235,9 @@ def _changes(a: dict, b: dict) -> tuple:
             hb = np.array([h for _, h in ib["regions"][side]["support"]])
             top = max(top, float(np.max(np.abs(ha))))
             rel = (hb - ha) / (1.0 + float(np.max(np.abs(ha))))
-            fall, rise = moves.get(side, (0.0, 0.0))
-            moves[side] = (max(fall, float(np.max(-rel))), max(rise, float(np.max(rel))))
+            fall, rise, misses = moves.get(side, (0.0, 0.0, 0))
+            moves[side] = (max(fall, float(np.max(-rel))), max(rise, float(np.max(rel))),
+                           misses + int(np.sum(-rel > MISS_REL)))
         if "witnesses" in ia:
             moved = np.hypot(*(np.array(ia["witnesses"]) - np.array(ib["witnesses"])).T)
             witness.append(float(np.max(moved, initial=0.0)) / (1.0 + top))
@@ -299,8 +307,9 @@ def compare(a_dir: Path, b_dir: Path) -> int:
             continue
         moves, witness, discrepancy, flipped, spreads, iterations = _changes(ra, rb)
         line = f"{name}: differs"
-        for side, (fall, rise) in sorted(moves.items()):
-            line += f"; {side} supports fell {fall:.2e}, rose {rise:.2e} x (1 + max|h|)"
+        for side, (fall, rise, misses) in sorted(moves.items()):
+            line += (f"; {side} supports fell {fall:.2e}, rose {rise:.2e} x (1 + max|h|), "
+                     f"{misses} by more than {MISS_REL:.0e}")
         if witness is not None:
             line += f"; largest witness move {witness:.2e} x (1 + max|h|)"
         if discrepancy is not None:

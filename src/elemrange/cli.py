@@ -332,7 +332,7 @@ def _cmd_range(args) -> tuple[list, tuple]:
         rhs = orbit_region([r], args.directions, cfg)[0]
         _estimate_fragment(inst, "rhs", rhs)
     if args.side in ("lhs", "both"):
-        warm = [rhs.maximizers] if rhs is not None else None
+        warm = [rhs.reports] if rhs is not None else None
         lhs = banach_region(
             [r], args.directions, cfg, smax_factor=args.smax_factor, warm_starts=warm
         )[0]

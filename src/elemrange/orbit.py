@@ -23,6 +23,10 @@ too.  The whole grid is chain-polished once at the end.  The operator
 side's schedule of shifts is decided here alone, from the operator's scale.
 After its first-shift sweep, every later shift of every direction ascends
 from that direction's first-shift maximizer, all in one grouped ascent.
+Every start at a known maximizer (a predecessor, a neighbour, a warm start
+given as a report, a first-shift maximizer) is that maximizer's report, so
+its ascent begins with the inverse-Hessian estimate found there
+(unitary_opt.OptReport.estimate).
 
 Both regions take a list of operators on one M_n and return one estimate
 per operator.  Each phase runs one grouped ascent for all of them: the
@@ -44,6 +48,7 @@ from .elemop import KTupleOperator, _batch_dim, russo_dye_norm
 from .region import SupportRegion, cloud_supports, directions, region_from_supports
 from .unitary_opt import (
     OptConfig,
+    OptReport,
     OrbitSupportObjective,
     ShiftedNormObjective,
     _maximize_blocks,
@@ -182,13 +187,14 @@ def _chain_polish(reports, objective_cls, rs, params, cfg: OptConfig, every: int
 
     Direction j of every instance i, for every j that is a multiple of
     every, with parameter params[i][j], re-ascends from one start, the
-    maximizer of direction j - 1 on the circle (direction 0 from direction
-    m - 1), all in one batch; results merge in by max.  A direction's own
+    report of direction j - 1 on the circle (direction 0 from direction
+    m - 1), so from its maximizer with its estimate, all in one batch;
+    results merge in by max.  A direction's own
     maximizer and any warm point were already starts of the sweep, under
     the same objective, so they are not ascended again.
     """
     blocks = [
-        [(ps[j], [reps[j - 1].maximizer]) for j in range(0, len(ps), every)]
+        [(ps[j], [reps[j - 1]]) for j in range(0, len(ps), every)]
         for reps, ps in zip(reports, params)
     ]
     capped = replace(cfg, max_iterations=min(_CHAIN_BUDGET, cfg.max_iterations))
@@ -219,8 +225,9 @@ def _midpoint_starts(left, right, fresh: list) -> list:
     """The starts of a new midpoint of a doubled grid, from the reports of
     its two neighbours and the fresh starts a sweep of the whole grid gives
     it (I, the flip permutation, then the Haar starts): the neighbours'
-    maximizers, I and the flip, and the Haar starts too where either
-    neighbour's search found more than one maximum.
+    reports (their maximizers with their estimates), I and the flip, and
+    the Haar starts too where either neighbour's search found more than one
+    maximum.
 
     The neighbours are not enough.  For a derivation by normal matrices a
     neighbour's maximizer is an exact critical point of the midpoint's
@@ -235,7 +242,7 @@ def _midpoint_starts(left, right, fresh: list) -> list:
     several = any(
         rep.spread > SEVERAL_MAXIMA_REL * (1.0 + abs(rep.value)) for rep in (left, right)
     )
-    return [left.maximizer, right.maximizer, *(fresh if several else fresh[:2])]
+    return [left, right, *(fresh if several else fresh[:2])]
 
 
 def _doubled(reports, rs, thetas: np.ndarray, step: int, cfg: OptConfig):
@@ -328,7 +335,7 @@ def _check_per_operator(rs, m: int, scales, warm_starts) -> None:
                 f"{name} needs one entry per operator: got {len(given)} for {len(rs)}"
             )
     for i, (r, ws) in enumerate(zip(rs, warm_starts or ())):
-        shapes = sorted({np.shape(u) for u in ws})
+        shapes = sorted({np.shape(u.maximizer if isinstance(u, OptReport) else u) for u in ws})
         if len(ws) != m or shapes != [(r.n, r.n)]:
             name = repr(r.label) if r.label else f"operator {i}"
             raise ValueError(f"warm_starts of {name} need {m} {r.n}x{r.n} matrices, one per "
@@ -350,20 +357,22 @@ def banach_region(
     smax_factor)``, with scales[i] defaulting to ``russo_dye_norm`` of it
     plus 1.  Every direction runs the whole schedule, so every g ends on
     the same two shifts.  warm_starts, when given, holds one list per
-    operator of one unitary per direction (for example the orbit side's
-    maximizers), added to every schedule optimization of that direction;
-    scales and warm_starts that do not fit are a ValueError before any
-    work.  This is an outer approximation of the operator's numerical
-    range whenever the per-direction norm optimizations reach their
-    suprema; undershoot is reported through residuals and restart spreads.
+    operator of one start per direction, a unitary or a report (for
+    example the orbit side's, which brings its estimate along), added to
+    every schedule optimization of that direction; scales and warm_starts
+    that do not fit are a ValueError before any work.  This is an outer
+    approximation of the operator's numerical range whenever the
+    per-direction norm optimizations reach their suprema; undershoot is
+    reported through residuals and restart spreads.
 
     The operators act on one M_n.  The first shift is one grouped sweep of
     all of them.  Every later shift s_1 ... s_{S-1} of every direction of
     every operator is then one block of a single grouped ascent, shift-major
     within each operator, with parameter -s_t e^{i theta_j} and two starts:
-    direction j's first-shift maximizer and its warm start.  Each estimate's
-    g_schedules is the (m, S) array g[:, t] = value - s_t, its region is that
-    of g[:, -1] and its reports those of the last shift, whose restart spread
+    direction j's first-shift report, so its maximizer with its estimate,
+    and its warm start.  Each estimate's g_schedules is the (m, S) array
+    g[:, t] = value - s_t, its region is that of g[:, -1] and its reports
+    those of the last shift, whose restart spread
     compares the ascent from the first-shift maximizer with the one from the
     warm start.  Each estimate is the one its operator gets alone.
     """
@@ -389,10 +398,10 @@ def banach_region(
         _sweep_starts(rs[0].n, m, cfg, _STREAM_BANACH), warm,
     )
     # Every later shift of every direction of every operator, shift-major,
-    # re-ascends from that direction's first-shift maximizer and its warm
+    # re-ascends from that direction's first-shift report and its warm
     # start, all in one grouped ascent.
     blocks = [
-        [(z, [rep.maximizer, *x]) for s in sched[1:] for rep, x, z in zip(reps, ws, -s * phases)]
+        [(z, [rep, *x]) for s in sched[1:] for rep, x, z in zip(reps, ws, -s * phases)]
         for reps, ws, sched in zip(first, warm, schedules)
     ]
     later = _maximize_blocks(ShiftedNormObjective, rs, blocks, cfg)

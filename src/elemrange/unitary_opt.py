@@ -4,11 +4,12 @@ Both computations this package runs — operator norms over unitaries and
 directional suprema of unitary-orbit fields of values — are nonconvex
 maximizations of the form max f(u), u in U(n).  The engine below runs all
 starts as one batched ascent: the Euclidean gradient E of f is projected
-to the left-trivialized direction K = skew(u*E), and each step is L-BFGS
+to the left-trivialized direction K = skew(u*E), and each step is BFGS
 in the Lie algebra.  Vector transport is then the identity (Huang,
-Gallivan & Absil, SIAM J. Optim. 2015), so every start keeps its last
-_MEMORY pairs (s, y) as skew matrices and the two-loop recursion maps K
-to a direction D under the inner product Re tr(X*Y).  The retraction is
+Gallivan & Absil, SIAM J. Optim. 2015), so every start keeps one dense
+estimate H of the inverse Hessian, an n^2 x n^2 matrix in coordinates of
+an orthonormal basis of the skew-Hermitian matrices under the inner
+product Re tr(X*Y), and takes the direction D = H K.  The retraction is
 the Cayley map u <- u (I - tD/2)^-1 (I + tD/2), which keeps u unitary at
 the cost of one small solve per trial (Wen & Yin, Math. Program. 2013),
 and t is chosen by Armijo backtracking from t = 1, capped at
@@ -16,19 +17,24 @@ t |D|_F <= pi; a start whose D is not an ascent direction steps along K
 instead.  A start stalls when the _MAX_BACKTRACKS trials of one step all
 fail; they count from the capped t, so that rule does not read the
 operator's scale.  Every stopping rule reads its own start's state alone.
-A start stores its pair when its step is accepted, with K at its new
-point, as in textbook L-BFGS.  The first trial of each
-step is evaluated with its gradient, so a start accepted there costs one
-decomposition per step; later trials are value-only, and the starts
-accepted at one of them take their gradient in one call after the search.
-The recursion's initial inverse Hessian is gamma I, with gamma =
-_INITIAL_STEP until a start stores its first pair, so a start with no pair
-yet takes D = _INITIAL_STEP K through the same path.
+When a start's step is accepted, H takes the BFGS update of the pair
+(s, y) of the step and the change of K along it, and the start keeps K at
+its new point.  The first trial of each step is evaluated with its
+gradient, so a start accepted there costs one decomposition per step;
+later trials are value-only, and the starts accepted at one of them take
+their gradient in one call after the search.  A start begins with no
+curvature: its step is _INITIAL_STEP K, and its first pair sets H to
+<s, y>/<y, y> I before the update.  A start whose H K the cap shortens
+begins so again, since its H is then far off the scale of f.  A start
+may instead be an earlier report (OptReport): it then begins at that
+report's maximizer with the estimate of the start that won there, so an
+ascent from a known maximizer reuses the curvature found at it.
 Objectives may carry per-element parameters (direction angles, shifts) so
 a whole sweep of related subproblems runs as one batch; the grouped
 driver then aggregates per subproblem.  Every start first ascends to a
 coarse gradient tolerance; only the two best starts of each subproblem
-then ascend to full precision, since the aggregate is their maximum.
+then ascend to full precision, since the aggregate is their maximum, and
+they keep their estimates from one pass into the next.
 Each start has one iteration budget over both passes.
 Values found are always certified lower bounds on the supremum; restart
 agreement is the (empirical) quality signal, and the restart spread
@@ -38,11 +44,14 @@ One batch may also hold the sweeps of several instances (operators).
 The objectives then apply each instance's operator to its own rows, one
 GEMM per instance, and no start's budget reads another start;
 _maximize_blocks lays out every such batch from per-instance lists of
-start blocks.  The rows are split once into slabs of whole instances of
-at most _SLAB_ENTRIES matrix entries (or of one instance), and each slab
-runs all its iterations, with an L-BFGS history of its own, before the
-next one starts; that bounds a batch's peak memory.  Every per-row kernel
-and every inner product is independent of the rows beside it, so an
+start blocks.  The rows are split into slabs of whole instances of at
+most _SLAB_ENTRIES entries (_row_entries per row), or of one instance,
+and each slab runs its coarse pass, with estimates of its own, before the
+next one starts.  Only its polished starts keep their estimates, and they
+take their fine pass before the next slab starts unless they and it fit
+in one slab together; only each subproblem's best start keeps an
+estimate for the report.  That bounds a batch's peak memory.  Every per-row kernel and
+every inner product is independent of the rows beside it, so an
 instance's reports are bit-identical whether it runs alone or in a batch,
 whatever the slabs.
 """
@@ -63,15 +72,13 @@ _GRADIENT_TOL = 1e-8
 _COARSE_TOL = 1e-3
 _POLISHED = 2
 
-# L-BFGS: pairs kept per row; a pair is skipped unless <s, y> exceeds
-# _CURVATURE |s||y|, and a direction D falls back to K unless <K, D> exceeds
-# _ASCENT |K||D|.
-_MEMORY = 4
+# BFGS: a pair is skipped unless <s, y> exceeds _CURVATURE |s||y|, and a
+# direction D falls back to K unless <K, D> exceeds _ASCENT |K||D|.
 _CURVATURE = 1e-12
 _ASCENT = 1e-10
 
-# The initial gamma of the L-BFGS scaling gamma I, which makes the first
-# step of a row with no stored pair _INITIAL_STEP K; then the Armijo line
+# The initial estimate _INITIAL_STEP I, which makes the first step of a
+# row with no curvature _INITIAL_STEP K; then the Armijo line
 # search: backtracking factor, sufficient-increase constant, and most trials
 # per step, after which a row stalls.
 _INITIAL_STEP = 0.5
@@ -79,8 +86,8 @@ _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
 
-# Cap on a slab, rows * n^2 matrix entries: the row-sized temporaries of one
-# step and the slab's L-BFGS history, not its arithmetic, set a batch's peak
+# Cap on a slab, rows * _row_entries(n): the row-sized temporaries of one
+# step and the slab's estimates, not its arithmetic, set a batch's peak
 # memory (see CHANGES.md).
 _SLAB_ENTRIES = 6_144
 
@@ -94,7 +101,7 @@ class OptConfig:
     caps the steps of any one start over both passes; a step is one
     iteration however many trials its line search takes.  seed seeds
     the Haar starts and every sampled check.  The gradient tolerances, the
-    L-BFGS memory and the Armijo line-search constants are fixed module
+    initial step and the Armijo line-search constants are fixed module
     constants.
     """
 
@@ -113,13 +120,20 @@ class OptConfig:
 
 @dataclass
 class OptReport:
-    """Outcome of one multistart ascent."""
+    """Outcome of one multistart ascent.
+
+    estimate is the inverse-Hessian estimate of the start that reached the
+    maximizer, an n^2 x n^2 matrix in the coordinates of _frame, or None
+    where that start held no curvature or the report no longer needs it
+    (verify._kept); an ascent started from the report begins with it.
+    """
 
     value: float
     maximizer: np.ndarray
     iterations: int  # most steps taken by any one start
     converged: bool
     start_values: np.ndarray
+    estimate: np.ndarray | None = None
 
     @property
     def spread(self) -> float:
@@ -252,75 +266,151 @@ def _dot(x, y) -> np.ndarray:
     )
 
 
-class _History:
-    """The L-BFGS memory of one slab's rows, indexed by position in the slab.
+def _frame(n: int):
+    """Where the n^2 coordinates of a skew-Hermitian n x n matrix X, in the
+    orthonormal basis of u(n) under Re tr(X*Y), sit in the real view of X
+    (row-major, real part first): for each i, Im X_ii, then sqrt(2) Re X_ij
+    and sqrt(2) Im X_ij for each j > i.  Returns those positions and the
+    weights 1 and sqrt(2)."""
+    pick, weight = [], []
+    for i in range(n):
+        pick.append(2 * i * (n + 1) + 1)
+        weight.append(1.0)
+        for j in range(i + 1, n):
+            pick += [2 * (i * n + j), 2 * (i * n + j) + 1]
+            weight += [np.sqrt(2.0)] * 2
+    return np.array(pick), np.array(weight)
 
-    Each row keeps its last _MEMORY pairs (s, y) in a ring whose newest slot
-    is head; slot j of row i is entry [j, i] of s, y and rho.  A slot with
-    no pair holds zeros and rho = 0, which the two-loop recursion passes
-    through unchanged, so a row with none gets gamma K; gamma starts at
-    _INITIAL_STEP.  k is K at each row's current point, and a row's pair is
-    stored when its step is accepted, together with K at its new point.
+
+def _row_entries(n: int) -> int:
+    """What one row counts against _SLAB_ENTRIES: its n^2 matrix entries,
+    or n^4/16 where its estimate of n^4 reals outgrows the 16 n^2 reals per
+    row that the cap was sized for (n > 4)."""
+    return max(n * n, n**4 // 16)
+
+
+class _History:
+    """The BFGS state of one slab's rows, indexed by position in the slab.
+
+    h[i] is row i's estimate of the inverse Hessian of -f, a symmetric
+    n^2 x n^2 matrix in the coordinates of _frame, where paired[i] says
+    that it holds curvature.  A row starts from its seed, an earlier
+    report's estimate, or else unpaired: its direction is then exactly
+    _INITIAL_STEP K, and its first stored pair (s, y) sets h[i] to
+    <s, y>/<y, y> I before the update.  k is K at each row's current
+    point, and a row's pair is stored at the end of the step that moved
+    it, together with K at its new point.
     """
 
-    def __init__(self, rows: int, n: int):
-        self.s = np.zeros((_MEMORY, rows, n, n), dtype=complex)
-        self.y = np.zeros_like(self.s)
-        self.rho = np.zeros((_MEMORY, rows))
-        self.head = np.zeros(rows, dtype=int)
-        self.gamma = np.full(rows, _INITIAL_STEP)
+    def __init__(self, rows: int, n: int, seeds=None):
+        self.pick, self.weight = _frame(n)
+        self.h = np.zeros((rows, n * n, n * n))
+        seeds = seeds or [None] * rows
+        self.paired = np.array([seed is not None for seed in seeds], dtype=bool)
+        for i in np.flatnonzero(self.paired):
+            self.h[i] = seeds[i]
         self.k = np.zeros((rows, n, n), dtype=complex)
+
+    def _coords(self, x) -> np.ndarray:
+        """The coordinates of a C-contiguous (B, n, n) skew stack."""
+        return x.reshape(len(x), -1).view(float).take(self.pick, axis=1) * self.weight
+
+    def _block(self, rows, *coords):
+        """A block of estimates that holds the given rows, their positions
+        in it, and each given stack of their coordinates laid out on it,
+        with zeros on the block's other rows.
+
+        Where the rows fill at least half of their span lo..hi-1, the block
+        is that span, a view of h, so the kernels below run on it without a
+        copy; elsewhere it is a copy of the rows' estimates alone, which
+        the caller writes back if it changes them.
+        """
+        lo, hi = rows.min(), rows.max() + 1
+        if 2 * rows.size >= hi - lo:
+            block, at = self.h[lo:hi], rows - lo
+        else:
+            block, at = self.h[rows], np.arange(rows.size)
+        out = []
+        for c in coords:
+            full = np.zeros((len(block), *c.shape[1:]))
+            full[at] = c
+            out.append(full)
+        return block, at, out
 
     def store(self, loc, s, k_old, k_new) -> None:
         """The rows loc moved by the step s from where K was k_old to where
-        it is k_new: keep k_new and store the pair.
+        it is k_new: keep k_new and update each row's estimate by the BFGS
+        formula with the pair (s, y).
 
         s is the step in the Lie algebra and y = k_old - k_new the gradient
-        change of -f; a pair without positive curvature is skipped.
+        change of -f; a pair without positive curvature is skipped, and
+        leaves the estimate as it was.  The update runs on a block of
+        estimates (_block), where every other row gets s = y = 0 and so an
+        update of exactly 0.
         """
         self.k[loc] = k_new
         y = k_old - k_new
         sy = _dot(s, y)
         yy = _dot(y, y)
         keep = sy > _CURVATURE * np.sqrt(_dot(s, s)) * np.sqrt(yy)
-        rows = loc[keep]
-        self.head[rows] = (self.head[rows] + 1) % _MEMORY
-        slot = self.head[rows], rows
-        self.s[slot] = s[keep]
-        self.y[slot] = y[keep]
-        self.rho[slot] = 1.0 / sy[keep]
-        self.gamma[rows] = sy[keep] / yy[keep]
+        if not keep.any():
+            return
+        rows, sy, yy = loc[keep], sy[keep], yy[keep]
+        fresh = ~self.paired[rows]
+        if fresh.any():
+            at, diag = rows[fresh], np.arange(self.h.shape[-1])
+            self.h[at] = 0.0
+            self.h[at[:, None], diag, diag] = (sy / yy)[fresh, None]
+            self.paired[at] = True
+        h, _, (s, y, rho) = self._block(
+            rows, self._coords(s)[keep], self._coords(y)[keep], 1.0 / sy
+        )
+        # H + s w^T + w s^T is (I - rho s y^T) H (I - rho y s^T) + rho s s^T,
+        # added in chunks of 2 B / n^2 rows, so that its temporary is no
+        # larger than one (B, n, n) stack of the step.
+        hy = np.einsum("bij,bj->bi", h, y)
+        w = (0.5 * rho * (1.0 + rho * np.einsum("bi,bi->b", y, hy)))[:, None] * s
+        w -= rho[:, None] * hy
+        u, v = np.stack((s, w), axis=2), np.stack((w, s), axis=1)
+        chunk = max(1, 2 * len(h) // h.shape[-1])
+        for lo in range(0, len(h), chunk):
+            h[lo:lo + chunk] += np.matmul(u[lo:lo + chunk], v[lo:lo + chunk])
+        if h.base is not self.h:  # a copy (_block)
+            self.h[rows] = h
 
     def direction(self, loc, k) -> np.ndarray:
-        """The two-loop recursion: the inverse-BFGS image of k at rows loc."""
-        slot = (self.head[loc] - np.arange(_MEMORY)[:, None]) % _MEMORY, loc
-        s, y, rho = self.s[slot], self.y[slot], self.rho[slot]
-        q = k.copy()
-        alpha = np.empty_like(rho)
-        for j in range(_MEMORY):
-            alpha[j] = rho[j] * _dot(s[j], q)
-            q -= alpha[j][:, None, None] * y[j]
-        q *= self.gamma[loc][:, None, None]
-        for j in reversed(range(_MEMORY)):
-            beta = rho[j] * _dot(y[j], q)
-            q += (alpha[j] - beta)[:, None, None] * s[j]
-        return q
+        """H K at the rows loc, as skew matrices."""
+        d = _INITIAL_STEP * k
+        on = self.paired[loc]
+        if on.any():
+            h, at, (c,) = self._block(loc[on], self._coords(k[on]))
+            c = np.einsum("bij,bj->bi", h, c)[at]
+            # The upper triangle T of D with half of D's diagonal holds the
+            # coordinates times weight / 2, and D = T - T*.
+            t = np.zeros_like(d[on])
+            t.reshape(len(t), -1).view(float)[:, self.pick] = c * (0.5 * self.weight)
+            d[on] = t - np.conj(np.swapaxes(t, 1, 2))
+        return d
 
 
 class _Ascent:
     """Shared batched ascent state over a fixed set of start points, of
-    which instance i owns those from objective.offsets[i] on.
+    which instance i owns those from objective.offsets[i] on, and row i
+    belongs to group groups[i].
 
-    Each step is L-BFGS on the left-trivialized directions K = skew(u*E):
-    vector transport is then the identity, so the pairs (s, y) live in the
-    Lie algebra and the two-loop recursion runs on K with the inner product
-    Re tr(X*Y).  Rows with no stored pair ascend along gamma K.
+    Each step is BFGS on the left-trivialized directions K = skew(u*E):
+    vector transport is then the identity, so each row's estimate lives in
+    the Lie algebra and maps K to its direction.  estimates[i] is the
+    estimate row i starts its next run from (None: _INITIAL_STEP I).
     """
 
-    def __init__(self, objective, u: np.ndarray):
+    def __init__(self, objective, u: np.ndarray, groups: np.ndarray, estimates: list):
         self.objective = objective
         self.u = u
         self.nb = u.shape[0]
+        self.groups = groups
+        self.estimates = estimates
+        self.cap = _SLAB_ENTRIES // _row_entries(u.shape[-1])  # rows of a slab
         offsets = objective.offsets
         self.owner = np.searchsorted(offsets, np.arange(self.nb), side="right") - 1
         self.fval = np.full(self.nb, np.nan)  # every row steps in the first run
@@ -328,21 +418,35 @@ class _Ascent:
         self.converged = np.zeros(self.nb, dtype=bool)
         self.iterations = np.zeros(self.nb, dtype=int)
 
-    def run(self, active: np.ndarray, gtol: float, max_iterations: int) -> None:
+    def slabs(self, rows: np.ndarray) -> list:
+        """The sorted rows split into slabs of whole instances of at most
+        self.cap rows, or of one instance."""
+        return _slabs(np.sort(rows), self.owner, self.cap)
+
+    def best(self, rows: np.ndarray, keep: int) -> np.ndarray:
+        """The keep rows of highest value of each group among rows, ties
+        going to the earlier row (rows sorted)."""
+        by_value = rows[np.lexsort((-self.fval[rows], self.groups[rows]))]
+        ranked = self.groups[by_value]
+        return by_value[np.arange(rows.size) - np.searchsorted(ranked, ranked) < keep]
+
+    def run(self, active: np.ndarray, gtol: float, max_iterations: int, keep: int) -> None:
         """Ascend the given elements until gradient tolerance or budget.
 
         Each element steps until it has taken max_iterations steps over
         every run so far, so its budget reads its own count alone.  The
-        elements run in slabs of whole instances, one slab after another,
-        each with an L-BFGS history of its own that is freed after it.
+        elements run in slabs, one after another, each with a BFGS history
+        of its own, seeded from self.estimates.  After a slab's last step,
+        the best keep rows of each of its groups (best) store their
+        estimates in self.estimates, for a later run or a report, the
+        other rows drop theirs, and the history is freed.
         """
-        active = np.sort(active)
         done = self.done
         done[active] = False
         self.converged[active] = False
-        cap = _SLAB_ENTRIES // self.u[0].size
-        for slab in _slabs(active, self.owner, cap):
-            history = _History(slab.size, self.u.shape[-1])
+        n = self.u.shape[-1]
+        for slab in self.slabs(active):
+            history = _History(slab.size, n, [self.estimates[i] for i in slab])
             own = max_iterations - self.iterations[slab]
             for it in range(int(own.max(initial=0))):
                 loc = np.flatnonzero(~done[slab] & (own > it))
@@ -352,6 +456,11 @@ class _Ascent:
                     self.fval[slab[loc]], history.k[loc] = self._gradient(slab[loc])
                 self.iterations[slab[loc]] += 1
                 self._step(slab[loc], loc, gtol, history)
+            for i in slab:
+                self.estimates[i] = None
+            top = self.best(slab, keep)
+            for i, at in zip(top, np.searchsorted(slab, top)):
+                self.estimates[i] = history.h[at].copy() if history.paired[at] else None
             del history  # freed before the next slab allocates its own
 
     # _gradient and _step are methods of their own so that their row-sized
@@ -365,14 +474,15 @@ class _Ascent:
         return fa, tangent_project(ua, ea)
 
     def _step(self, idx, loc, gtol: float, history: _History) -> None:
-        """One L-BFGS direction and Armijo line search for the rows idx, at
+        """One BFGS direction and Armijo line search for the rows idx, at
         positions loc of the slab that owns history, from K = history.k.
 
         The first trial is evaluated with its gradient, so a row accepted
-        there stores its pair at once.  Later trials are evaluated with the
+        there has its new K at once.  Later trials are evaluated with the
         value alone; the rows accepted at one of them take their gradient in
-        one call after the search, and then store their pair.  A row whose
-        _MAX_BACKTRACKS trials all fail stalls: it stops for good.
+        one call after the search.  Every row that moved then stores its
+        pair, in one call.  A row whose _MAX_BACKTRACKS trials all fail
+        stalls: it stops for good.
         """
         u, fval, done = self.u, self.fval, self.done
         k = history.k[loc]
@@ -383,8 +493,8 @@ class _Ascent:
         if hit.all():
             return
         idx, loc, k, gn2 = idx[~hit], loc[~hit], k[~hit], gn2[~hit]
-        # Every row takes the two-loop direction D (gamma K for a row with no
-        # stored pair) with a first trial of t = 1, unless D is not an ascent
+        # Every row takes its direction D = H K (_INITIAL_STEP K for a row
+        # with no curvature) with a first trial of t = 1, unless D is not an ascent
         # direction, when it falls back to D = K.  The test multiplies the
         # two norms: the product of their squares overflows once K exceeds
         # about 1e77.
@@ -396,13 +506,19 @@ class _Ascent:
         h = _batched.skew_exp_factors(d)
         # Cap the step at t |D|_F <= pi, which bounds every angle of the
         # Cayley factor below 2 atan(pi/2) and keeps tD of order one at any
-        # scale of the operator.
+        # scale of the operator.  A row whose D the cap shortens holds an
+        # estimate far off the scale of f, which its later pairs would only
+        # slowly correct: its pair of this step sets it anew.
         t = np.minimum(1.0, np.pi / (np.sqrt(dd) + 1e-300))
+        history.paired[loc[t < 1.0]] = False
         # at holds the positions in idx of the rows still backtracking, which
         # have not moved, so u holds their start; d[at] is scaled by t on
-        # acceptance, so that it holds the accepted step.
+        # acceptance, so that it holds the accepted step, and k_new[at]
+        # then takes K at the new point.
         at = np.arange(idx.size)
+        moved = np.zeros(idx.size, dtype=bool)
         late = np.zeros(idx.size, dtype=bool)
+        k_new = np.empty_like(k)
         for j in range(_MAX_BACKTRACKS):
             rows = idx[at]
             trial = _batched.apply_skew_exp(u[rows], h, t)
@@ -417,8 +533,9 @@ class _Ascent:
                 u[rows[ok]] = trial[ok]
                 fval[rows[ok]] = ft[ok]
                 d[acc] *= t[ok][:, None, None]
+                moved[acc] = True
                 if j == 0:
-                    history.store(loc[acc], d[acc], k[acc], tangent_project(trial[ok], e[ok]))
+                    k_new[acc] = tangent_project(trial[ok], e[ok])
                 else:
                     late[acc] = True
             if j == 0:
@@ -430,14 +547,16 @@ class _Ascent:
         done[idx[at]] = True  # backtracking budget exhausted: stall
         late = np.flatnonzero(late)
         if late.size:
-            fval[idx[late]], k_late = self._gradient(idx[late])
-            history.store(loc[late], d[late], k[late], k_late)
+            fval[idx[late]], k_new[late] = self._gradient(idx[late])
+        moved = np.flatnonzero(moved)
+        if moved.size:
+            history.store(loc[moved], d[moved], k[moved], k_new[moved])
 
 
 def maximize_grouped(
     objective,
     groups: np.ndarray,
-    starts: np.ndarray,
+    starts,
     cfg: OptConfig,
     coarse_first: bool = True,
 ) -> list[OptReport]:
@@ -447,14 +566,15 @@ def maximize_grouped(
     per-element parameters must agree within a group); the return value is
     one report per group, aggregated by maximum.  Equivalent to independent
     per-group multistarts, but the whole family shares each batched kernel
-    call.  starts, a stack or a sequence of unitaries, is copied, never
-    ascended in place.
+    call.  starts is a stack or a sequence of unitaries and of reports; a
+    report starts at its maximizer with its estimate.  They are copied,
+    never ascended in place.
 
     With coarse_first, every start ascends to _COARSE_TOL, and then only
     the _POLISHED best of each group, ties going to the earlier row,
-    ascend on to _GRADIENT_TOL; the reports' start_values hold the coarse
-    values of the others.  Without it, every start ascends to
-    _GRADIENT_TOL at once.
+    ascend on to _GRADIENT_TOL with the estimates of their coarse pass;
+    the reports' start_values hold the coarse values of the others.
+    Without it, every start ascends to _GRADIENT_TOL at once.
 
     Each start takes at most cfg.max_iterations steps over both passes, so
     a polished start's fine pass gets what its own coarse pass left.  The
@@ -466,20 +586,31 @@ def maximize_grouped(
     """
     groups = np.asarray(groups)
     ngroups = int(groups.max()) + 1
-    state = _Ascent(objective, np.array(starts, dtype=complex))
+    state = _Ascent(
+        objective,
+        np.array([s.maximizer if isinstance(s, OptReport) else s for s in starts], dtype=complex),
+        groups,
+        [s.estimate if isinstance(s, OptReport) else None for s in starts],
+    )
 
     # The aggregate is a max, so only the best start's final value matters:
     # rank each group's starts by coarse value (the sort is stable, so ties
-    # keep row order) and polish the top.
+    # keep row order) and polish the top, from the estimates they kept.
+    # The polished starts of consecutive slabs wait for their fine pass
+    # while they and the next slab fit in one slab together, so that no
+    # more estimates are held at once than one slab holds.
     if coarse_first:
-        state.run(np.arange(state.nb), _COARSE_TOL, cfg.max_iterations)
-        by_value = np.lexsort((-state.fval, groups))
-        ranked = groups[by_value]
-        rank = np.arange(state.nb) - np.searchsorted(ranked, ranked)
-        state.run(by_value[rank < _POLISHED], _GRADIENT_TOL, cfg.max_iterations)
+        slabs, waiting = state.slabs(np.arange(state.nb)), []
+        for i, slab in enumerate(slabs):
+            state.run(slab, _COARSE_TOL, cfg.max_iterations, _POLISHED)
+            waiting.extend(state.best(slab, _POLISHED))
+            if i + 1 == len(slabs) or len(waiting) + slabs[i + 1].size > state.cap:
+                state.run(np.array(waiting), _GRADIENT_TOL, cfg.max_iterations, 1)
+                waiting = []
     else:
-        state.run(np.arange(state.nb), _GRADIENT_TOL, cfg.max_iterations)
+        state.run(np.arange(state.nb), _GRADIENT_TOL, cfg.max_iterations, 1)
 
+    # Each group's best row is one of its final rows, and kept its estimate.
     order = np.argsort(groups, kind="stable")
     cuts = np.searchsorted(groups[order], np.arange(ngroups + 1))
     reports = []
@@ -494,6 +625,7 @@ def maximize_grouped(
                 iterations=int(np.max(state.iterations[idx])),
                 converged=bool(state.converged[best]),
                 start_values=vals.copy(),
+                estimate=state.estimates[best],
             )
         )
     return reports
@@ -505,7 +637,8 @@ def _maximize_blocks(objective_cls, rs, blocks, cfg: OptConfig):
 
     rs holds the operators (anything with stacks a and b) of the instances,
     and blocks[i][j] = (p, starts) is group j of instance i: the parameter
-    of its subproblem (an angle, a shift) and its start list.  Groups are
+    of its subproblem (an angle, a shift) and its start list, of unitaries
+    and reports (maximize_grouped).  Groups are
     numbered over the instances in order, instance i's rows start at
     offsets[i] (an instance with no groups repeats the next offset), and
     the objective is objective_cls(tuples, p per row, offsets).  The coarse
@@ -538,5 +671,6 @@ def merge_reports(incumbent: OptReport, challenger: OptReport) -> OptReport:
         start_values=np.concatenate(
             [incumbent.start_values, challenger.start_values]
         ),
+        estimate=winner.estimate,
     )
 

@@ -10,7 +10,7 @@ polished values with coarse ones.  Pass flags are pure functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .elemop import KTupleOperator, random_instance, russo_dye_norm
 from .fov import field_of_values
 from .linalg import haar_unitaries
 from .orbit import DEFAULT_SMAX_FACTOR, default_s_schedule
-from .orbit import _orbit_matrices, banach_region, check_smax_factor, orbit_region
+from .orbit import RangeEstimate, _orbit_matrices, banach_region, check_smax_factor, orbit_region
 from .region import cloud_supports, directions, hausdorff, minkowski_sum, negate
 from .unitary_opt import OptConfig, OrbitSupportObjective, ShiftedNormObjective
 
@@ -97,6 +97,12 @@ def _rollup(estimates: dict) -> dict:
         )
         out[f"{side}_iterations_max"] = int(max(r.iterations for r in reports))
     return out
+
+
+def _kept(est: RangeEstimate) -> RangeEstimate:
+    """est as a report keeps it: its reports without their estimates
+    (OptReport.estimate), which only an ascent started from them reads."""
+    return replace(est, reports=[replace(rep, estimate=None) for rep in est.reports])
 
 
 def _require_even(m: int) -> None:
@@ -214,7 +220,7 @@ def verify_main(
     rhs = orbit_region(rs, m, cfg)
     lhs = banach_region(
         rs, m, cfg, scales=scales, smax_factor=smax_factor,
-        warm_starts=[est.maximizers for est in rhs],
+        warm_starts=[est.reports for est in rhs],
     )
     return [
         _main_report(*parts, m, tol) for parts in zip(rs, norms, scales, lhs, rhs)
@@ -242,7 +248,7 @@ def _main_report(r, nrm, scale, lhs, rhs, m, tol) -> VerificationReport:
         "ray_residual_max": residual,
         **_rollup({"lhs": lhs, "rhs": rhs}),
     }
-    rep.artifacts = {"lhs": lhs, "rhs": rhs}
+    rep.artifacts = {"lhs": _kept(lhs), "rhs": _kept(rhs)}
     return rep
 
 
@@ -274,7 +280,7 @@ def verify_derivation(
         rep = VerificationReport(label=r.label or "derivation")
         rep.checks.append(CheckResult("derivation_difference", disc, tol_rel * diam))
         rep.diagnostics = {"oracle_diameter": diam, **_rollup({"rhs": est})}
-        rep.artifacts = {"rhs": est, "oracle": oracle}
+        rep.artifacts = {"rhs": _kept(est), "oracle": oracle}
         reports.append(rep)
     return reports
 
@@ -353,5 +359,5 @@ def _hermitian_report(r, est, cfg) -> VerificationReport:
         "sampled_asymmetry": asym,
         **_rollup({"rhs": est}),
     }
-    rep.artifacts = {"rhs": est}
+    rep.artifacts = {"rhs": _kept(est)}
     return rep

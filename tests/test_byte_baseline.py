@@ -40,7 +40,7 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
     line, summary = capsys.readouterr().out.splitlines()
     assert line == (
         "runs/fov-r2/stdout: differs; fov supports fell 0.00e+00, rose "
-        f"{1e-3 / (1 + top):.2e} x (1 + max|h|)"
+        f"{1e-3 / (1 + top):.2e} x (1 + max|h|), 0 by more than 1e-09"
     )
     assert summary == f"1 file(s) differ, {files - 1} identical"
 
@@ -56,7 +56,7 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
     result.write_text(json.dumps(doc))
     assert bb.main(["--compare", str(a), str(b)]) == 1
     derivation, line, summary = capsys.readouterr().out.splitlines()
-    unmoved = "supports fell 0.00e+00, rose 0.00e+00 x (1 + max|h|)"
+    unmoved = "supports fell 0.00e+00, rose 0.00e+00 x (1 + max|h|), 0 by more than 1e-09"
     assert derivation == (
         f"runs/derivation-default/stdout: differs; oracle {unmoved}; rhs {unmoved}"
         f"; largest witness move {5e-4 / (1 + top):.2e} x (1 + max|h|)"
@@ -77,8 +77,28 @@ def test_compare_names_a_moved_support(tmp_path, capsys):
     fall = max(2e-4 / tops[0, "rhs"], 1e-4 / tops[1, "rhs"])
     assert derivation.startswith(
         f"runs/derivation-default/stdout: differs; oracle supports fell 0.00e+00, rose "
-        f"{3e-5 / tops[1, 'oracle']:.2e} x (1 + max|h|); rhs supports fell {fall:.2e}, "
-        "rose 0.00e+00 x (1 + max|h|); largest witness move"
+        f"{3e-5 / tops[1, 'oracle']:.2e} x (1 + max|h|), 0 by more than 1e-09; rhs supports "
+        f"fell {fall:.2e}, rose 0.00e+00 x (1 + max|h|), 2 by more than 1e-09"
+        "; largest witness move"
+    )
+
+    # The misses count every support of a side that fell by more than
+    # 1e-9 (1 + max|h|), over the instances: here two of three falls, one
+    # just above the threshold and one far above it; the third, just
+    # below, and every rise count for nothing.
+    shutil.copy(a / "runs" / "derivation-default" / "stdout", result)
+    doc = json.loads(result.read_text())
+    for i, j, delta in [(0, 1, -1.5e-9), (0, 6, -0.5e-9), (1, 3, -7e-3), (1, 4, 5e-3)]:
+        region = doc["instances"][i]["regions"]["rhs"]
+        top = 1 + max(abs(h) for _, h in region["support"])
+        region["support"][j][1] += delta * top
+    result.write_text(json.dumps(doc))
+    assert bb.main(["--compare", str(a), str(b)]) == 1
+    derivation = capsys.readouterr().out.splitlines()[0]
+    assert derivation == (
+        f"runs/derivation-default/stdout: differs; oracle {unmoved}; rhs supports fell "
+        "7.00e-03, rose 5.00e-03 x (1 + max|h|), 2 by more than 1e-09"
+        "; largest witness move 0.00e+00 x (1 + max|h|); largest discrepancy change 0.00e+00"
     )
 
     # Moved restart spreads (a direction's and a side's maximum) and a moved

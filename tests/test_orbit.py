@@ -333,8 +333,8 @@ class TestBanachRegion:
         # of the shifted norm: the first-shift sweep, its chained polish and
         # one continuation of every later shift.  Operator i's continuation
         # blocks are shift-major, block (t, j) with parameter
-        # -s_t e^{i theta_j} and the starts (first-shift maximizer of
-        # direction j, warm start j).
+        # -s_t e^{i theta_j} and the starts (first-shift report of direction
+        # j, with its maximizer and estimate, and warm start j).
         ops = [random_instance(2, 2, np.random.default_rng([37, i])) for i in range(2)]
         warm = [list(haar_unitaries(2, 8, np.random.default_rng([38, i]))) for i in range(2)]
         grouped, norm = unitary_opt.maximize_grouped, orbit.russo_dye_norm
@@ -342,7 +342,7 @@ class TestBanachRegion:
 
         def spy_grouped(objective, groups, starts, *args, **kwargs):
             out = grouped(objective, groups, starts, *args, **kwargs)
-            calls.append((objective, np.asarray(groups), np.stack(starts), out))
+            calls.append((objective, np.asarray(groups), list(starts), out))
             return out
 
         def spy_norm(*args):
@@ -369,7 +369,9 @@ class TestBanachRegion:
                     group = 24 * i + 8 * (t - 1) + j
                     assert objective.z[2 * group] == objective.z[2 * group + 1]
                     assert objective.z[2 * group] == (-s[t] * phases)[j]
-                    assert np.array_equal(starts[2 * group], first[8 * i + j].maximizer)
+                    rep = first[8 * i + j]
+                    assert np.array_equal(starts[2 * group].maximizer, rep.maximizer)
+                    assert np.array_equal(starts[2 * group].estimate, rep.estimate)
                     assert np.array_equal(starts[2 * group + 1], warm[i][j])
                     assert g[j, t] == later[group].value - s[t]
             assert [rep.value for rep in est.reports] == [
@@ -436,15 +438,16 @@ class TestBanachRegion:
 class TestChainPolish:
     def test_one_start_per_direction_from_its_predecessor(self, monkeypatch):
         # The chained polish re-ascends direction j of each instance from the
-        # maximizer of direction j - 1 mod m alone: the direction's own
-        # maximizer and the Banach warm start were starts of the sweep.
+        # report of direction j - 1 mod m alone, so from its maximizer with
+        # its estimate: the direction's own maximizer and the Banach warm
+        # start were starts of the sweep.
         ops = [random_instance(2, 2, np.random.default_rng([17, i])) for i in range(2)]
         warm = [list(haar_unitaries(2, 8, np.random.default_rng([18, i]))) for i in range(2)]
         chain, grouped = orbit._chain_polish, unitary_opt.maximize_grouped
-        inside, polishes = [], []  # polishes: (maximizers in, groups, starts)
+        inside, polishes = [], []  # polishes: (reports in, groups, starts)
 
         def spy_chain(reports, *args):
-            inside.append([[rep.maximizer.copy() for rep in reps] for reps in reports])
+            inside.append(reports)
             try:
                 return chain(reports, *args)
             finally:
@@ -452,7 +455,7 @@ class TestChainPolish:
 
         def spy_grouped(objective, groups, starts, *args, **kwargs):
             if inside:
-                polishes.append((inside[-1], np.asarray(groups), np.stack(starts)))
+                polishes.append((inside[-1], np.asarray(groups), list(starts)))
             return grouped(objective, groups, starts, *args, **kwargs)
 
         monkeypatch.setattr(orbit, "_chain_polish", spy_chain)
@@ -460,13 +463,14 @@ class TestChainPolish:
         orbit_region(ops, 8, CFG)
         banach_region(ops, 8, CFG, scales=[3.0, 4.0], warm_starts=warm)
         assert len(polishes) == 2
-        for maximizers, groups, starts in polishes:
+        for reports, groups, starts in polishes:
             assert np.array_equal(groups, np.arange(2 * 8))
-            for i, inst in enumerate(maximizers):
+            for i, inst in enumerate(reports):
                 for j in range(8):
-                    assert np.array_equal(starts[8 * i + j], inst[j - 1])
+                    assert starts[8 * i + j] is inst[j - 1]
+                    assert inst[j - 1].estimate is not None
             flat = [w for inst in warm for w in inst]
-            assert not any(np.array_equal(start, w) for start in starts for w in flat)
+            assert not any(np.array_equal(start.maximizer, w) for start in starts for w in flat)
 
 
 class TestDoubling:
@@ -549,7 +553,7 @@ class TestDoubling:
                         several += 1
                     else:
                         own = own[:2]
-                    assert same(starts, [left.maximizer, right.maximizer, *own])
+                    assert starts[0] is left and starts[1] is right and same(starts[2:], own)
         if m == 720:
             assert several > 0  # both kinds of midpoint occur
 
