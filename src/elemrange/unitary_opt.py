@@ -45,15 +45,14 @@ The objectives then apply each instance's operator to its own rows, one
 GEMM per instance, and no start's budget reads another start;
 _maximize_blocks lays out every such batch from per-instance lists of
 start blocks.  The rows are split into slabs of whole instances of at
-most _SLAB_ENTRIES entries (_row_entries per row), or of one instance,
-and each slab runs its coarse pass, with estimates of its own, before the
-next one starts.  Only its polished starts keep their estimates, and they
-take their fine pass before the next slab starts unless they and it fit
-in one slab together; only each subproblem's best start keeps an
-estimate for the report.  That bounds a batch's peak memory.  Every per-row kernel and
-every inner product is independent of the rows beside it, so an
-instance's reports are bit-identical whether it runs alone or in a batch,
-whatever the slabs.
+most _SLAB_ENTRIES entries (_row_entries per row), or of one instance.
+Each slab is one multistart (_Ascent) with one BFGS history: it runs its
+coarse pass, the fine pass of its polished starts and its subproblems'
+reports, where only each subproblem's best start hands on its estimate,
+before the next slab allocates anything.  That bounds a batch's peak
+memory.  Every per-row kernel and every inner product is independent of
+the rows beside it, so an instance's reports are bit-identical whether
+it runs alone or in a batch, whatever the slabs.
 """
 
 from __future__ import annotations
@@ -130,7 +129,9 @@ class OptReport:
 
     value: float
     maximizer: np.ndarray
-    iterations: int  # most steps taken by any one start
+    # Most steps taken by any one start; merge_reports adds the counts of
+    # the ascents it merges.
+    iterations: int
     converged: bool
     start_values: np.ndarray
     estimate: np.ndarray | None = None
@@ -244,18 +245,16 @@ def default_starts(n: int, restarts: int, rng: np.random.Generator):
     return starts
 
 
-def _slabs(idx: np.ndarray, owner: np.ndarray, cap: int) -> list:
-    """Split the sorted rows idx into consecutive slabs of whole instances
-    (owner[i] is the instance of row i), each of at most cap rows unless it
-    holds one instance alone."""
-    if idx.size <= cap:
-        return [idx]
+def _slabs(offsets: np.ndarray, rows: int, cap: int) -> list:
+    """Split the rows 0..rows-1, of which instance i owns those from
+    offsets[i] on, into consecutive ranges (lo, hi) of whole instances,
+    each of at most cap rows unless it holds one instance alone."""
     cuts, prev = [0], 0
-    for end in [*(np.flatnonzero(np.diff(owner[idx])) + 1), idx.size]:
-        if end - cuts[-1] > cap and prev > cuts[-1]:
+    for end in [*offsets[1:], rows]:
+        if end - cuts[-1] > cap and cuts[-1] < prev < end:
             cuts.append(prev)
         prev = end
-    return np.split(idx, cuts[1:])
+    return list(zip(cuts, [*cuts[1:], rows]))
 
 
 def _dot(x, y) -> np.ndarray:
@@ -394,88 +393,96 @@ class _History:
 
 
 class _Ascent:
-    """Shared batched ascent state over a fixed set of start points, of
-    which instance i owns those from objective.offsets[i] on, and row i
-    belongs to group groups[i].
+    """One slab's multistart: the starts of the sorted rows of a batch,
+    which are whole instances, and one BFGS history for all of its passes.
 
     Each step is BFGS on the left-trivialized directions K = skew(u*E):
     vector transport is then the identity, so each row's estimate lives in
-    the Lie algebra and maps K to its direction.  estimates[i] is the
-    estimate row i starts its next run from (None: _INITIAL_STEP I).
+    the Lie algebra and maps K to its direction.  Every array is indexed by
+    position in the slab; rows[i] is the batch row of position i, which
+    selects its instance and parameters in the objective.  A start that is
+    a report begins at its maximizer with its estimate.
     """
 
-    def __init__(self, objective, u: np.ndarray, groups: np.ndarray, estimates: list):
+    def __init__(self, objective, rows: np.ndarray, starts):
         self.objective = objective
-        self.u = u
-        self.nb = u.shape[0]
-        self.groups = groups
-        self.estimates = estimates
-        self.cap = _SLAB_ENTRIES // _row_entries(u.shape[-1])  # rows of a slab
-        offsets = objective.offsets
-        self.owner = np.searchsorted(offsets, np.arange(self.nb), side="right") - 1
-        self.fval = np.full(self.nb, np.nan)  # every row steps in the first run
-        self.done = np.zeros(self.nb, dtype=bool)
-        self.converged = np.zeros(self.nb, dtype=bool)
-        self.iterations = np.zeros(self.nb, dtype=int)
+        self.rows = rows
+        self.u = np.array(
+            [s.maximizer if isinstance(s, OptReport) else s for s in starts], dtype=complex
+        )
+        nb = rows.size
+        self.history = _History(
+            nb, objective.n, [s.estimate if isinstance(s, OptReport) else None for s in starts]
+        )
+        self.fval = np.full(nb, np.nan)  # every row steps in the first run
+        self.done = np.zeros(nb, dtype=bool)
+        self.converged = np.zeros(nb, dtype=bool)
+        self.iterations = np.zeros(nb, dtype=int)
 
-    def slabs(self, rows: np.ndarray) -> list:
-        """The sorted rows split into slabs of whole instances of at most
-        self.cap rows, or of one instance."""
-        return _slabs(np.sort(rows), self.owner, self.cap)
+    def multistart(self, groups: np.ndarray, cfg: OptConfig, coarse_first: bool) -> list:
+        """One report per group of the slab (groups[i] is position i's), in
+        group order: each group's best row, with its estimate.
 
-    def best(self, rows: np.ndarray, keep: int) -> np.ndarray:
-        """The keep rows of highest value of each group among rows, ties
-        going to the earlier row (rows sorted)."""
-        by_value = rows[np.lexsort((-self.fval[rows], self.groups[rows]))]
-        ranked = self.groups[by_value]
-        return by_value[np.arange(rows.size) - np.searchsorted(ranked, ranked) < keep]
-
-    def run(self, active: np.ndarray, gtol: float, max_iterations: int, keep: int) -> None:
-        """Ascend the given elements until gradient tolerance or budget.
-
-        Each element steps until it has taken max_iterations steps over
-        every run so far, so its budget reads its own count alone.  The
-        elements run in slabs, one after another, each with a BFGS history
-        of its own, seeded from self.estimates.  After a slab's last step,
-        the best keep rows of each of its groups (best) store their
-        estimates in self.estimates, for a later run or a report, the
-        other rows drop theirs, and the history is freed.
+        With coarse_first, every row ascends to _COARSE_TOL, and then, since
+        a report is its group's maximum, only the _POLISHED best of each
+        group (_best) ascend on to _GRADIENT_TOL, with the estimates of their
+        coarse pass; otherwise every row ascends to _GRADIENT_TOL at once.
         """
-        done = self.done
-        done[active] = False
+        active = np.arange(self.rows.size)
+        if coarse_first:
+            self.run(active, _COARSE_TOL, cfg.max_iterations)
+            active = _best(self.fval, groups, _POLISHED)
+        self.run(active, _GRADIENT_TOL, cfg.max_iterations)
+        reports = []
+        for g in range(groups.min(), groups.max() + 1):
+            at = np.flatnonzero(groups == g)
+            best = at[int(np.argmax(self.fval[at]))]
+            paired = self.history.paired[best]
+            reports.append(
+                OptReport(
+                    value=float(self.fval[best]),
+                    maximizer=self.u[best].copy(),
+                    iterations=int(np.max(self.iterations[at])),
+                    converged=bool(self.converged[best]),
+                    start_values=self.fval[at],
+                    estimate=self.history.h[best].copy() if paired else None,
+                )
+            )
+        return reports
+
+    def run(self, active: np.ndarray, gtol: float, max_iterations: int) -> None:
+        """Ascend the rows at the sorted positions active until gradient
+        tolerance or budget.
+
+        Each row steps until it has taken max_iterations steps over every
+        run so far, so its budget reads its own count alone.  The first
+        step of a run takes each row's gradient anew.
+        """
+        self.done[active] = False
         self.converged[active] = False
-        n = self.u.shape[-1]
-        for slab in self.slabs(active):
-            history = _History(slab.size, n, [self.estimates[i] for i in slab])
-            own = max_iterations - self.iterations[slab]
-            for it in range(int(own.max(initial=0))):
-                loc = np.flatnonzero(~done[slab] & (own > it))
-                if loc.size == 0:
-                    break
-                if it == 0:
-                    self.fval[slab[loc]], history.k[loc] = self._gradient(slab[loc])
-                self.iterations[slab[loc]] += 1
-                self._step(slab[loc], loc, gtol, history)
-            for i in slab:
-                self.estimates[i] = None
-            top = self.best(slab, keep)
-            for i, at in zip(top, np.searchsorted(slab, top)):
-                self.estimates[i] = history.h[at].copy() if history.paired[at] else None
-            del history  # freed before the next slab allocates its own
+        own = max_iterations - self.iterations[active]
+        for it in range(int(own.max(initial=0))):
+            loc = active[~self.done[active] & (own > it)]
+            if loc.size == 0:
+                break
+            if it == 0:
+                self.fval[loc], self.history.k[loc] = self._gradient(loc)
+            self.iterations[loc] += 1
+            self._step(loc, gtol)
 
     # _gradient and _step are methods of their own so that their row-sized
-    # temporaries are freed before the next slab allocates its own: those
-    # temporaries set the peak memory of a large batch.
+    # temporaries are freed at the end of each call: those temporaries set
+    # the peak memory of a large slab.
 
-    def _gradient(self, idx):
-        """Objective values and tangent ascent directions at the rows idx."""
-        ua = self.u[idx]
-        fa, ea = self.objective.value_and_grad(ua, idx)
+    def _gradient(self, loc):
+        """Objective values and tangent ascent directions at the positions loc."""
+        ua = self.u[loc]
+        fa, ea = self.objective.value_and_grad(ua, self.rows[loc])
         return fa, tangent_project(ua, ea)
 
-    def _step(self, idx, loc, gtol: float, history: _History) -> None:
-        """One BFGS direction and Armijo line search for the rows idx, at
-        positions loc of the slab that owns history, from K = history.k.
+    def _step(self, loc, gtol: float) -> None:
+        """One BFGS direction and Armijo line search for the rows at the
+        positions loc, from K = history.k.
 
         The first trial is evaluated with its gradient, so a row accepted
         there has its new K at once.  Later trials are evaluated with the
@@ -484,15 +491,15 @@ class _Ascent:
         pair, in one call.  A row whose _MAX_BACKTRACKS trials all fail
         stalls: it stops for good.
         """
-        u, fval, done = self.u, self.fval, self.done
+        u, fval, done, history = self.u, self.fval, self.done, self.history
         k = history.k[loc]
         gn2 = _dot(k, k)
-        hit = np.sqrt(gn2) <= gtol * (1.0 + np.abs(fval[idx]))
-        done[idx[hit]] = True
-        self.converged[idx[hit]] = True
+        hit = np.sqrt(gn2) <= gtol * (1.0 + np.abs(fval[loc]))
+        done[loc[hit]] = True
+        self.converged[loc[hit]] = True
         if hit.all():
             return
-        idx, loc, k, gn2 = idx[~hit], loc[~hit], k[~hit], gn2[~hit]
+        loc, k, gn2 = loc[~hit], k[~hit], gn2[~hit]
         # Every row takes its direction D = H K (_INITIAL_STEP K for a row
         # with no curvature) with a first trial of t = 1, unless D is not an ascent
         # direction, when it falls back to D = K.  The test multiplies the
@@ -511,27 +518,27 @@ class _Ascent:
         # slowly correct: its pair of this step sets it anew.
         t = np.minimum(1.0, np.pi / (np.sqrt(dd) + 1e-300))
         history.paired[loc[t < 1.0]] = False
-        # at holds the positions in idx of the rows still backtracking, which
+        # at holds the positions in loc of the rows still backtracking, which
         # have not moved, so u holds their start; d[at] is scaled by t on
         # acceptance, so that it holds the accepted step, and k_new[at]
         # then takes K at the new point.
-        at = np.arange(idx.size)
-        moved = np.zeros(idx.size, dtype=bool)
-        late = np.zeros(idx.size, dtype=bool)
+        at = np.arange(loc.size)
+        moved = np.zeros(loc.size, dtype=bool)
+        late = np.zeros(loc.size, dtype=bool)
         k_new = np.empty_like(k)
         for j in range(_MAX_BACKTRACKS):
-            rows = idx[at]
-            trial = _batched.apply_skew_exp(u[rows], h, t)
+            pos = loc[at]
+            trial = _batched.apply_skew_exp(u[pos], h, t)
             if j == 0:
-                ft, e = self.objective.value_and_grad(trial, rows)
+                ft, e = self.objective.value_and_grad(trial, self.rows[pos])
             else:
-                ft = self.objective.value(trial, rows)
+                ft = self.objective.value(trial, self.rows[pos])
             ft = np.asarray(ft, dtype=float)
-            ok = ft >= fval[rows] + _ARMIJO * t * slope
+            ok = ft >= fval[pos] + _ARMIJO * t * slope
             acc = at[ok]
             if acc.size:
-                u[rows[ok]] = trial[ok]
-                fval[rows[ok]] = ft[ok]
+                u[pos[ok]] = trial[ok]
+                fval[pos[ok]] = ft[ok]
                 d[acc] *= t[ok][:, None, None]
                 moved[acc] = True
                 if j == 0:
@@ -544,13 +551,21 @@ class _Ascent:
             at, h, slope, t = at[~ok], h[~ok], slope[~ok], t[~ok]
             if at.size == 0:
                 break
-        done[idx[at]] = True  # backtracking budget exhausted: stall
+        done[loc[at]] = True  # backtracking budget exhausted: stall
         late = np.flatnonzero(late)
         if late.size:
-            fval[idx[late]], k_new[late] = self._gradient(idx[late])
+            fval[loc[late]], k_new[late] = self._gradient(loc[late])
         moved = np.flatnonzero(moved)
         if moved.size:
             history.store(loc[moved], d[moved], k[moved], k_new[moved])
+
+
+def _best(fval: np.ndarray, groups: np.ndarray, keep: int) -> np.ndarray:
+    """The sorted positions of the keep highest values fval of each group,
+    ties going to the earlier position."""
+    by_value = np.lexsort((-fval, groups))
+    ranked = groups[by_value]
+    return np.sort(by_value[np.arange(by_value.size) - np.searchsorted(ranked, ranked) < keep])
 
 
 def maximize_grouped(
@@ -579,54 +594,21 @@ def maximize_grouped(
     Each start takes at most cfg.max_iterations steps over both passes, so
     a polished start's fine pass gets what its own coarse pass left.  The
     elements may belong to several instances: instance i owns the
-    contiguous elements from objective.offsets[i] on, and no group spans
-    two instances.  No start's budget reads another start, so each
-    instance's reports are bit-identical to those of a call on that
-    instance alone.
+    contiguous elements from objective.offsets[i] on, no group spans two
+    instances, and a later instance's groups are numbered above an earlier
+    one's.  The rows run in slabs of whole instances (_slabs), one after
+    another: each slab takes both passes and builds its own groups'
+    reports (_Ascent.multistart) before the next slab allocates anything.
+    No start's budget reads another start, so each instance's reports are
+    bit-identical to those of a call on that instance alone.
     """
     groups = np.asarray(groups)
-    ngroups = int(groups.max()) + 1
-    state = _Ascent(
-        objective,
-        np.array([s.maximizer if isinstance(s, OptReport) else s for s in starts], dtype=complex),
-        groups,
-        [s.estimate if isinstance(s, OptReport) else None for s in starts],
-    )
-
-    # The aggregate is a max, so only the best start's final value matters:
-    # rank each group's starts by coarse value (the sort is stable, so ties
-    # keep row order) and polish the top, from the estimates they kept.
-    # The polished starts of consecutive slabs wait for their fine pass
-    # while they and the next slab fit in one slab together, so that no
-    # more estimates are held at once than one slab holds.
-    if coarse_first:
-        slabs, waiting = state.slabs(np.arange(state.nb)), []
-        for i, slab in enumerate(slabs):
-            state.run(slab, _COARSE_TOL, cfg.max_iterations, _POLISHED)
-            waiting.extend(state.best(slab, _POLISHED))
-            if i + 1 == len(slabs) or len(waiting) + slabs[i + 1].size > state.cap:
-                state.run(np.array(waiting), _GRADIENT_TOL, cfg.max_iterations, 1)
-                waiting = []
-    else:
-        state.run(np.arange(state.nb), _GRADIENT_TOL, cfg.max_iterations, 1)
-
-    # Each group's best row is one of its final rows, and kept its estimate.
-    order = np.argsort(groups, kind="stable")
-    cuts = np.searchsorted(groups[order], np.arange(ngroups + 1))
+    cap = _SLAB_ENTRIES // _row_entries(objective.n)  # rows of a slab
     reports = []
-    for g in range(ngroups):
-        idx = order[cuts[g]:cuts[g + 1]]
-        vals = state.fval[idx]
-        best = idx[int(np.argmax(vals))]
-        reports.append(
-            OptReport(
-                value=float(state.fval[best]),
-                maximizer=state.u[best].copy(),
-                iterations=int(np.max(state.iterations[idx])),
-                converged=bool(state.converged[best]),
-                start_values=vals.copy(),
-                estimate=state.estimates[best],
-            )
+    for lo, hi in _slabs(objective.offsets, groups.size, cap):
+        # The slab's state is freed at the end of this statement.
+        reports += _Ascent(objective, np.arange(lo, hi), starts[lo:hi]).multistart(
+            groups[lo:hi], cfg, coarse_first
         )
     return reports
 
@@ -661,7 +643,11 @@ def _maximize_blocks(objective_cls, rs, blocks, cfg: OptConfig):
 
 
 def merge_reports(incumbent: OptReport, challenger: OptReport) -> OptReport:
-    """Combine two ascents of the same subproblem, keeping the better value."""
+    """Combine two ascents of the same subproblem, keeping the better value.
+
+    The iterations add up: after a chained polish, a direction's count is
+    the most steps of any start of its sweep plus those of its polish.
+    """
     winner = challenger if challenger.value > incumbent.value else incumbent
     return OptReport(
         value=winner.value,

@@ -268,6 +268,43 @@ class TestMaximizeGrouped:
                 monkeypatch.setattr(unitary_opt, "_SLAB_ENTRIES", cap)
                 assert_same_reports(batched(), solo)
 
+    def test_each_slab_polishes_its_own_starts(self, monkeypatch):
+        # A cap of one and a half instances makes three slabs of one
+        # instance each.  Each slab runs its coarse pass and then the fine
+        # pass of its own _POLISHED best starts per group, on one history,
+        # before the next slab starts; the reports keep the solo bits.
+        solo, batched, cfg = three_instances("orbit", 2)
+        rows = 2 * (cfg.restarts + 2)
+        cap = rows * 3 // 2
+        monkeypatch.setattr(unitary_opt, "_SLAB_ENTRIES", cap * unitary_opt._row_entries(2))
+        calls, histories = [], []
+        run, init = unitary_opt._Ascent.run, unitary_opt._History.__init__
+
+        def spy_run(self, active, gtol, *rest):
+            calls.append((gtol, self, active.copy(), self.fval.copy()))
+            return run(self, active, gtol, *rest)
+
+        def spy_init(self, *args):
+            histories.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(unitary_opt._Ascent, "run", spy_run)
+        monkeypatch.setattr(unitary_opt._History, "__init__", spy_init)
+        assert_same_reports(batched(), solo)
+        coarse, fine = unitary_opt._COARSE_TOL, unitary_opt._GRADIENT_TOL
+        assert [c[0] for c in calls] == [coarse, fine] * 3
+        assert len(histories) == 3
+        groups = np.repeat([0, 1], rows // 2)
+        for i in range(3):
+            (_, slab, every, _), (_, polished, active, values) = calls[2 * i:2 * i + 2]
+            assert polished is slab and slab.history is histories[i]
+            assert np.array_equal(slab.rows[every], rows * i + np.arange(rows))
+            want = [
+                at for g in (0, 1)
+                for at in sorted(np.flatnonzero(groups == g), key=lambda at: (-values[at], at))[:2]
+            ]
+            assert np.array_equal(active, np.sort(want))
+
     def test_each_point_is_decomposed_once(self, rng, monkeypatch):
         # The first trial of each step goes to value_and_grad, and a start
         # accepted there takes its next step from that gradient; value sees
@@ -334,9 +371,9 @@ class TestMaximizeGrouped:
         calls = []
         run = unitary_opt._Ascent.run
 
-        def spy(self, active, gtol, max_iterations, keep):
-            calls.append((np.sort(active), self.fval.copy()))
-            return run(self, active, gtol, max_iterations, keep)
+        def spy(self, active, gtol, max_iterations):
+            calls.append((self.rows[active], self.fval.copy()))
+            return run(self, active, gtol, max_iterations)
 
         monkeypatch.setattr(unitary_opt._Ascent, "run", spy)
         reports = maximize_grouped(
@@ -516,13 +553,13 @@ def spy_retraction(monkeypatch):
 
 def fresh_ascent(rng, n=3, restarts=4, scale=1.0):
     """An ascent of one orbit objective, of an operator of the given scale,
-    from the default starts, its rows, and a fresh BFGS history for them,
-    holding K at every row, as the ascent's first step finds them."""
+    from the default starts, its rows, and its fresh BFGS history, holding
+    K at every row, as the ascent's first step finds them."""
     r = random_instance(n, 2, rng)
     obj = OrbitSupportObjective([(scale * r.a, r.b)], 0.9)
     u = np.stack(default_starts(n, restarts, rng))
-    state = unitary_opt._Ascent(obj, u, np.arange(len(u)), [None] * len(u))
-    idx, history = np.arange(state.nb), unitary_opt._History(state.nb, n)
+    state = unitary_opt._Ascent(obj, np.arange(len(u)), u)
+    idx, history = np.arange(len(u)), state.history
     state.fval[idx], history.k[idx] = state._gradient(idx)
     return state, idx, history
 
@@ -583,16 +620,16 @@ class TestLbfgsStep:
         r = random_instance(n, 2, rng)
         obj = OrbitSupportObjective([(r.a, r.b)], 0.9)
         u = np.stack(default_starts(n, 0, rng))
-        state = unitary_opt._Ascent(obj, u, np.arange(2), [None] * 2)
         idx = np.arange(2)
-        history = unitary_opt._History(2, n)
+        state = unitary_opt._Ascent(obj, idx, u)
+        history = state.history
         s = np.stack([random_skew(rng, n) for _ in idx])
         store_pair(history, idx, s, s)
         state.fval[idx], history.k[idx] = state._gradient(idx)
         k = history.k.copy()
         monkeypatch.setattr(history, "direction", lambda loc, k: np.stack([-k[0], 2 * k[1]]))
         seen = spy_retraction(monkeypatch)
-        state._step(idx, idx, 0.0, history)
+        state._step(idx, 0.0)
         assert np.array_equal(seen[0], np.stack([k[0], 2 * k[1]]))
         tmax = np.pi / np.linalg.norm(seen[0], axis=(1, 2))
         assert tmax[1] < 1.0  # the cap binds on row 1
@@ -605,7 +642,7 @@ class TestLbfgsStep:
         state, idx, history = fresh_ascent(rng)
         k = history.k.copy()
         seen = spy_retraction(monkeypatch)
-        state._step(idx, idx, 0.0, history)
+        state._step(idx, 0.0)
         assert np.array_equal(seen[0], unitary_opt._INITIAL_STEP * k)
         tmax = np.pi / np.linalg.norm(seen[0], axis=(1, 2))
         assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
@@ -620,7 +657,7 @@ class TestLbfgsStep:
         seen = spy_retraction(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state._step(idx, idx, 0.0, history)
+            state._step(idx, 0.0)
         assert np.array_equal(seen[0], unitary_opt._INITIAL_STEP * k)
 
     def test_pair_is_stored_when_its_step_is_accepted(self, rng):
@@ -628,7 +665,7 @@ class TestLbfgsStep:
         # point; a row that did not move holds no pair.
         state, idx, history = fresh_ascent(rng)
         start = state.u.copy()
-        state._step(idx, idx, 0.0, history)
+        state._step(idx, 0.0)
         moved = np.any(state.u != start, axis=(1, 2))
         assert np.count_nonzero(moved) > 1
         assert np.array_equal(history.paired, moved)
@@ -646,11 +683,11 @@ class TestLbfgsStep:
         state, _, _ = fresh_ascent(rng, restarts=0)
         idx = np.arange(2)
         seeds = [1e3 * np.eye(n * n), 0.05 * np.eye(n * n)]
-        history = unitary_opt._History(2, n, seeds)
+        state.history = history = unitary_opt._History(2, n, seeds)
         state.fval[idx], history.k[idx] = state._gradient(idx)
         start, k = state.u.copy(), history.k.copy()
         assert np.pi / np.linalg.norm(0.05 * k[1]) > 1.0 > np.pi / np.linalg.norm(1e3 * k[0])
-        state._step(idx, idx, 0.0, history)
+        state._step(idx, 0.0)
         assert np.all(np.any(state.u != start, axis=(1, 2))) and history.paired.all()
         for row, seed in enumerate([None, seeds[1]]):
             step = np.linalg.solve(start[row], state.u[row])  # the Cayley factor
@@ -683,7 +720,7 @@ class TestLbfgsStep:
 
         monkeypatch.setattr(unitary_opt._batched, "apply_skew_exp", spy_retract)
         monkeypatch.setattr(state, "_gradient", spy_gradient)
-        state._step(idx, idx, 0.0, history)
+        state._step(idx, 0.0)
         moved = np.any(state.u != start, axis=(1, 2))
         first = np.all(state.u == firsts[0], axis=(1, 2))
         late = np.flatnonzero(moved & ~first)
@@ -736,19 +773,18 @@ class TestLbfgsStep:
 @given(
     sizes=st.lists(st.integers(0, 6), min_size=1, max_size=8),
     cap=st.integers(0, 20),
-    data=st.data(),
 )
-def test_slabs_partition_whole_instances(sizes, cap, data):
+def test_slabs_partition_whole_instances(sizes, cap):
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    keep = data.draw(st.lists(st.booleans(), min_size=owner.size, max_size=owner.size))
-    idx = np.flatnonzero(np.asarray(keep, dtype=bool))
-    slabs = unitary_opt._slabs(idx, owner, cap)
-    assert np.array_equal(np.concatenate(slabs), idx)
-    assert all(slab.size for slab in slabs) or idx.size == 0
-    for prev, slab in zip(slabs, slabs[1:]):
-        assert owner[prev[-1]] != owner[slab[0]]
-    for slab in slabs:
-        assert slab.size <= cap or len(set(owner[slab])) == 1
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    slabs = unitary_opt._slabs(offsets, owner.size, cap)
+    idx = np.concatenate([np.arange(lo, hi) for lo, hi in slabs])
+    assert np.array_equal(idx, np.arange(owner.size))
+    assert all(hi > lo for lo, hi in slabs) or owner.size == 0
+    for (_, end), (start, _) in zip(slabs, slabs[1:]):
+        assert owner[end - 1] != owner[start]
+    for lo, hi in slabs:
+        assert hi - lo <= cap or len(set(owner[lo:hi])) == 1
 
 
 class TestHelpers:
