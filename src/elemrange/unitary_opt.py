@@ -5,18 +5,23 @@ directional suprema of unitary-orbit fields of values — are nonconvex
 maximizations of the form max f(u), u in U(n).  The engine below runs all
 starts as one batched ascent: the Euclidean gradient E of f is projected
 to the left-trivialized direction K = skew(u*E), and each step is BFGS
-in the Lie algebra.  Vector transport is then the identity (Huang,
-Gallivan & Absil, SIAM J. Optim. 2015), so every start keeps one dense
-estimate H of the inverse Hessian, an n^2 x n^2 matrix in coordinates of
-an orthonormal basis of the skew-Hermitian matrices under the inner
-product Re tr(X*Y), and takes the direction D = H K.  The retraction is
-the Cayley map u <- u (I - tD/2)^-1 (I + tD/2), which keeps u unitary at
-the cost of one small solve per trial (Wen & Yin, Math. Program. 2013),
-and t is chosen by Armijo backtracking from t = 1, capped at
-t |D|_F <= pi; a start whose D is not an ascent direction steps along K
-instead.  A start stalls when the _MAX_BACKTRACKS trials of one step all
-fail; they count from the capped t, so that rule does not read the
-operator's scale.  Every stopping rule reads its own start's state alone.
+in the Lie algebra u(n).  Vector transport is then the identity (Huang,
+Gallivan & Absil, SIAM J. Optim. 2015), so every tangent vector of the
+ascent (K, the direction D, the step and the BFGS pairs) is held as its
+n^2 real coordinates in one orthonormal basis of u(n) under the inner
+product Re tr(X*Y) (_Frame), and every inner product is a dot of n^2
+reals.  Every start keeps one dense estimate H of the inverse Hessian, an
+n^2 x n^2 matrix in those coordinates, and takes the direction D = H K.
+U(n) enters a step through the frame's two maps alone, the coordinates
+of skew(u*E) for each gradient and D's skew matrix for the retraction,
+and the retraction itself.  That is the Cayley map
+u <- u (I - tD/2)^-1 (I + tD/2), which keeps u unitary at the cost of one
+small solve per trial (Wen & Yin, Math. Program. 2013), and t is chosen
+by Armijo backtracking from t = 1, capped at t |D|_F <= pi; a start whose
+D is not an ascent direction steps along K instead.  A start stalls when
+the _MAX_BACKTRACKS trials of one step all fail; they count from the
+capped t, so that rule does not read the operator's scale.  Every
+stopping rule reads its own start's state alone.
 When a start's step is accepted, H takes the BFGS update of the pair
 (s, y) of the step and the change of K along it, and the start keeps K at
 its new point.  The first trial of each step is evaluated with its
@@ -122,7 +127,8 @@ class OptReport:
     """Outcome of one multistart ascent.
 
     estimate is the inverse-Hessian estimate of the start that reached the
-    maximizer, an n^2 x n^2 matrix in the coordinates of _frame, or None
+    maximizer, an n^2 x n^2 matrix that maps the coordinates of K in _Frame
+    to those of the ascent's direction, or None
     where that start held no curvature or the report no longer needs it
     (verify._kept); an ascent started from the report begins with it.
     """
@@ -229,12 +235,6 @@ class OrbitSupportObjective:
         return lam, grad
 
 
-def tangent_project(u, e):
-    """Skew part of u*E: the ascent direction in the Lie algebra at u."""
-    m = _batched.mm(np.conj(np.swapaxes(u, -1, -2)), e)
-    return (m - np.conj(np.swapaxes(m, -1, -2))) / 2.0
-
-
 def flip_permutation(n: int) -> np.ndarray:
     return np.eye(n)[::-1].astype(complex).copy()
 
@@ -257,28 +257,53 @@ def _slabs(offsets: np.ndarray, rows: int, cap: int) -> list:
     return list(zip(cuts, [*cuts[1:], rows]))
 
 
-def _dot(x, y) -> np.ndarray:
-    """Re tr(X*Y) for each row of two C-contiguous (B, n, n) stacks."""
-    rows = len(x)
-    return np.einsum(
-        "bi,bi->b", x.view(float).reshape(rows, -1), y.view(float).reshape(rows, -1)
-    )
+def _inner(x, y) -> np.ndarray:
+    """The inner product of each row of two (B, n^2) coordinate stacks."""
+    return np.einsum("bi,bi->b", x, y)
 
 
-def _frame(n: int):
-    """Where the n^2 coordinates of a skew-Hermitian n x n matrix X, in the
-    orthonormal basis of u(n) under Re tr(X*Y), sit in the real view of X
-    (row-major, real part first): for each i, Im X_ii, then sqrt(2) Re X_ij
-    and sqrt(2) Im X_ij for each j > i.  Returns those positions and the
-    weights 1 and sqrt(2)."""
-    pick, weight = [], []
-    for i in range(n):
-        pick.append(2 * i * (n + 1) + 1)
-        weight.append(1.0)
-        for j in range(i + 1, n):
-            pick += [2 * (i * n + j), 2 * (i * n + j) + 1]
-            weight += [np.sqrt(2.0)] * 2
-    return np.array(pick), np.array(weight)
+class _Frame:
+    """The orthonormal basis of u(n), the skew-Hermitian n x n matrices,
+    under Re tr(X*Y), in whose n^2 real coordinates the ascent holds every
+    tangent vector: for each i, Im X_ii, then sqrt(2) Re X_ij and
+    sqrt(2) Im X_ij for each j > i.
+
+    Its two maps are all the ascent knows of U(n) besides the retraction.
+    pick holds where each coordinate's entry (i, j) sits in the real view of
+    an n x n matrix (row-major, real part first), mirror where the same
+    part of entry (j, i) sits, sign is -1 for a real part and +1 for an
+    imaginary one, and half holds the weights 1/2 and sqrt(2)/2.
+    """
+
+    def __init__(self, n: int):
+        pick, half = [], []
+        for i in range(n):
+            pick.append(2 * i * (n + 1) + 1)
+            half.append(0.5)
+            for j in range(i + 1, n):
+                pick += [2 * (i * n + j), 2 * (i * n + j) + 1]
+                half += [np.sqrt(0.5)] * 2
+        self.n, self.pick, self.half = n, np.array(pick), np.array(half)
+        i, j = np.divmod(self.pick // 2, n)
+        part = self.pick % 2
+        self.mirror, self.sign = 2 * (j * n + i) + part, 2.0 * part - 1.0
+
+    def skew_part(self, u, e) -> np.ndarray:
+        """The coordinates of skew(u*E) = (u*E - E*u)/2 for each row: the
+        left-trivialized gradient at u of a Euclidean gradient E."""
+        m = _batched.mm(np.conj(np.swapaxes(u, -1, -2)), e)
+        m = m.reshape(len(m), -1).view(float)
+        return (m.take(self.pick, axis=1) + self.sign * m.take(self.mirror, axis=1)) * self.half
+
+    def matrix(self, c) -> np.ndarray:
+        """The skew-Hermitian matrices of a (B, n^2) coordinate stack.
+
+        The upper triangle T of X with half of X's diagonal holds the
+        coordinates times half, and X = T - T*.
+        """
+        t = np.zeros((len(c), self.n, self.n), dtype=complex)
+        t.reshape(len(c), -1).view(float)[:, self.pick] = c * self.half
+        return t - np.conj(np.swapaxes(t, 1, 2))
 
 
 def _row_entries(n: int) -> int:
@@ -291,50 +316,29 @@ def _row_entries(n: int) -> int:
 class _History:
     """The BFGS state of one slab's rows, indexed by position in the slab.
 
-    h[i] is row i's estimate of the inverse Hessian of -f, a symmetric
-    n^2 x n^2 matrix in the coordinates of _frame, where paired[i] says
-    that it holds curvature.  A row starts from its seed, an earlier
-    report's estimate, or else unpaired: its direction is then exactly
-    _INITIAL_STEP K, and its first stored pair (s, y) sets h[i] to
-    <s, y>/<y, y> I before the update.  k is K at each row's current
-    point, and a row's pair is stored at the end of the step that moved
-    it, together with K at its new point.
+    Every tangent vector here is a row of n^2 coordinates of _Frame.  h[i]
+    is row i's estimate of the inverse Hessian of -f, a symmetric
+    n^2 x n^2 matrix, where paired[i] says that it holds curvature.  A row
+    starts from its seed, an earlier report's estimate, or else unpaired:
+    its direction is then exactly _INITIAL_STEP K, and its first stored
+    pair (s, y) sets h[i] to <s, y>/<y, y> I before the update.  k is K at
+    each row's current point, and a row's pair is stored at the end of the
+    step that moved it, together with K at its new point.
     """
 
     def __init__(self, rows: int, n: int, seeds=None):
-        self.pick, self.weight = _frame(n)
         self.h = np.zeros((rows, n * n, n * n))
         seeds = seeds or [None] * rows
         self.paired = np.array([seed is not None for seed in seeds], dtype=bool)
         for i in np.flatnonzero(self.paired):
             self.h[i] = seeds[i]
-        self.k = np.zeros((rows, n, n), dtype=complex)
+        self.k = np.zeros((rows, n * n))
 
-    def _coords(self, x) -> np.ndarray:
-        """The coordinates of a C-contiguous (B, n, n) skew stack."""
-        return x.reshape(len(x), -1).view(float).take(self.pick, axis=1) * self.weight
-
-    def _block(self, rows, *coords):
-        """A block of estimates that holds the given rows, their positions
-        in it, and each given stack of their coordinates laid out on it,
-        with zeros on the block's other rows.
-
-        Where the rows fill at least half of their span lo..hi-1, the block
-        is that span, a view of h, so the kernels below run on it without a
-        copy; elsewhere it is a copy of the rows' estimates alone, which
-        the caller writes back if it changes them.
-        """
-        lo, hi = rows.min(), rows.max() + 1
-        if 2 * rows.size >= hi - lo:
-            block, at = self.h[lo:hi], rows - lo
-        else:
-            block, at = self.h[rows], np.arange(rows.size)
-        out = []
-        for c in coords:
-            full = np.zeros((len(block), *c.shape[1:]))
-            full[at] = c
-            out.append(full)
-        return block, at, out
+    def _rows(self, rows) -> np.ndarray:
+        """The estimates of the sorted rows: a view of h where they form a
+        range, else a copy, which a caller that changes it writes back."""
+        lo, hi = rows[0], rows[-1] + 1
+        return self.h[lo:hi] if hi - lo == rows.size else self.h[rows]
 
     def store(self, loc, s, k_old, k_new) -> None:
         """The rows loc moved by the step s from where K was k_old to where
@@ -343,52 +347,42 @@ class _History:
 
         s is the step in the Lie algebra and y = k_old - k_new the gradient
         change of -f; a pair without positive curvature is skipped, and
-        leaves the estimate as it was.  The update runs on a block of
-        estimates (_block), where every other row gets s = y = 0 and so an
-        update of exactly 0.
+        leaves the estimate as it was.
         """
         self.k[loc] = k_new
         y = k_old - k_new
-        sy = _dot(s, y)
-        yy = _dot(y, y)
-        keep = sy > _CURVATURE * np.sqrt(_dot(s, s)) * np.sqrt(yy)
+        sy = _inner(s, y)
+        yy = _inner(y, y)
+        keep = sy > _CURVATURE * np.sqrt(_inner(s, s)) * np.sqrt(yy)
         if not keep.any():
             return
-        rows, sy, yy = loc[keep], sy[keep], yy[keep]
+        rows, s, y, sy, yy = loc[keep], s[keep], y[keep], sy[keep], yy[keep]
         fresh = ~self.paired[rows]
         if fresh.any():
             at, diag = rows[fresh], np.arange(self.h.shape[-1])
             self.h[at] = 0.0
             self.h[at[:, None], diag, diag] = (sy / yy)[fresh, None]
             self.paired[at] = True
-        h, _, (s, y, rho) = self._block(
-            rows, self._coords(s)[keep], self._coords(y)[keep], 1.0 / sy
-        )
+        h, rho = self._rows(rows), 1.0 / sy
         # H + s w^T + w s^T is (I - rho s y^T) H (I - rho y s^T) + rho s s^T,
         # added in chunks of 2 B / n^2 rows, so that its temporary is no
         # larger than one (B, n, n) stack of the step.
         hy = np.einsum("bij,bj->bi", h, y)
-        w = (0.5 * rho * (1.0 + rho * np.einsum("bi,bi->b", y, hy)))[:, None] * s
+        w = (0.5 * rho * (1.0 + rho * _inner(y, hy)))[:, None] * s
         w -= rho[:, None] * hy
         u, v = np.stack((s, w), axis=2), np.stack((w, s), axis=1)
         chunk = max(1, 2 * len(h) // h.shape[-1])
         for lo in range(0, len(h), chunk):
             h[lo:lo + chunk] += np.matmul(u[lo:lo + chunk], v[lo:lo + chunk])
-        if h.base is not self.h:  # a copy (_block)
+        if h.base is not self.h:  # a copy (_rows)
             self.h[rows] = h
 
     def direction(self, loc, k) -> np.ndarray:
-        """H K at the rows loc, as skew matrices."""
+        """H K at the rows loc."""
         d = _INITIAL_STEP * k
         on = self.paired[loc]
         if on.any():
-            h, at, (c,) = self._block(loc[on], self._coords(k[on]))
-            c = np.einsum("bij,bj->bi", h, c)[at]
-            # The upper triangle T of D with half of D's diagonal holds the
-            # coordinates times weight / 2, and D = T - T*.
-            t = np.zeros_like(d[on])
-            t.reshape(len(t), -1).view(float)[:, self.pick] = c * (0.5 * self.weight)
-            d[on] = t - np.conj(np.swapaxes(t, 1, 2))
+            d[on] = np.einsum("bij,bj->bi", self._rows(loc[on]), k[on])
         return d
 
 
@@ -411,6 +405,7 @@ class _Ascent:
             [s.maximizer if isinstance(s, OptReport) else s for s in starts], dtype=complex
         )
         nb = rows.size
+        self.frame = _Frame(objective.n)
         self.history = _History(
             nb, objective.n, [s.estimate if isinstance(s, OptReport) else None for s in starts]
         )
@@ -478,11 +473,15 @@ class _Ascent:
         """Objective values and tangent ascent directions at the positions loc."""
         ua = self.u[loc]
         fa, ea = self.objective.value_and_grad(ua, self.rows[loc])
-        return fa, tangent_project(ua, ea)
+        return fa, self.frame.skew_part(ua, ea)
 
     def _step(self, loc, gtol: float) -> None:
         """One BFGS direction and Armijo line search for the rows at the
         positions loc, from K = history.k.
+
+        K, the direction D, the accepted step and the pair are coordinates
+        of _Frame; D's skew matrix is built once, for the retraction's
+        factors, and each new K comes from the frame's map of a gradient.
 
         The first trial is evaluated with its gradient, so a row accepted
         there has its new K at once.  Later trials are evaluated with the
@@ -493,7 +492,7 @@ class _Ascent:
         """
         u, fval, done, history = self.u, self.fval, self.done, self.history
         k = history.k[loc]
-        gn2 = _dot(k, k)
+        gn2 = _inner(k, k)
         hit = np.sqrt(gn2) <= gtol * (1.0 + np.abs(fval[loc]))
         done[loc[hit]] = True
         self.converged[loc[hit]] = True
@@ -506,11 +505,11 @@ class _Ascent:
         # two norms: the product of their squares overflows once K exceeds
         # about 1e77.
         d = history.direction(loc, k)
-        slope, dd = _dot(k, d), _dot(d, d)
+        slope, dd = _inner(k, d), _inner(d, d)
         fallback = ~(slope > _ASCENT * np.sqrt(gn2) * np.sqrt(dd))
         d[fallback] = k[fallback]
         slope[fallback] = dd[fallback] = gn2[fallback]
-        h = _batched.skew_exp_factors(d)
+        h = _batched.skew_exp_factors(self.frame.matrix(d))
         # Cap the step at t |D|_F <= pi, which bounds every angle of the
         # Cayley factor below 2 atan(pi/2) and keeps tD of order one at any
         # scale of the operator.  A row whose D the cap shortens holds an
@@ -539,10 +538,10 @@ class _Ascent:
             if acc.size:
                 u[pos[ok]] = trial[ok]
                 fval[pos[ok]] = ft[ok]
-                d[acc] *= t[ok][:, None, None]
+                d[acc] *= t[ok][:, None]
                 moved[acc] = True
                 if j == 0:
-                    k_new[acc] = tangent_project(trial[ok], e[ok])
+                    k_new[acc] = self.frame.skew_part(trial[ok], e[ok])
                 else:
                     late[acc] = True
             if j == 0:

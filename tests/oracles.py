@@ -5,8 +5,9 @@ kernel paths: dense parameter grids over SU(2), random unit-sphere
 sampling, interval arithmetic, closed-form ellipse families, and
 single-matrix numpy and scipy linear algebra (Hermitian parts, eigenpairs,
 spectral norms, the operator applied term by term and its Kronecker
-matricization, the derivative along a curve u exp(tK), and the Cayley
-transform).  Only input validation is shared with the package.
+matricization, the skew part of u*E, the derivative along a curve
+u exp(tK), and the Cayley transform).  Only input validation is shared
+with the package.
 """
 
 from __future__ import annotations
@@ -88,13 +89,19 @@ def vec(x) -> np.ndarray:
     return np.asarray(x).flatten(order="F")
 
 
+def tangent_project(u, e) -> np.ndarray:
+    """Skew part of u*E for one matrix: the ascent direction in the Lie
+    algebra at u of a Euclidean gradient E."""
+    m = np.asarray(u).conj().T @ np.asarray(e)
+    return (m - m.conj().T) / 2.0
+
+
 def directional_derivative(objective, u, k) -> float:
     """Derivative of t -> f(u exp(tK)) at t = 0 from the objective's
     Euclidean gradient E: Re tr((skew u*E)* K)."""
     u = np.asarray(u, dtype=complex)
     _, e = objective.value_and_grad(u[None])
-    m = u.conj().T @ e[0]
-    proj = (m - m.conj().T) / 2.0
+    proj = tangent_project(u, e[0])
     kk = np.asarray(k)
     return float(np.sum(proj.real * kk.real + proj.imag * kk.imag))
 

@@ -17,10 +17,15 @@ from elemrange.unitary_opt import (
     default_starts,
     flip_permutation,
     maximize_grouped,
-    tangent_project,
 )
 
-from oracles import cayley, directional_derivative, finite_difference_directional, is_unitary
+from oracles import (
+    cayley,
+    directional_derivative,
+    finite_difference_directional,
+    is_unitary,
+    tangent_project,
+)
 
 
 def random_skew(rng, n):
@@ -66,9 +71,9 @@ class TestGradients:
             assert abs(analytic - numeric) / max(abs(numeric), 1e-6) <= 1e-5
 
     def test_tangent_project_is_skew(self, rng):
-        u = haar_unitary(3, rng)[None]
-        e = rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3))
-        k = tangent_project(u, e)[0]
+        u = haar_unitary(3, rng)
+        e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        k = tangent_project(u, e)
         assert np.abs(k + k.conj().T).max() <= 1e-12
 
 
@@ -513,6 +518,25 @@ def coords(basis, x):
     return np.array([np.sum(b.real * x.real + b.imag * x.imag) for b in basis])
 
 
+class TestFrame:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_frame_maps_match_the_basis(self, n, seed):
+        # _Frame's coordinates are those of skew_basis, its skew matrices
+        # give back skew(M), and the dot of coordinates is Re tr(X*Y).
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        frame, basis = unitary_opt._Frame(n), skew_basis(n)
+        c = frame.skew_part(np.stack([np.eye(n, dtype=complex)] * 2), m)
+        x = (m - np.conj(np.swapaxes(m, 1, 2))) / 2
+        for ci, xi in zip(c, x):
+            assert np.allclose(ci, coords(basis, xi), rtol=0, atol=1e-15 * np.abs(xi).max())
+        assert np.allclose(frame.matrix(c), x, rtol=0, atol=1e-15 * np.abs(x).max())
+        dot = np.sum(np.conj(x[0]) * x[1]).real
+        scale = np.linalg.norm(x[0]) * np.linalg.norm(x[1])
+        assert unitary_opt._inner(c[:1], c[1:])[0] == pytest.approx(dot, rel=0, abs=1e-15 * scale)
+
+
 def inverse_bfgs(pairs, dim, h=None):
     """Dense inverse-BFGS matrix of the pairs (s, y), oldest first, from h,
     by default the initial scaling <s, y>/<y, y> of the first pair."""
@@ -527,8 +551,11 @@ def inverse_bfgs(pairs, dim, h=None):
 
 
 def store_pair(history, loc, s, y):
-    """Feed the pair (s, y) of the rows loc through history.store."""
-    k = np.stack([random_skew(np.random.default_rng(len(loc)), s.shape[-1])] * len(loc))
+    """Feed the pair (s, y) of the rows loc, skew matrices, through
+    history.store in the coordinates of skew_basis."""
+    basis = skew_basis(s.shape[-1])
+    s, y = (np.stack([coords(basis, x) for x in stack]) for stack in (s, y))
+    k = np.random.default_rng(len(loc)).standard_normal(s.shape)
     history.store(loc, s, y + k, k)
 
 
@@ -583,13 +610,14 @@ class TestLbfgsStep:
             for row, si, yi in zip(rows, s, y):
                 pairs[row].append((coords(basis, si), coords(basis, yi)))
         k = np.stack([random_skew(rng, n) for _ in range(2)])
-        d = history.direction(np.array([0, 1]), k)
-        assert np.abs(d + np.conj(np.swapaxes(d, 1, 2))).max() <= 1e-12
+        d = history.direction(np.array([0, 1]), np.stack([coords(basis, x) for x in k]))
+        x = unitary_opt._Frame(n).matrix(d)
+        assert np.abs(x + np.conj(np.swapaxes(x, 1, 2))).max() <= 1e-12
         for row, kept in enumerate(pairs):
             h = inverse_bfgs(kept, n * n)
             assert np.allclose(history.h[row], h, rtol=1e-10, atol=1e-12)
             want = h @ coords(basis, k[row])
-            assert np.allclose(coords(basis, d[row]), want, rtol=1e-10, atol=1e-12)
+            assert np.allclose(d[row], want, rtol=1e-10, atol=1e-12)
 
     def test_pair_without_positive_curvature_is_skipped(self, rng):
         # Row 0's new y is -s and row 1's is orthogonal to s, so both keep
@@ -630,7 +658,7 @@ class TestLbfgsStep:
         monkeypatch.setattr(history, "direction", lambda loc, k: np.stack([-k[0], 2 * k[1]]))
         seen = spy_retraction(monkeypatch)
         state._step(idx, 0.0)
-        assert np.array_equal(seen[0], np.stack([k[0], 2 * k[1]]))
+        assert np.array_equal(seen[0], state.frame.matrix(np.stack([k[0], 2 * k[1]])))
         tmax = np.pi / np.linalg.norm(seen[0], axis=(1, 2))
         assert tmax[1] < 1.0  # the cap binds on row 1
         assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
@@ -643,7 +671,7 @@ class TestLbfgsStep:
         k = history.k.copy()
         seen = spy_retraction(monkeypatch)
         state._step(idx, 0.0)
-        assert np.array_equal(seen[0], unitary_opt._INITIAL_STEP * k)
+        assert np.array_equal(seen[0], state.frame.matrix(unitary_opt._INITIAL_STEP * k))
         tmax = np.pi / np.linalg.norm(seen[0], axis=(1, 2))
         assert seen[1] == pytest.approx(np.minimum(1.0, tmax), rel=1e-12)
 
@@ -653,12 +681,12 @@ class TestLbfgsStep:
         # every row takes its direction _INITIAL_STEP K.
         state, idx, history = fresh_ascent(rng, scale=1e100)
         k = history.k.copy()
-        assert np.all(np.linalg.norm(k, axis=(1, 2)) > 1e90)
+        assert np.all(np.linalg.norm(k, axis=1) > 1e90)
         seen = spy_retraction(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             state._step(idx, 0.0)
-        assert np.array_equal(seen[0], unitary_opt._INITIAL_STEP * k)
+        assert np.array_equal(seen[0], state.frame.matrix(unitary_opt._INITIAL_STEP * k))
 
     def test_pair_is_stored_when_its_step_is_accepted(self, rng):
         # Every row that moved holds the pair of its step and K at its new
@@ -692,7 +720,7 @@ class TestLbfgsStep:
         for row, seed in enumerate([None, seeds[1]]):
             step = np.linalg.solve(start[row], state.u[row])  # the Cayley factor
             s = 2 * np.linalg.solve(step + np.eye(n), step - np.eye(n))
-            pair = (coords(basis, s), coords(basis, k[row] - history.k[row]))
+            pair = (coords(basis, s), k[row] - history.k[row])
             want = inverse_bfgs([pair], n * n, seed)
             assert np.allclose(history.h[row], want, rtol=1e-8, atol=1e-10)
             assert history.h[row] @ pair[1] == pytest.approx(pair[0], abs=1e-10)
@@ -733,7 +761,7 @@ class TestLbfgsStep:
         # The pair is (the accepted step S, the change Y of K along it): the
         # estimate of one pair maps Y to S (the secant equation), and the
         # row moved by the Cayley retraction along S.
-        steps = history.direction(late, k_start[late] - k)
+        steps = state.frame.matrix(history.direction(late, k_start[late] - k))
         for row, step in zip(late, steps):
             assert np.allclose(start[row] @ cayley(step, 1.0), state.u[row], rtol=0, atol=1e-14)
 
